@@ -39,24 +39,34 @@ module Obs = Privagic_obs
 
 exception Error of string
 
-(* One executing instance of a function. Participants at a call site each
-   build their own record (with the deterministically agreed sequence
-   number, see Dispatch.child_seq); only the leader's record travels in
-   spawn messages, so the leader and its spawned chunks share the pending
-   count and completion set. *)
+(* One executing instance of a function, shared by all its participants:
+   the ones at a call site get the same record from the sequence
+   agreement (Dispatch.child), and spawn messages carry it to the spawned
+   chunks. Its barrier state therefore dies with the activation. *)
 type activation = {
   act_seq : int;
+  act_root : int;                  (* seq of the request it serves *)
   act_key : Infer.instance_key;
   act_pf : Plan.pfunc;
   act_participants : Color.t list;
   act_spawned : Color.t list;      (* colors started via spawn messages *)
   act_pending : int Atomic.t;      (* spawned chunks still running *)
   act_done : Color.t list Atomic.t; (* spawned chunks completed *)
+  act_arrived : (int * Color.t * int) list Atomic.t;
+      (* barrier arrivals: (instr, color, latest occurrence reached) *)
+}
+
+(* What a worker holds while it runs one participant's chunk of [f_act]:
+   this participant's call-site executions (for the sequence agreement)
+   and barrier arrivals, counted per instruction. *)
+type frame = {
+  f_act : activation;
+  f_calls : Dispatch.counts;
+  f_barriers : Dispatch.counts;
 }
 
 type slot = {
   s_mu : Mutex.t;
-  s_cv : Condition.t;
   mutable s_result : (Rvalue.t, string) result option;
 }
 
@@ -82,15 +92,14 @@ type worker = {
   w_exec : Exec.t;                 (* per-domain executor, shared tables *)
   w_track : int;                   (* telemetry track *)
   mutable w_mail : (int * Rvalue.t) list; (* conts, own domain only *)
-  mutable w_act : activation option;
-  w_occ : (int * int, int ref) Hashtbl.t; (* barrier occurrence counters *)
+  mutable w_frame : frame option;  (* the chunk running now *)
   mutable w_domain : unit Domain.t option;
   w_obs : Obs.Lane.t option; (* phase accounting + event ring; None = obs off *)
 }
 
 type t = {
   plan : Plan.t;
-  disp : Dispatch.t;
+  disp : activation Dispatch.t;
   base : Exec.t;                   (* template: shared heap/tables *)
   config : Sgx.Config.t;
   cost : Sgx.Cost.t option;
@@ -102,9 +111,6 @@ type t = {
   mutable guard : bool;            (* §8 valid-spawn-sequence guard *)
   tr_mu : Mutex.t;
   mutable traps : string list;
-  bar_mu : Mutex.t;                (* barrier arrival/completion tables *)
-  bar_arrived : (int * int * int * string, unit) Hashtbl.t;
-  bar_done : (int * string, unit) Hashtbl.t;
   tel_mu : Mutex.t;                (* the recorder is not thread-safe *)
   mutable tel : Tel.Recorder.t;
   mutable t0 : float;              (* wall-clock epoch for telemetry *)
@@ -145,10 +151,7 @@ let take_traps t =
   List.rev msgs
 
 let fill_slot (slot : slot) r =
-  Mutex.lock slot.s_mu;
-  slot.s_result <- Some r;
-  Condition.broadcast slot.s_cv;
-  Mutex.unlock slot.s_mu
+  Mutex.protect slot.s_mu (fun () -> slot.s_result <- Some r)
 
 (* Hybrid idle backoff: spin briefly (a message usually follows within the
    latency of one chunk), then yield the core. *)
@@ -190,10 +193,35 @@ let chunk_for_exn (pf : Plan.pfunc) (c : Color.t) : Func.t =
          (Printf.sprintf "no %s chunk in %s" (Color.to_string c)
             (Infer.instance_name pf.Plan.pf_key)))
 
-let cur_act (w : worker) =
-  match w.w_act with
-  | Some a -> a
+let cur_frame (w : worker) =
+  match w.w_frame with
+  | Some f -> f
   | None -> raise (Error "no current activation")
+
+let cur_act w = (cur_frame w).f_act
+
+(* A fresh activation; [root] defaults to the activation itself (a new
+   request). *)
+let new_act ?root ~seq key pf ~participants ~spawned =
+  {
+    act_seq = seq;
+    act_root = Option.value root ~default:seq;
+    act_key = key;
+    act_pf = pf;
+    act_participants = participants;
+    act_spawned = spawned;
+    act_pending = Atomic.make 0;
+    act_done = Atomic.make [];
+    act_arrived = Atomic.make [];
+  }
+
+let fresh_act t ?root key pf ~participants ~spawned =
+  new_act ?root ~seq:(Dispatch.fresh_seq t.disp) key pf ~participants
+    ~spawned
+
+let rec atomic_update a f =
+  let cur = Atomic.get a in
+  if not (Atomic.compare_and_set a cur (f cur)) then atomic_update a f
 
 (* ------------------------------------------------------------------ *)
 (* the worker pool *)
@@ -228,8 +256,7 @@ let rec worker t thread color : worker =
         w_exec = Exec.clone_shared t.base ~machine ~hooks:dummy_hooks;
         w_track = track;
         w_mail = [];
-        w_act = None;
-        w_occ = Hashtbl.create 16;
+        w_frame = None;
         w_domain = None;
         w_obs =
           (if Obs.enabled () then
@@ -349,11 +376,7 @@ and send_spawn t (from : worker option) ~thread (act : activation)
 and mark_done (act : activation) (c : Color.t) =
   (* completion set first, then the count: a waiter that observes
      pending = 0 (SC atomics) also observes the color in the set *)
-  let rec push () =
-    let cur = Atomic.get act.act_done in
-    if not (Atomic.compare_and_set act.act_done cur (c :: cur)) then push ()
-  in
-  push ();
+  atomic_update act.act_done (fun l -> c :: l);
   Atomic.decr act.act_pending
 
 and exec_spawn t w (s : msg) =
@@ -405,8 +428,11 @@ and exec_spawn t w (s : msg) =
 
 and run_chunk t w (act : activation) (args : Rvalue.t array) : Rvalue.t =
   let f = chunk_for_exn act.act_pf w.w_color in
-  let saved = w.w_act in
-  w.w_act <- Some act;
+  let saved = w.w_frame in
+  w.w_frame <-
+    Some
+      { f_act = act; f_calls = Dispatch.counts ();
+        f_barriers = Dispatch.counts () };
   tel_record t ~track:w.w_track ~name:f.Func.name Tel.Event.Chunk_begin;
   let obs_saved = obs_current w in
   obs_enter w Obs.Phase.Run;
@@ -416,12 +442,8 @@ and run_chunk t w (act : activation) (args : Rvalue.t array) : Rvalue.t =
       ~arg:act.act_seq ~t_us:(Obs.now_us ())
   | None -> ());
   let finish () =
-    w.w_act <- saved;
-    obs_enter_index w obs_saved;
-    (* completion record for barrier predecessor checks *)
-    Mutex.lock t.bar_mu;
-    Hashtbl.replace t.bar_done (act.act_seq, Color.to_string w.w_color) ();
-    Mutex.unlock t.bar_mu
+    w.w_frame <- saved;
+    obs_enter_index w obs_saved
   in
   match Exec.exec_func w.w_exec f args with
   | r ->
@@ -454,32 +476,28 @@ and dispatch_local_call t w (i : Instr.t) (cp : Plan.call_plan)
     (args : Rvalue.t array) : Rvalue.t =
   let c = w.w_color in
   let thread = w.w_lane in
-  let act = cur_act w in
+  let fr = cur_frame w in
+  let act = fr.f_act in
   let callee_pf = pfunc_exn t cp.Plan.cp_key in
   let callee_cs = callee_pf.Plan.pf_colorset in
   let p_site =
     if act.act_pf.Plan.pf_colorset = [] then act.act_participants
     else Dispatch.site_presence t.disp act.act_pf i.Instr.id
   in
-  let seq =
-    Dispatch.child_seq t.disp ~seq:act.act_seq ~who:c
-      ~fname:(Infer.instance_name act.act_key) ~instr:i.Instr.id
-  in
   let { Dispatch.s_leader = leader; s_inter = inter; s_spawned = spawned;
         s_ret_sender = ret_sender } =
     Dispatch.site_layout ~p_site ~callee_cs ~self:c
   in
+  (* every participant of the site gets the same child activation *)
   let child_act =
-    {
-      act_seq = seq;
-      act_key = cp.Plan.cp_key;
-      act_pf = callee_pf;
-      act_participants = (if callee_cs = [] then p_site else callee_cs);
-      act_spawned = spawned;
-      act_pending = Atomic.make 0;
-      act_done = Atomic.make [];
-    }
+    Dispatch.child t.disp ~calls:fr.f_calls ~root:act.act_root
+      ~seq:act.act_seq ~instr:i.Instr.id ~takers:(List.length p_site)
+      (fun seq ->
+        new_act ~root:act.act_root ~seq cp.Plan.cp_key callee_pf
+          ~participants:(if callee_cs = [] then p_site else callee_cs)
+          ~spawned)
   in
+  let seq = child_act.act_seq in
   let needers =
     Dispatch.ret_needers t.disp ~caller_pf:act.act_pf ~p_site ~callee_cs i
   in
@@ -530,20 +548,14 @@ and dispatch_indirect t w (i : Instr.t) name (args : Rvalue.t array) :
   let c = w.w_color in
   let thread = w.w_lane in
   let spawned_cs = List.filter (fun d -> not (Color.equal d c)) cs in
+  let parent = cur_act w in
   let act =
-    {
-      act_seq = Dispatch.fresh_seq t.disp;
-      act_key = key;
-      act_pf = pf;
-      act_participants = (if cs = [] then [ c ] else cs);
-      act_spawned = spawned_cs;
-      act_pending = Atomic.make 0;
-      act_done = Atomic.make [];
-    }
+    fresh_act t ~root:parent.act_root key pf
+      ~participants:(if cs = [] then [ c ] else cs)
+      ~spawned:spawned_cs
   in
   if cs = [] then run_chunk t w act args
   else begin
-    let parent = cur_act w in
     let i_need =
       match Instr.defines i with
       | None -> false
@@ -582,44 +594,29 @@ and dispatch_spawn t w (i : Instr.t) _callee (args : Rvalue.t array) =
       else pf.Plan.pf_colorset
     in
     let child =
-      {
-        act_seq = Dispatch.fresh_seq t.disp;
-        act_key = key;
-        act_pf = pf;
-        act_participants = cs;
-        act_spawned = cs;
-        act_pending = Atomic.make 0;
-        act_done = Atomic.make [];
-      }
+      fresh_act t ~root:act.act_root key pf ~participants:cs ~spawned:cs
     in
     List.iter
       (fun d -> send_spawn t (Some w) ~thread child d ~reply_to:[] ~forged:false args)
       cs
 
 (* §7.3.3 synchronization barrier, realized with real shared state: the
-   arriving worker records its arrival under a mutex and waits (pumping)
-   until every predecessor in the activation's host order has either
-   completed its chunk or arrived at the same occurrence. Under the
+   arriving worker records its arrival in the activation and waits
+   (pumping) until every predecessor in the activation's host order has
+   either completed its chunk or arrived at the same occurrence. Under the
    serialization discipline predecessors have always completed, so the
-   wait is immediate — but it is checked against the shared tables, so a
-   violation of the discipline blocks loudly instead of racing quietly. *)
-and barrier t w (act : activation) (instr : int) =
-  let okey = (act.act_seq, instr) in
-  let occ =
-    match Hashtbl.find_opt w.w_occ okey with
-    | Some r ->
-      let n = !r in
-      incr r;
-      n
-    | None ->
-      Hashtbl.replace w.w_occ okey (ref 1);
-      0
-  in
-  let me = Color.to_string w.w_color in
-  Mutex.lock t.bar_mu;
-  Hashtbl.replace t.bar_arrived (act.act_seq, instr, occ, me) ();
-  Mutex.unlock t.bar_mu;
-  tel_record t ~track:w.w_track ~name:me Tel.Event.Barrier;
+   wait is immediate — but it is checked against the shared record, so a
+   violation of the discipline blocks loudly instead of racing quietly.
+   Occurrences are reached in order, so keeping each participant's latest
+   one per instruction is enough. *)
+and barrier t w (fr : frame) (instr : int) =
+  let act = fr.f_act in
+  let occ = Dispatch.next fr.f_barriers instr in
+  let c = w.w_color in
+  let same i d = i = instr && Color.equal d c in
+  atomic_update act.act_arrived (fun l ->
+      (instr, c, occ) :: List.filter (fun (i, d, _) -> not (same i d)) l);
+  tel_record t ~track:w.w_track ~name:(Color.to_string c) Tel.Event.Barrier;
   let present = Dispatch.site_presence t.disp act.act_pf instr in
   let spawned d = List.exists (Color.equal d) act.act_spawned in
   let preds =
@@ -633,17 +630,15 @@ and barrier t w (act : activation) (instr : int) =
   in
   if preds <> [] then
     wait_until ~phase:Obs.Phase.Barrier t w (fun () ->
-        Mutex.lock t.bar_mu;
-        let ok =
-          List.for_all
-            (fun d ->
-              let ds = Color.to_string d in
-              Hashtbl.mem t.bar_done (act.act_seq, ds)
-              || Hashtbl.mem t.bar_arrived (act.act_seq, instr, occ, ds))
-            preds
-        in
-        Mutex.unlock t.bar_mu;
-        ok)
+        let done_ = Atomic.get act.act_done in
+        let arrived = Atomic.get act.act_arrived in
+        List.for_all
+          (fun d ->
+            List.exists (Color.equal d) done_
+            || List.exists
+                 (fun (i, e, o) -> i = instr && Color.equal e d && o >= occ)
+                 arrived)
+          preds)
 
 and hooks_for t w : Exec.hooks =
   {
@@ -660,11 +655,11 @@ and hooks_for t w : Exec.hooks =
     h_spawn = (fun _ i callee args -> dispatch_spawn t w i callee args);
     h_pre_instr =
       (fun _ i ->
-        match w.w_act with
-        | Some act
-          when Dispatch.barrier_at act.act_pf i.Instr.id
-                 ~participants:act.act_participants ->
-          barrier t w act i.Instr.id
+        match w.w_frame with
+        | Some fr
+          when Dispatch.barrier_at fr.f_act.act_pf i.Instr.id
+                 ~participants:fr.f_act.act_participants ->
+          barrier t w fr i.Instr.id
         | _ -> ());
     h_alloca_zone = (fun _ ty -> Dispatch.alloca_zone ty ~current:w.w_color);
   }
@@ -738,9 +733,6 @@ let create ?(config = Sgx.Config.machine_b) ?cost ?(lanes = 2) ?engine
     guard = true;
     tr_mu = Mutex.create ();
     traps = [];
-    bar_mu = Mutex.create ();
-    bar_arrived = Hashtbl.create 64;
-    bar_done = Hashtbl.create 64;
     tel_mu = Mutex.create ();
     tel = Tel.Recorder.null;
     t0 = Unix.gettimeofday ();
@@ -775,19 +767,9 @@ let call_entry t ?(thread = 0) ?(timeout_s = 60.0) name (args : Rvalue.t list)
       participants
   in
   let act =
-    {
-      act_seq = Dispatch.fresh_seq t.disp;
-      act_key = ep.Plan.ep_key;
-      act_pf = pf;
-      act_participants = participants;
-      act_spawned = spawned_cs;
-      act_pending = Atomic.make 0;
-      act_done = Atomic.make [];
-    }
+    fresh_act t ep.Plan.ep_key pf ~participants ~spawned:spawned_cs
   in
-  let slot =
-    { s_mu = Mutex.create (); s_cv = Condition.create (); s_result = None }
-  in
+  let slot = { s_mu = Mutex.create (); s_result = None } in
   let uw = worker t thread Color.Unsafe in
   let start = Unix.gettimeofday () in
   Atomic.incr t.inflight;
@@ -821,6 +803,8 @@ let call_entry t ?(thread = 0) ?(timeout_s = 60.0) name (args : Rvalue.t list)
       end
   in
   let r = await () in
+  (* the pool went quiet, so no participant of this request is left *)
+  Dispatch.release t.disp ~root:act.act_seq;
   (match take_traps t with
   | [] -> ()
   | msgs -> raise (Error (String.concat "; " msgs)));
@@ -842,17 +826,7 @@ let inject_spawn t ?(thread = 0) ~(color : Color.t) ~(chunk : string)
         (Printf.sprintf "chunk %s belongs to partition %s" chunk
            (Color.to_string cc))
     else begin
-      let act =
-        {
-          act_seq = Dispatch.fresh_seq t.disp;
-          act_key = key;
-          act_pf = pf;
-          act_participants = [ color ];
-          act_spawned = [];
-          act_pending = Atomic.make 0;
-          act_done = Atomic.make [];
-        }
-      in
+      let act = fresh_act t key pf ~participants:[ color ] ~spawned:[] in
       send_spawn t None ~thread act color ~reply_to:[] ~forged:true
         (Array.of_list args);
       let deadline = Unix.gettimeofday () +. 30.0 in
@@ -866,6 +840,7 @@ let inject_spawn t ?(thread = 0) ~(color : Color.t) ~(chunk : string)
         end
       in
       drain ();
+      Dispatch.release t.disp ~root:act.act_seq;
       match take_traps t with
       | [] -> Result.Ok ()
       | msgs -> Result.Error (String.concat "; " msgs)
@@ -966,6 +941,11 @@ let sorted_workers t =
   in
   Mutex.unlock t.wmu;
   List.map snd ws
+
+let agreement_entries t = Dispatch.pending t.disp
+
+let held_frames t =
+  List.length (List.filter (fun w -> w.w_frame <> None) (sorted_workers t))
 
 let obs_lanes t = List.filter_map (fun w -> w.w_obs) (sorted_workers t)
 

@@ -80,6 +80,14 @@ type pool_stats = {
 
 val stats : t -> pool_stats
 
+(** Runtime state still held for activations: sequence-agreement entries
+    ({!Dispatch.pending}) and workers holding a chunk frame (an activation
+    and, with it, its barrier state). Both are zero after [call_entry]
+    returns on an otherwise idle pool. *)
+val agreement_entries : t -> int
+
+val held_frames : t -> int
+
 (** §8 extension: inject a forged spawn message into a partition's queue.
     The valid-spawn-target guard rejects it at dequeue, in the target
     partition. *)

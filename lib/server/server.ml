@@ -1257,7 +1257,10 @@ let shard_loop t s =
     progress t s;
     List.iter flush_conn s.sh_conns;
     sweep t s;
-    if draining then begin
+    (* re-read: the wakeup that announced the drain may be the one this
+       select consumed, and the next one comes only after every shard
+       has passed stage 1 *)
+    if Atomic.get t.draining then begin
       (* two-stage drain. Stage 1: every shard reports "all parsed work
          dispatched" (jobs may still be in flight in other shards'
          inboxes). Only when all shards report does [drain] close the

@@ -3,10 +3,10 @@
    Both interpreters of a plan — the virtual-time simulator (Pinterp) and
    the real-parallel backend (Privagic_parallel.Parallel) — make the same
    decisions from the same plan: which chunk a participant runs, who leads
-   a call site, who must receive the return value, which child sequence
-   number an activation gets. This module holds those decisions so the two
-   backends cannot drift; the backends keep only what genuinely differs
-   (virtual clocks and fibers vs. domains and queues).
+   a call site, who must receive the return value, which child activation
+   the participants of a call site share. This module holds those
+   decisions so the two backends cannot drift; the backends keep only what
+   genuinely differs (virtual clocks and fibers vs. domains and queues).
 
    Everything here is exception-free: lookups return options and each
    backend wraps misses in its own error type. The only exception that may
@@ -15,17 +15,37 @@
 
    All derived plan math (site presence, per-chunk register-use sets,
    allocation sites) is computed eagerly at [create] into immutable
-   tables, so parallel workers share one instance with no locking. The
-   only genuinely runtime-mutable state is the sequence agreement
-   (fresh/child sequence numbers), which sits behind its own always-held
-   mutex — uncontended in the single-threaded simulator. *)
+   tables, so parallel workers share one instance with no locking.
+
+   The runtime-mutable state is the sequence agreement, and it lives only
+   as long as the work it serves: the sequence counter, plus one
+   rendezvous entry per multi-participant call site that some participant
+   has reached and another has not yet. Per-participant counters live in
+   the backends' chunk frames, not here; what a trapped request leaves is
+   dropped by [release]. The rendezvous table sits behind its own mutex —
+   uncontended in the single-threaded simulator. *)
 
 open Privagic_pir
 open Privagic_secure
 open Privagic_partition
 module Sgx = Privagic_sgx
 
-type t = {
+(* A rendezvous key: the [n]-th execution of call site [instr] within
+   parent activation [seq]. [seq] already names the function. *)
+module Site = Hashtbl.Make (struct
+  type t = int * int * int
+
+  let equal ((s, i, n) : t) (s', i', n') = s = s' && i = i' && n = n'
+  let hash = Hashtbl.hash
+end)
+
+type 'a rendezvous = {
+  r_act : 'a;         (* the child activation every participant uses *)
+  r_root : int;       (* the request it belongs to *)
+  mutable r_left : int; (* participants that have not taken it yet *)
+}
+
+type 'a t = {
   plan : Plan.t;
   sites : (string * int, Ty.t) Hashtbl.t; (* multicolor alloc sites *)
   site_presence : (Infer.instance_key * int, Color.t list) Hashtbl.t;
@@ -33,12 +53,9 @@ type t = {
   chunk_uses : (string, (Func.t * (int, unit) Hashtbl.t) list) Hashtbl.t;
       (* read-only after create: registers each chunk reads, keyed by
          name and disambiguated by physical function identity *)
-  mutable seq_counter : int;
-  seq_table : (int * string * int * int, int) Hashtbl.t;
-      (* (parent seq, func, instr, invocation) -> child seq *)
-  invocations : (int * string * int * string, int ref) Hashtbl.t;
-      (* (parent seq, func, instr, participant) -> count *)
-  mu : Mutex.t; (* sequence agreement only *)
+  seq_counter : int Atomic.t;
+  rendezvous : 'a rendezvous Site.t;
+  mu : Mutex.t; (* rendezvous table only *)
 }
 
 (* Registers read by some kept instruction or terminator of [chunk] — the
@@ -55,7 +72,7 @@ let used_regs (chunk : Func.t) : (int, unit) Hashtbl.t =
     chunk.Func.blocks;
   set
 
-let create ?sites (plan : Plan.t) : t =
+let create ?sites (plan : Plan.t) : 'a t =
   let site_presence = Hashtbl.create 64 in
   let chunk_uses = Hashtbl.create 64 in
   Hashtbl.iter
@@ -106,21 +123,12 @@ let create ?sites (plan : Plan.t) : t =
       | None -> Exec.alloc_sites plan.Plan.pmodule);
     site_presence;
     chunk_uses;
-    seq_counter = 0;
-    seq_table = Hashtbl.create 64;
-    invocations = Hashtbl.create 64;
+    seq_counter = Atomic.make 0;
+    rendezvous = Site.create 64;
     mu = Mutex.create ();
   }
 
-let[@inline] locked t f =
-  Mutex.lock t.mu;
-  match f () with
-  | v ->
-    Mutex.unlock t.mu;
-    v
-  | exception e ->
-    Mutex.unlock t.mu;
-    raise e
+let[@inline] locked t f = Mutex.protect t.mu f
 
 (* ------------------------------------------------------------------ *)
 (* color/zone mapping *)
@@ -217,40 +225,63 @@ let barrier_at (pf : Plan.pfunc) (id : int) ~(participants : Color.t list) :
 (* ------------------------------------------------------------------ *)
 (* sequence agreement *)
 
-let fresh_seq t =
-  locked t (fun () ->
-      t.seq_counter <- t.seq_counter + 1;
-      t.seq_counter)
+let fresh_seq t = Atomic.fetch_and_add t.seq_counter 1 + 1
 
-(* Deterministically agreed child sequence number for the [n]-th execution
-   of call site [instr] within parent activation [seq]: every participant
-   computes the same value without communication, because they all execute
-   the replicated call site the same number of times. The invocation
-   counter is per participant ([who]); the (seq, func, instr, n) key is
-   shared, so whichever participant gets there first allocates the number
-   and the others find it. *)
-let child_seq t ~(seq : int) ~(who : Color.t) ~(fname : string)
-    ~(instr : int) : int =
-  locked t (fun () ->
-      let inv_key = (seq, fname, instr, Color.to_string who) in
-      let counter =
-        match Hashtbl.find_opt t.invocations inv_key with
-        | Some r -> r
+(* Per-(activation, participant) occurrence counters, keyed by instruction
+   id. A chunk has few call sites, so an association list is enough. *)
+type counts = { mutable occ : (int * int ref) list }
+
+let counts () = { occ = [] }
+
+let next c instr =
+  let rec go = function
+    | (i, r) :: _ when i = instr ->
+      let n = !r in
+      incr r;
+      n
+    | _ :: rest -> go rest
+    | [] ->
+      c.occ <- (instr, ref 1) :: c.occ;
+      0
+  in
+  go c.occ
+
+(* The child activation for the next execution of call site [instr] by
+   one participant of parent activation [seq]. All [takers] participants
+   of the site get the same activation without communicating, because
+   they all execute the replicated call site the same number of times:
+   the first to arrive creates it with [make] on a fresh sequence number
+   and leaves a rendezvous entry; the last to arrive removes the entry.
+   A single-participant site never touches the table. *)
+let child t ~(calls : counts) ~(root : int) ~(seq : int) ~(instr : int)
+    ~(takers : int) (make : int -> 'a) : 'a =
+  let n = next calls instr in
+  if takers <= 1 then make (fresh_seq t)
+  else
+    let key = (seq, instr, n) in
+    locked t (fun () ->
+        match Site.find_opt t.rendezvous key with
+        | Some r ->
+          r.r_left <- r.r_left - 1;
+          if r.r_left = 0 then Site.remove t.rendezvous key;
+          r.r_act
         | None ->
-          let r = ref 0 in
-          Hashtbl.replace t.invocations inv_key r;
-          r
-      in
-      let n = !counter in
-      incr counter;
-      let key = (seq, fname, instr, n) in
-      match Hashtbl.find_opt t.seq_table key with
-      | Some s -> s
-      | None ->
-        t.seq_counter <- t.seq_counter + 1;
-        let s = t.seq_counter in
-        Hashtbl.replace t.seq_table key s;
-        s)
+          let a = make (fresh_seq t) in
+          Site.replace t.rendezvous key
+            { r_act = a; r_root = root; r_left = takers - 1 };
+          a)
+
+(* Drop the entries of a finished request. Only a participant that never
+   reached its site (it trapped first, or was never started) leaves one
+   behind. *)
+let release t ~(root : int) =
+  locked t (fun () ->
+      if Site.length t.rendezvous > 0 then
+        Site.filter_map_inplace
+          (fun _ r -> if r.r_root = root then None else Some r)
+          t.rendezvous)
+
+let pending t = locked t (fun () -> Site.length t.rendezvous)
 
 (* ------------------------------------------------------------------ *)
 (* call-site layout (§7.3.2) *)

@@ -3,10 +3,15 @@
     The virtual-time simulator ({!Pinterp}) and the real-parallel backend
     ([Privagic_parallel.Parallel]) make the same decisions from the same
     plan: which chunk a participant runs, who leads a call site, who
-    receives the return value, which child sequence number an activation
-    gets. Holding those decisions here keeps the two backends from
-    drifting; they keep only what genuinely differs (virtual clocks and
-    fibers vs. domains and queues).
+    receives the return value, which child activation the participants of
+    a call site share. Holding those decisions here keeps the two backends
+    from drifting; they keep only what genuinely differs (virtual clocks
+    and fibers vs. domains and queues).
+
+    The sequence agreement ({!child}) is the only runtime-mutable state,
+    and it is bounded by the work in flight: an entry lives from the
+    first to the last participant reaching its call site, and
+    {!release} drops what a trapped request left.
 
     All lookups are exception-free (option-returning); each backend wraps
     misses in its own error type. Only {!dispatch_extern} may raise, and
@@ -18,15 +23,17 @@ open Privagic_secure
 open Privagic_partition
 module Sgx = Privagic_sgx
 
-type t
+(** A dispatcher whose sequence agreement hands out ['a] — the backend's
+    activation record, shared by every participant of one activation. *)
+type 'a t
 
 (** Build the dispatcher: all derived plan math (site presence, per-chunk
     register-use sets, allocation sites) is computed eagerly into
     immutable tables, so parallel workers share one instance without
-    locking. Only the sequence agreement is runtime-mutable, behind its
-    own internal mutex. [sites] reuses an existing allocation-site table
-    (e.g. the image's) instead of recomputing one. *)
-val create : ?sites:(string * int, Ty.t) Hashtbl.t -> Plan.t -> t
+    locking. Only the sequence agreement is runtime-mutable (see
+    {!child} for its lifetime rule). [sites] reuses an existing
+    allocation-site table (e.g. the image's) instead of recomputing one. *)
+val create : ?sites:(string * int, Ty.t) Hashtbl.t -> Plan.t -> 'a t
 
 (** {1 Color/zone mapping} *)
 
@@ -42,7 +49,7 @@ val alloca_zone : Ty.t -> current:Color.t -> Heap.zone
 
 (** {1 Plan lookups} *)
 
-val find_pfunc : t -> Infer.instance_key -> Plan.pfunc option
+val find_pfunc : _ t -> Infer.instance_key -> Plan.pfunc option
 
 (** The chunk a participant of color [c] executes: its own chunk, or the
     single Free chunk of a pure-F (replicated) function. *)
@@ -60,10 +67,10 @@ val locate_chunk :
 
 (** Colors of the chunks containing instruction [id]: the participants of
     a call site within a non-pure-F caller. Precomputed at create. *)
-val site_presence : t -> Plan.pfunc -> int -> Color.t list
+val site_presence : _ t -> Plan.pfunc -> int -> Color.t list
 
 (** Does chunk [f] read register [r]? Precomputed at create. *)
-val chunk_needs : t -> Func.t -> int -> bool
+val chunk_needs : _ t -> Func.t -> int -> bool
 
 (** §7.3.3: does instruction [id] carry a synchronization barrier for this
     set of participants? *)
@@ -71,13 +78,50 @@ val barrier_at : Plan.pfunc -> int -> participants:Color.t list -> bool
 
 (** {1 Sequence agreement} *)
 
-val fresh_seq : t -> int
+(** A fresh sequence number, for an activation no other participant has
+    to agree on (an entry call, an indirect call, a thread). *)
+val fresh_seq : _ t -> int
 
-(** Deterministically agreed child sequence number for the n-th execution
-    of call site [instr] within parent activation [seq]; participants
-    ([who]) agree without communication because they execute the
-    replicated call site the same number of times. *)
-val child_seq : t -> seq:int -> who:Color.t -> fname:string -> instr:int -> int
+(** Occurrence counters of one (activation, participant) pair, keyed by
+    instruction id. A backend keeps them in the frame it saves and
+    restores around a chunk, so they die with the chunk. *)
+type counts
+
+val counts : unit -> counts
+
+(** [next c instr] is how many times [instr] was counted in [c] before,
+    and counts it once more. *)
+val next : counts -> int -> int
+
+(** The child activation for the n-th execution of call site [instr]
+    within parent activation [seq], n counted in [calls]. The [takers]
+    participants of the site (|p_site|) agree on it without
+    communication, because they execute the replicated call site the same
+    number of times: the first creates it with [make] on a fresh sequence
+    number, the others get the same value.
+
+    Lifetime rule: a rendezvous entry exists only between the first and
+    the last of the [takers] arriving, and a single-participant site never
+    creates one. [root] names the request the activation serves, for
+    {!release}. *)
+val child :
+  'a t ->
+  calls:counts ->
+  root:int ->
+  seq:int ->
+  instr:int ->
+  takers:int ->
+  (int -> 'a) ->
+  'a
+
+(** Drop every entry request [root] left behind — a participant that
+    trapped never takes its share. Call once no participant of the request
+    can still run. *)
+val release : _ t -> root:int -> unit
+
+(** Rendezvous entries currently held: zero whenever no request is in
+    flight. *)
+val pending : _ t -> int
 
 (** {1 Call-site layout (§7.3.2)} *)
 
@@ -94,7 +138,7 @@ val site_layout :
 (** Participants outside the callee whose chunk reads the call's result
     register — they receive it in a cont message. *)
 val ret_needers :
-  t ->
+  _ t ->
   caller_pf:Plan.pfunc ->
   p_site:Color.t list ->
   callee_cs:Color.t list ->
@@ -116,7 +160,7 @@ val indirect_entry_key : Plan.t -> Func.t -> Infer.instance_key
     {!Externals.dispatch}.
     @raise Exec.Trap on an unknown external. *)
 val dispatch_extern :
-  t ->
+  _ t ->
   Exec.t ->
   color:Color.t ->
   caller:string ->

@@ -58,6 +58,7 @@ type worker = {
    in DESIGN.md). *)
 type activation = {
   act_seq : int;                     (* shared across participants *)
+  act_root : int;                    (* seq of the request it serves *)
   act_key : Infer.instance_key;
   act_pf : Plan.pfunc;
   act_participants : Color.t list;   (* P: colors executing this instance *)
@@ -67,9 +68,13 @@ type activation = {
   mutable act_colors_done : Color.t list; (* spawned chunks completed *)
 }
 
+(* [act] and [calls] form the frame of the chunk the fiber is running:
+   [calls] counts this participant's executions of each call site of
+   [act], for the sequence agreement. *)
 type fiber_ctx = {
   worker : worker;
   mutable act : activation;
+  mutable calls : Dispatch.counts;
   clock : Vclock.t;
 }
 
@@ -87,7 +92,7 @@ type traced_event = { ev_at : float; ev : event }
 type t = {
   plan : Plan.t;
   exec : Exec.t;
-  disp : Dispatch.t;                           (* shared plan math *)
+  disp : activation Dispatch.t;                (* shared plan math *)
   sched : Sched.t;
   workers : (int * string, worker) Hashtbl.t;
   crossing : Sgx.Machine.t -> float;           (* cost of one boundary msg *)
@@ -210,19 +215,33 @@ let chunk_for (pf : Plan.pfunc) (c : Color.t) : Func.t =
 
 let site_presence t pf id = Dispatch.site_presence t.disp pf id
 let chunk_needs t f r = Dispatch.chunk_needs t.disp f r
-let fresh_seq t = Dispatch.fresh_seq t.disp
 
-let child_seq t (ctx : fiber_ctx) (fname : string) (instr : int) : int =
-  Dispatch.child_seq t.disp ~seq:ctx.act.act_seq ~who:ctx.worker.w_color
-    ~fname ~instr
+(* A fresh activation; [root] defaults to the activation itself (a new
+   request). *)
+let new_act ?root ~seq key pf participants =
+  {
+    act_seq = seq;
+    act_root = Option.value root ~default:seq;
+    act_key = key;
+    act_pf = pf;
+    act_participants = participants;
+    act_pending = 0;
+    act_done_max = 0.0;
+    act_done_flow = -1;
+    act_colors_done = [];
+  }
+
+let fresh_act t ?root key pf participants =
+  new_act ?root ~seq:(Dispatch.fresh_seq t.disp) key pf participants
 
 (* ------------------------------------------------------------------ *)
 (* chunk execution *)
 
 let rec exec_chunk t (ctx : fiber_ctx) (act : activation) (c : Color.t)
     (args : Rvalue.t array) : Rvalue.t =
-  let saved = ctx.act in
+  let saved = ctx.act and saved_calls = ctx.calls in
   ctx.act <- act;
+  ctx.calls <- Dispatch.counts ();
   let f = chunk_for act.act_pf c in
   record t (Vclock.get ctx.clock) (Ev_chunk_start { color = c; chunk = f.Func.name });
   if Tel.Recorder.enabled t.tel then
@@ -234,6 +253,7 @@ let rec exec_chunk t (ctx : fiber_ctx) (act : activation) (c : Color.t)
     Tel.Recorder.record t.tel ~at:(Vclock.get ctx.clock) ~track:ctx.worker.w_track
       ~name:f.Func.name Tel.Event.Chunk_end;
   ctx.act <- saved;
+  ctx.calls <- saved_calls;
   r
 
 (* Start a fiber executing chunk [c] of [act] on worker (thread, c).
@@ -277,7 +297,7 @@ and spawn_chunk_fiber t ?(forged = false) ~thread (act : activation)
   let earlier = List.filter (fun d -> Color.compare d c < 0) siblings in
   ignore
     (Sched.spawn t.sched ~name ~track:w.w_track ~at (fun clock ->
-         let ctx = { worker = w; act; clock } in
+         let ctx = { worker = w; act; calls = Dispatch.counts (); clock } in
          restore t ctx;
          if spawn_flow >= 0 then
            Tel.Recorder.record t.tel ~at:(Vclock.get clock) ~track:w.w_track
@@ -369,26 +389,22 @@ and dispatch_local_call t (ctx : fiber_ctx) (i : Instr.t) (cp : Plan.call_plan)
     (args : Rvalue.t array) : Rvalue.t =
   let c = ctx.worker.w_color in
   let thread = ctx.worker.w_thread in
+  let parent = ctx.act in
   let callee_pf = pfunc_exn t cp.Plan.cp_key in
   let callee_cs = callee_pf.Plan.pf_colorset in
   let p_site =
-    if ctx.act.act_pf.Plan.pf_colorset = [] then ctx.act.act_participants
-    else site_presence t ctx.act.act_pf i.Instr.id
+    if parent.act_pf.Plan.pf_colorset = [] then parent.act_participants
+    else site_presence t parent.act_pf i.Instr.id
   in
-  (* the site is identified by the *instance*, shared by all participants *)
-  let seq = child_seq t ctx (Infer.instance_name ctx.act.act_key) i.Instr.id in
+  (* every participant of the site gets the same child activation *)
   let child_act =
-    {
-      act_seq = seq;
-      act_key = cp.Plan.cp_key;
-      act_pf = callee_pf;
-      act_participants = (if callee_cs = [] then p_site else callee_cs);
-      act_pending = 0;
-      act_done_max = 0.0;
-      act_done_flow = -1;
-      act_colors_done = [];
-    }
+    Dispatch.child t.disp ~calls:ctx.calls ~root:parent.act_root
+      ~seq:parent.act_seq ~instr:i.Instr.id ~takers:(List.length p_site)
+      (fun seq ->
+        new_act ~root:parent.act_root ~seq cp.Plan.cp_key callee_pf
+          (if callee_cs = [] then p_site else callee_cs))
   in
+  let seq = child_act.act_seq in
   let in_callee d = List.mem d callee_cs in
   let { Dispatch.s_leader = leader; s_inter = inter; s_spawned = spawned;
         s_ret_sender = ret_sender } =
@@ -396,7 +412,7 @@ and dispatch_local_call t (ctx : fiber_ctx) (i : Instr.t) (cp : Plan.call_plan)
   in
   (* which participants need the return value via message *)
   let needers =
-    Dispatch.ret_needers t.disp ~caller_pf:ctx.act.act_pf ~p_site ~callee_cs i
+    Dispatch.ret_needers t.disp ~caller_pf:parent.act_pf ~p_site ~callee_cs i
   in
   (* the leader starts the missing chunks *)
   if Color.equal c leader && spawned <> [] then begin
@@ -457,16 +473,7 @@ and dispatch_indirect_local t (ctx : fiber_ctx) (i : Instr.t) name
   let c = ctx.worker.w_color in
   let thread = ctx.worker.w_thread in
   let act =
-    {
-      act_seq = fresh_seq t;
-      act_key = key;
-      act_pf = pf;
-      act_participants = (if cs = [] then [ c ] else cs);
-      act_pending = 0;
-      act_done_max = 0.0;
-      act_done_flow = -1;
-      act_colors_done = [];
-    }
+    fresh_act t ~root:ctx.act.act_root key pf (if cs = [] then [ c ] else cs)
   in
   if cs = [] then exec_chunk t ctx act c args
   else begin
@@ -505,18 +512,7 @@ and dispatch_spawn t (i : Instr.t) callee (args : Rvalue.t array) =
     t.next_thread <- thread + 1;
     let pf = pfunc_exn t key in
     let cs = if pf.Plan.pf_colorset = [] then [ Color.Free ] else pf.Plan.pf_colorset in
-    let act =
-      {
-        act_seq = fresh_seq t;
-        act_key = key;
-        act_pf = pf;
-        act_participants = cs;
-        act_pending = 0;
-        act_done_max = 0.0;
-      act_done_flow = -1;
-      act_colors_done = [];
-      }
-    in
+    let act = fresh_act t ~root:ctx.act.act_root key pf cs in
     List.iter
       (fun d ->
         Vclock.add ctx.clock (t.crossing t.exec.Exec.machine);
@@ -641,16 +637,7 @@ let call_entry t ?(thread = 0) ?max_steps name (args : Rvalue.t list) :
   let now = (Vclock.get (thread_clock t thread)) in
   let argv = Array.of_list args in
   let act =
-    {
-      act_seq = fresh_seq t;
-      act_key = ep.Plan.ep_key;
-      act_pf = pf;
-      act_participants = (if cs = [] then [ Color.Free ] else cs);
-      act_pending = 0;
-      act_done_max = 0.0;
-      act_done_flow = -1;
-      act_colors_done = [];
-    }
+    fresh_act t ep.Plan.ep_key pf (if cs = [] then [ Color.Free ] else cs)
   in
   let slot = ref None in
   let uw = worker t thread Color.Unsafe in
@@ -666,7 +653,7 @@ let call_entry t ?(thread = 0) ?max_steps name (args : Rvalue.t list) :
        requests on the same application thread (the thread clock) *)
     (Sched.spawn t.sched ~name:name_ ~track:uw.w_track ~parent:uw.w_track
        ~at:now (fun clock ->
-         let ctx = { worker = uw; act; clock } in
+         let ctx = { worker = uw; act; calls = Dispatch.counts (); clock } in
          restore t ctx;
          (* start the missing chunks *)
          let spawned_cs =
@@ -710,6 +697,14 @@ let call_entry t ?(thread = 0) ?max_steps name (args : Rvalue.t list) :
          let tc = thread_clock t thread in
          Vclock.set tc (Float.max (Vclock.get tc) finish)));
   let outcome = Sched.run ?max_steps t.sched in
+  (* Once the run ends, no fiber of this request can reach a call site
+     again: the blocked ones wait on this request's own messages. An
+     exhausted budget (or an exception escaping the run) leaves fibers
+     that resume in a later run, so their entries stay. *)
+  (match outcome with
+  | Sched.Budget_exhausted _ -> ()
+  | Sched.Completed | Sched.Blocked_workers _ ->
+    Dispatch.release t.disp ~root:act.act_seq);
   (match t.traps with
   | [] -> ()
   | msgs ->
@@ -751,18 +746,7 @@ let inject_spawn t ?(thread = 0) ~(color : Color.t) ~(chunk : string)
         (Printf.sprintf "chunk %s belongs to partition %s" chunk
            (Color.to_string cc))
     else begin
-      let act =
-        {
-          act_seq = fresh_seq t;
-          act_key = key;
-          act_pf = pf;
-          act_participants = [ color ];
-          act_pending = 0;
-          act_done_max = 0.0;
-          act_done_flow = -1;
-          act_colors_done = [];
-        }
-      in
+      let act = fresh_act t key pf [ color ] in
       let now = (Vclock.get (thread_clock t thread)) in
       match
         spawn_chunk_fiber t ~forged:true ~thread act color
@@ -770,6 +754,7 @@ let inject_spawn t ?(thread = 0) ~(color : Color.t) ~(chunk : string)
       with
       | () ->
         ignore (Sched.run t.sched : Sched.outcome);
+        Dispatch.release t.disp ~root:act.act_seq;
         (match t.traps with
         | [] -> Result.Ok ()
         | msgs ->

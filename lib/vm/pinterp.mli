@@ -32,6 +32,7 @@ type worker = {
 
 type activation = {
   act_seq : int;
+  act_root : int;  (** seq of the request the activation serves *)
   act_key : Infer.instance_key;
   act_pf : Plan.pfunc;
   act_participants : Color.t list;
@@ -44,6 +45,8 @@ type activation = {
 type fiber_ctx = {
   worker : worker;
   mutable act : activation;
+  mutable calls : Dispatch.counts;
+      (** this participant's call-site executions within [act] *)
   clock : Privagic_runtime.Vclock.t;
 }
 
@@ -60,7 +63,8 @@ type traced_event = { ev_at : float; ev : event }
 type t = {
   plan : Plan.t;
   exec : Exec.t;
-  disp : Dispatch.t;  (** shared plan math (see {!Dispatch}) *)
+  disp : activation Dispatch.t;
+      (** shared plan math and sequence agreement (see {!Dispatch}) *)
   sched : Sched.t;
   workers : (int * string, worker) Hashtbl.t;
   crossing : Sgx.Machine.t -> float;

@@ -284,6 +284,78 @@ let test_timeout_is_an_error () =
       (Helpers.contains msg "timed out"));
   ignore (Parallel.shutdown ~timeout_s:30.0 p)
 
+(* Runtime bookkeeping is bounded by in-flight work: after every request
+   on an idle VM, no sequence-agreement entry and no activation frame is
+   left, on both backends and both engines. The lookup call site of
+   memcached's get and set is in both the U and the blue chunk, so every
+   request goes through a rendezvous. [mc_bad 0] traps in its blue chunk before a
+   call site it shares with the U chunk, so the U side arrives at a
+   rendezvous nobody else will take. *)
+let trapping_entry =
+  {|
+int twice(int x) { return x + x; }
+entry int mc_bad(int d) {
+  int color(blue) bd;
+  classify_i64(&bd, d);
+  int color(blue) q = 7 / bd;
+  int r = twice(3);
+  stat_sets = q + r;
+  return r;
+}
+|}
+
+let test_bounded_state () =
+  let plan () =
+    Helpers.plan_of ~mode:Mode.Hardened
+      (P.memcached ~nbuckets:16 ~vsize `Colored ^ trapping_entry)
+  in
+  let n = 2000 in
+  let trap_at = n / 2 in
+  let ops =
+    List.init n (fun i ->
+        if i = trap_at then ("mc_bad", [ I 0 ])
+        else if i mod 4 = 0 then ("mc_set", [ I (i * 7 mod 96); V ])
+        else ("mc_get", [ I (i * 13 mod 96); O ]))
+  in
+  (* [call] runs one request and says whether it failed; [held] is the
+     state left behind, which must be zero after every request *)
+  let drive tag ~call ~held =
+    if call "mc_init" [ I 64 ] then Alcotest.failf "%s: mc_init failed" tag;
+    List.iteri
+      (fun i (entry, args) ->
+        let failed = call entry args in
+        if failed <> (i = trap_at) then
+          Alcotest.failf "%s: request %d (%s) failed=%b" tag i entry failed;
+        match held () with
+        | 0 -> ()
+        | k -> Alcotest.failf "%s: %d entries held after request %d" tag k i)
+      ops
+  in
+  List.iter
+    (fun engine ->
+      let tag = Exec.engine_name engine in
+      let pt =
+        Pinterp.create ~config:Privagic_sgx.Config.machine_test ~engine
+          (plan ())
+      in
+      let vbuf, obuf = buffers pt.Pinterp.exec.Exec.heap in
+      drive ("sim/" ^ tag)
+        ~call:(fun entry args ->
+          match Pinterp.call_entry pt entry (argv ~vbuf ~obuf args) with
+          | _ -> false
+          | exception Pinterp.Error _ -> true)
+        ~held:(fun () -> Dispatch.pending pt.Pinterp.disp);
+      let p = Parallel.create ~engine (plan ()) in
+      let vbuf, obuf = buffers (Parallel.exec p).Exec.heap in
+      drive ("parallel/" ^ tag)
+        ~call:(fun entry args ->
+          match Parallel.call_entry p entry (argv ~vbuf ~obuf args) with
+          | _ -> false
+          | exception Parallel.Error _ -> true)
+        ~held:(fun () -> Parallel.agreement_entries p + Parallel.held_frames p);
+      Alcotest.(check bool) (tag ^ ": pool quiesced") true (Parallel.shutdown p))
+    [ Exec.Walk; Exec.Image ]
+
 let suite =
   [
     Alcotest.test_case "hashmap sim=parallel" `Quick test_hashmap;
@@ -302,4 +374,6 @@ let suite =
       test_spawn_guard;
     Alcotest.test_case "timeout surfaces as error" `Quick
       test_timeout_is_an_error;
+    Alcotest.test_case "runtime state bounded by in-flight work" `Quick
+      test_bounded_state;
   ]

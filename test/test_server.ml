@@ -424,6 +424,24 @@ let test_pipelined_burst () =
   Alcotest.(check bool) "cross-shard requests flowed" true
     (s.Server.s_xshard > 0)
 
+(* An idle server drains at once. The self-pipe wakeup that announces the
+   drain must not be spent on a loop iteration that read the flag before
+   it was set: the next wakeup only comes after every shard has passed
+   stage 1, so such a shard sat out the full 5 s draining timeout. *)
+let test_idle_drain () =
+  let shards = 2 in
+  let bnd = Option.get (Server.bindings_of_plan (plan ())) in
+  let cfg = { Server.default_config with Server.port = 0; shards; vsize } in
+  let srv = Server.start cfg bnd (stores_of `Sim (plan ()) ~shards) in
+  (* let both shard loops block in select *)
+  Unix.sleepf 0.1;
+  let t0 = Unix.gettimeofday () in
+  Server.drain srv;
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "idle drain took %.2f s (< 1 s)" dt)
+    true (dt < 1.0)
+
 let suite =
   [
     Alcotest.test_case "protocol: fragmented parse + roundtrip" `Quick
@@ -446,4 +464,6 @@ let suite =
     Alcotest.test_case "stats metrics loopback" `Quick
       test_stats_metrics_loopback;
     Alcotest.test_case "shedding at queue bound 1" `Quick test_shedding;
+    Alcotest.test_case "idle sharded server drains in under 1 s" `Quick
+      test_idle_drain;
   ]
