@@ -3,16 +3,21 @@
     shipper threads (readers).
 
     Sequence numbers are 1-based and dense. On a primary, {!append}
-    assigns them — it is called under the server's store mutex, so the
-    log order {e is} the commit order. On a replica, {!append_at}
+    assigns them — it is called under the committing shard's latch, so
+    the log order {e is} the commit order. On a replica, {!append_at}
     mirrors the primary's numbering as deltas apply, which keeps a
     promoted replica able to serve its own downstream replicas from the
     same stream positions.
 
     The log retains every delta (no truncation): a replica may join at
-    any time with [from_seq = 1] and replay history. Memory is bounded
-    by the run, not by a retention window — the serving workloads commit
-    at most a few hundred thousand small deltas. *)
+    any time with [from_seq = 1] and replay history. Entries are encoded
+    compactly outside the OCaml heap — a put keeps its 14-byte header,
+    its payload and an 8-byte index slot resident, a delete 17 bytes —
+    so the collector never scans the log and memory grows by that much
+    per delta, not by a boxed {!Delta.t}.
+
+    Readers that wait for new entries {!subscribe} instead of polling:
+    every append calls the subscribers once the entries are readable. *)
 
 type t
 
@@ -35,7 +40,15 @@ val append_at : t -> seq:int -> Delta.op -> unit
 (** Latest assigned seq; 0 when empty. *)
 val head : t -> int
 
+(** The delta at [seq], decoded afresh; [None] outside [1 .. head]. *)
 val get : t -> int -> Delta.t option
 
 (** The whole log, in seq order (for convergence oracles and tests). *)
 val to_list : t -> Delta.t list
+
+(** [subscribe t f] calls [f ()] after every append (once per batch),
+    under the log's lock: [f] must be short, must not raise, and must not
+    touch the log. Returns the function that unsubscribes; once it
+    returns, [f] is not running and will not run again. An append with
+    no subscriber calls nothing. *)
+val subscribe : t -> (unit -> unit) -> unit -> unit

@@ -4,18 +4,34 @@
    per-delta, and the store's own per-op cost dwarfs it.
 
    The wire discipline per thread: send frames while the log has entries
-   beyond the cursor and the in-flight window has room, otherwise poll
-   the socket for acks with a short select. Sealing happens at render
-   time, so the log itself stays plaintext (it never leaves the process;
-   the wire never sees a secret-colored payload unsealed). *)
+   beyond the cursor and the in-flight window has room, otherwise sleep
+   in a select on the socket (acks) and the thread's own wake pipe (new
+   commits). Sealing happens at render time, so the log itself stays
+   plaintext (it never leaves the process; the wire never sees a
+   secret-colored payload unsealed).
+
+   Wakeups are events, not timed polls:
+   - a log append writes the wake pipe of every ship thread that is
+     asleep ([asleep] is raised before the thread re-reads the head, so
+     an append either is seen by that read or finds the flag up);
+   - an ack, and a connection's death, broadcast [ack_cv] to the shards
+     blocked in [wait_synced].
+   OCaml's [Condition] has no timed wait, so the fence timeout rides on
+   the ship threads: their select is bounded by [tick_s], and a thread
+   that has not broadcast [ack_cv] for [tick_s] does so when it wakes (a
+   stalled socket write, every retry), so a waiter re-checks its deadline
+   at least that often without being woken by every commit. *)
 
 module Tel = Privagic_telemetry
+module Wakeup = Privagic_runtime.Wakeup
 
 type conn = {
   fd : Unix.file_descr;
   sync : bool;
   acks : Delta.ack_reader;
   inflight : (int * float) Queue.t;  (* seq, sent_at (hub mutex) *)
+  wake : Wakeup.t;                   (* this thread's own *)
+  asleep : bool Atomic.t;            (* in select, wants a commit wakeup *)
   mutable cursor : int;              (* next seq to send *)
   mutable acked : int;
   mutable alive : bool;
@@ -28,6 +44,7 @@ type t = {
   cluster : string;
   span : string -> (unit -> unit) -> unit;
   mu : Mutex.t;
+  ack_cv : Condition.t;  (* an ack arrived, a link died, or a tick *)
   mutable conns : conn list;
   mutable threads : Thread.t list;
   mutable draining : bool;
@@ -40,6 +57,10 @@ type t = {
   mutable m_seal_cycles : float;
 }
 
+(* Upper bound on a ship thread's sleep, and so on how late a fence
+   waiter notices its deadline. Commits and acks wake the thread sooner. *)
+let tick_s = 0.1
+
 let create ?(window = 1024) ?(cluster = "privagic") ?(span = fun _ f -> f ())
     ~log () =
   if window < 1 then invalid_arg "Shipper.create: window must be positive";
@@ -51,6 +72,7 @@ let create ?(window = 1024) ?(cluster = "privagic") ?(span = fun _ f -> f ())
     cluster;
     span;
     mu = Mutex.create ();
+    ack_cv = Condition.create ();
     conns = [];
     threads = [];
     draining = false;
@@ -67,6 +89,8 @@ let locked t f =
   let r = f () in
   Mutex.unlock t.mu;
   r
+
+let tick t = locked t (fun () -> Condition.broadcast t.ack_cv)
 
 let key_for t color =
   (* hub mutex held: the table is tiny and shared across threads *)
@@ -85,8 +109,9 @@ let wire_tap : (string -> unit) option ref = ref None
 let set_wire_tap f = wire_tap := f
 
 (* Full write on a non-blocking socket; false when the peer is gone or
-   stalled past 30 s (a wedged replica must not wedge the primary). *)
-let write_all fd s =
+   stalled past 30 s (a wedged replica must not wedge the primary).
+   Every stalled retry ticks the fence waiters. *)
+let write_all t fd s =
   (match !wire_tap with None -> () | Some f -> f s);
   let b = Bytes.unsafe_of_string s in
   let deadline = Unix.gettimeofday () +. 30.0 in
@@ -100,6 +125,7 @@ let write_all fd s =
         else begin
           (try ignore (Unix.select [] [ fd ] [] 0.25)
            with Unix.Unix_error _ -> ());
+          tick t;
           go off
         end
       | exception Unix.Unix_error _ -> false
@@ -119,11 +145,8 @@ let note_acked t c seq =
           Tel.Metrics.observe t.h_lag lag;
           t.m_last_lag_us <- lag
         | _ -> continue := false
-      done)
-
-let drop t c =
-  locked t (fun () -> c.alive <- false);
-  try Unix.close c.fd with Unix.Unix_error _ -> ()
+      done;
+      Condition.broadcast t.ack_cv)
 
 (* Read whatever acks arrived; false on EOF/error. *)
 let pump_acks t c buf =
@@ -147,7 +170,15 @@ let ship_thread t c =
           t.m_seal_cycles +. Seal.cost_cycles (String.length payload);
         Seal.seal ~key:k ~nonce payload)
   in
-  let ok = ref (write_all c.fd (Delta.render_ok c.cursor)) in
+  (* called under the log mutex on every append: one pipe write per
+     sleep, none while the thread is awake *)
+  let unsubscribe =
+    Log.subscribe t.log (fun () ->
+        if Atomic.get c.asleep && Atomic.compare_and_set c.asleep true false
+        then Wakeup.wake c.wake)
+  in
+  let last_tick = ref (Unix.gettimeofday ()) in
+  let ok = ref (write_all t c.fd (Delta.render_ok c.cursor)) in
   while !ok && c.alive do
     let head = Log.head t.log in
     let in_flight = locked t (fun () -> c.cursor - 1 - c.acked) in
@@ -173,16 +204,28 @@ let ship_thread t c =
           c.cursor <- stop + 1;
           t.m_shipped <- t.m_shipped + List.length !sent);
       t.span "repl_ship" (fun () ->
-          ok := write_all c.fd (Buffer.contents frames));
+          ok := write_all t c.fd (Buffer.contents frames));
       if !ok then ok := pump_acks t c buf
     end
     else begin
-      (* nothing to send (or window full): wait for acks or new commits *)
-      (match Unix.select [ c.fd ] [] [] 0.002 with
-      | [], _, _ -> ()
-      | _ -> ok := pump_acks t c buf
-      | exception Unix.Unix_error (EINTR, _, _) -> ()
-      | exception Unix.Unix_error _ -> ok := false);
+      (* nothing to send (or window full): sleep until an ack, a commit,
+         a drain, or the tick. The flag goes up before the head is read
+         again, so a commit in between is never missed. *)
+      Atomic.set c.asleep true;
+      if c.cursor > Log.head t.log || in_flight >= t.window then begin
+        match Unix.select [ c.fd; Wakeup.fd c.wake ] [] [] tick_s with
+        | rd, _, _ ->
+          if List.mem (Wakeup.fd c.wake) rd then Wakeup.drain c.wake;
+          if List.mem c.fd rd then ok := pump_acks t c buf
+        | exception Unix.Unix_error (EINTR, _, _) -> ()
+        | exception Unix.Unix_error _ -> ok := false
+      end;
+      Atomic.set c.asleep false;
+      let now = Unix.gettimeofday () in
+      if now -. !last_tick >= tick_s then begin
+        last_tick := now;
+        tick t
+      end;
       (* drain: once the tail is flushed, linger only for pending acks *)
       if
         t.draining
@@ -192,7 +235,13 @@ let ship_thread t c =
       then ok := false
     end
   done;
-  drop t c
+  (* unsubscribe first: once it returns no append can write the pipe *)
+  unsubscribe ();
+  locked t (fun () ->
+      c.alive <- false;
+      Condition.broadcast t.ack_cv;
+      (try Unix.close c.fd with Unix.Unix_error _ -> ());
+      Wakeup.close c.wake)
 
 let register t fd ~sync ~from_seq =
   let refuse = locked t (fun () -> t.draining) in
@@ -204,6 +253,8 @@ let register t fd ~sync ~from_seq =
         sync;
         acks = Delta.ack_reader ();
         inflight = Queue.create ();
+        wake = Wakeup.create ();
+        asleep = Atomic.make false;
         cursor = max 1 from_seq;
         acked = max 0 (from_seq - 1);
         alive = true;
@@ -224,20 +275,19 @@ let sync_connected t =
 
 let wait_synced t ~seq ~timeout_s =
   let deadline = Unix.gettimeofday () +. timeout_s in
-  let rec go () =
-    let pending =
-      locked t (fun () ->
-          List.exists (fun c -> c.alive && c.sync && c.acked < seq) t.conns)
-    in
-    if not pending then true
-    else if Unix.gettimeofday () > deadline then false
-    else begin
-      Thread.yield ();
-      Unix.sleepf 0.0005;
-      go ()
-    end
-  in
-  go ()
+  locked t (fun () ->
+      let pending () =
+        List.exists (fun c -> c.alive && c.sync && c.acked < seq) t.conns
+      in
+      let rec go () =
+        if not (pending ()) then true
+        else if Unix.gettimeofday () > deadline then false
+        else begin
+          Condition.wait t.ack_cv t.mu;
+          go ()
+        end
+      in
+      go ())
 
 let last_lag_us t = locked t (fun () -> t.m_last_lag_us)
 let lag_pctiles t = locked t (fun () -> Tel.Metrics.pctiles t.h_lag)
@@ -271,7 +321,9 @@ let drain t ~timeout_s =
         let a = t.draining in
         if not a then begin
           t.draining <- true;
-          t.drain_deadline <- Unix.gettimeofday () +. timeout_s
+          t.drain_deadline <- Unix.gettimeofday () +. timeout_s;
+          (* wake every sleeping ship thread to flush and linger *)
+          List.iter (fun c -> if c.alive then Wakeup.wake c.wake) t.conns
         end;
         a)
   in

@@ -40,7 +40,10 @@ val connected : t -> int
 val sync_connected : t -> int
 
 (** Block until every live sync replica has acknowledged [seq] (dead
-    replicas stop gating). [true] on success, [false] on timeout. *)
+    replicas stop gating). [true] on success, [false] on timeout. The
+    caller sleeps on a condition that each ack and each dropped link
+    broadcasts; the ship threads also broadcast it every 0.1 s, which
+    bounds how late the timeout is noticed. *)
 val wait_synced : t -> seq:int -> timeout_s:float -> bool
 
 (** Most recent send→ack lag sample, microseconds (0.0 before any). *)

@@ -44,6 +44,7 @@
 
 module Tel = Privagic_telemetry
 module Msq = Privagic_runtime.Msqueue
+module Wakeup = Privagic_runtime.Wakeup
 module Parallel = Privagic_parallel.Parallel
 module Repl = Privagic_replication
 module Obs = Privagic_obs
@@ -257,12 +258,16 @@ type shard = {
          scan cursors, and replica apply. *)
   sh_inbox : xwork Msq.t;           (* cross-shard requests, bounded *)
   sh_depth : int Atomic.t;          (* inbox depth *)
-  sh_wake_r : Unix.file_descr;      (* self-pipe: wakes the loop *)
-  sh_wake_w : Unix.file_descr;
+  sh_wake : Wakeup.t;               (* wakes the loop *)
   sh_in_mu : Mutex.t;
   sh_incoming : conn Queue.t;       (* acceptor -> loop handoff *)
   mutable sh_conns : conn list;     (* owner loop only *)
   sh_track : int;
+  (* the requests this shard executes, written only by its loop and
+     merged when `stats` is read: no lock on the response path *)
+  sh_latency : Tel.Metrics.histogram;
+  sh_qwait : Tel.Metrics.histogram;
+  sh_scan_len : Tel.Metrics.histogram;  (* items returned per scan *)
 }
 
 type role = Primary | Replica_of of string
@@ -277,13 +282,11 @@ type t = {
   (* replication *)
   repl_log : Repl.Log.t;   (* shared: the merged monotone sequence *)
   hub : Repl.Shipper.t;
-  role_mu : Mutex.t;
-  mutable t_role : role;
+  t_role : role Atomic.t;  (* read on every write request *)
   n_applied : int Atomic.t;        (* deltas applied while a replica *)
   n_fence_timeouts : int Atomic.t; (* sync acks that timed out *)
   tel_mu : Mutex.t;                (* the recorder is not thread-safe *)
-  a_wake_r : Unix.file_descr;      (* acceptor self-pipe *)
-  a_wake_w : Unix.file_descr;
+  a_wake : Wakeup.t;               (* wakes the acceptor *)
   (* counters (Atomic: each is read/bumped from several domains) *)
   conns_accepted : int Atomic.t;
   conns_open : int Atomic.t;
@@ -304,10 +307,6 @@ type t = {
   n_scans : int Atomic.t;
   n_scan_items : int Atomic.t;
   n_xshard : int Atomic.t;         (* requests that crossed shards *)
-  m_mu : Mutex.t;
-  h_latency : Tel.Metrics.histogram;
-  h_qwait : Tel.Metrics.histogram;
-  h_scan_len : Tel.Metrics.histogram; (* items returned per scan *)
   obs : Obs.Registry.t; (* live metrics, served via `stats metrics` *)
   (* lifecycle *)
   d_mu : Mutex.t;
@@ -337,22 +336,11 @@ type t = {
 
 let now_us t = (Unix.gettimeofday () -. t.started_at) *. 1e6
 
-let wake_fd w =
-  (* the pipe is non-blocking; a full pipe already guarantees a wakeup *)
-  try ignore (Unix.write w (Bytes.make 1 '!') 0 1)
-  with Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EPIPE | EBADF), _, _) -> ()
+(* One per-shard histogram, summed over the shards at read time. *)
+let merged t field =
+  Tel.Metrics.merge (Array.to_list (Array.map field t.sh))
 
-let wake s = wake_fd s.sh_wake_w
-
-let drain_pipe fd buf =
-  let rec go () =
-    match Unix.read fd buf 0 (Bytes.length buf) with
-    | n when n > 0 -> go ()
-    | _ -> ()
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-    | exception Unix.Unix_error _ -> ()
-  in
-  go ()
+let wake s = Wakeup.wake s.sh_wake
 
 (* Wire-capture tap for the robust-safety monitor: every response byte the
    server puts on a client connection also goes here (process-wide). *)
@@ -526,26 +514,15 @@ let apply_del t ~seq ~key =
   Mutex.unlock sh.sh_latch;
   r
 
-let promote t =
-  Mutex.lock t.role_mu;
-  t.t_role <- Primary;
-  Mutex.unlock t.role_mu
+let promote t = Atomic.set t.t_role Primary
 
 let role_name t =
-  Mutex.lock t.role_mu;
-  let r =
-    match t.t_role with
-    | Primary -> "primary"
-    | Replica_of a -> "replica:" ^ a
-  in
-  Mutex.unlock t.role_mu;
-  r
+  match Atomic.get t.t_role with
+  | Primary -> "primary"
+  | Replica_of a -> "replica:" ^ a
 
 let is_replica t =
-  Mutex.lock t.role_mu;
-  let r = match t.t_role with Primary -> false | Replica_of _ -> true in
-  Mutex.unlock t.role_mu;
-  r
+  match Atomic.get t.t_role with Primary -> false | Replica_of _ -> true
 
 let repl_log t = t.repl_log
 let repl_hub t = t.hub
@@ -554,17 +531,16 @@ let repl_hub t = t.hub
 (* response slots *)
 
 (* Fill a dispatched slot: the matching [c_inflight] increment happened
-   when the job left the undispatched queue. The latency histogram
-   closes here — after execution and any sync fence, before the owner's
-   flush renders the bytes. *)
-let fill t c p resp =
+   when the job left the undispatched queue. The latency histogram of
+   [s], the shard that executed the request, closes here — after
+   execution and any sync fence, before the owner's flush renders the
+   bytes. *)
+let fill t s c p resp =
   Mutex.lock c.c_mu;
   p.p_resp <- Some resp;
   c.c_inflight <- c.c_inflight - 1;
   Mutex.unlock c.c_mu;
-  Mutex.lock t.m_mu;
-  Tel.Metrics.observe t.h_latency (now_us t -. p.p_enq_at);
-  Mutex.unlock t.m_mu
+  Tel.Metrics.observe s.sh_latency (now_us t -. p.p_enq_at)
 
 let inflight c =
   Mutex.lock c.c_mu;
@@ -634,10 +610,7 @@ let exec_chunk t sh (chunk : (conn * pending * Protocol.request) list) =
   let responses =
     List.map
       (fun (c, p, req) ->
-        let started = now_us t in
-        Mutex.lock t.m_mu;
-        Tel.Metrics.observe t.h_qwait (started -. p.p_enq_at);
-        Mutex.unlock t.m_mu;
+        Tel.Metrics.observe sh.sh_qwait (now_us t -. p.p_enq_at);
         let resp =
           match req with
           | Protocol.Get k -> (
@@ -761,7 +734,7 @@ let exec_chunk t sh (chunk : (conn * pending * Protocol.request) list) =
   in
   Mutex.unlock sh.sh_latch;
   maybe_fence t !max_seq;
-  List.iter (fun (c, p, resp) -> fill t c p resp) responses
+  List.iter (fun (c, p, resp) -> fill t sh c p resp) responses
 
 (* ------------------------------------------------------------------ *)
 (* barrier requests: multi-shard transactions (2PC) and scans *)
@@ -854,9 +827,7 @@ let exec_scan t s ~start ~stop ~limit =
         List.filteri (fun i _ -> i < limit) sorted)
   in
   ignore (Atomic.fetch_and_add t.n_scan_items (List.length items));
-  Mutex.lock t.m_mu;
-  Tel.Metrics.observe t.h_scan_len (float_of_int (List.length items));
-  Mutex.unlock t.m_mu;
+  Tel.Metrics.observe s.sh_scan_len (float_of_int (List.length items));
   Protocol.Scan_reply
     (List.map
        (fun (e : Index.entry) ->
@@ -998,9 +969,9 @@ let rec admit_remote t s r =
       if process_inbox_round t s = 0 then Unix.sleepf 0.0005;
       admit_remote t s r
 
-let fill_busy t c p =
+let fill_busy t s c p =
   Atomic.incr t.n_shed;
-  fill t c p Protocol.Busy
+  fill t s c p Protocol.Busy
 
 (* Dispatch a connection's undispatched jobs in arrival order. Local
    jobs join [batch] (executed by the caller); remote jobs enter the
@@ -1028,7 +999,7 @@ let dispatch_conn t s c batch batch_n progressed =
         if
           t.cfg.policy = Shed
           && !batch_n + Atomic.get s.sh_depth >= t.cfg.queue_depth
-        then fill_busy t c p
+        then fill_busy t s c p
         else begin
           batch := (c, p, req) :: !batch;
           incr batch_n
@@ -1040,7 +1011,7 @@ let dispatch_conn t s c batch batch_n progressed =
           Msq.push t.sh.(r).sh_inbox { xw_conn = c; xw_pending = p; xw_req = req };
           wake t.sh.(r)
         end
-        else fill_busy t c p
+        else fill_busy t s c p
       | Barrier ->
         if inflight c = 0 then begin
           pop_dispatch ();
@@ -1055,7 +1026,7 @@ let dispatch_conn t s c batch batch_n progressed =
           | Protocol.Txn ops when txn_shard_ids t ops <> [ s.sh_id ] ->
             Atomic.incr t.n_xshard
           | _ -> ());
-          fill t c p resp
+          fill t s c p resp
         end
         else continue := false
     done
@@ -1212,12 +1183,11 @@ let note_dispatched t =
 
 let shard_loop t s =
   let rbuf = Bytes.create 65536 in
-  let pbuf = Bytes.create 256 in
   let running = ref true in
   let dispatched_flagged = ref false in
   while !running do
     let draining = Atomic.get t.draining in
-    let rds = ref [ s.sh_wake_r ] in
+    let rds = ref [ Wakeup.fd s.sh_wake ] in
     let wrs = ref [] in
     List.iter
       (fun c ->
@@ -1239,7 +1209,7 @@ let shard_loop t s =
       if draining then
         List.iter (fun c -> if has_output c then c.c_dead <- true) s.sh_conns
     | rd, _, _ ->
-      if List.mem s.sh_wake_r rd then drain_pipe s.sh_wake_r pbuf;
+      if List.mem (Wakeup.fd s.sh_wake) rd then Wakeup.drain s.sh_wake;
       List.iter
         (fun c ->
           if (not c.c_dead) && List.mem c.c_fd rd then read_conn t c rbuf)
@@ -1302,11 +1272,10 @@ let shard_loop t s =
 
 let acceptor_loop t =
   let next = ref 0 in
-  let pbuf = Bytes.create 256 in
   while not (Atomic.get t.draining) do
-    match Unix.select [ t.listen_fd; t.a_wake_r ] [] [] (-1.0) with
+    match Unix.select [ t.listen_fd; Wakeup.fd t.a_wake ] [] [] (-1.0) with
     | rd, _, _ ->
-      if List.mem t.a_wake_r rd then drain_pipe t.a_wake_r pbuf;
+      if List.mem (Wakeup.fd t.a_wake) rd then Wakeup.drain t.a_wake;
       if List.mem t.listen_fd rd then (
         match Unix.accept t.listen_fd with
         | fd, _ ->
@@ -1422,7 +1391,6 @@ let start ?replica_of cfg bnd (stores : store array) =
     | Unix.ADDR_INET (_, p) -> p
     | _ -> cfg.port
   in
-  let metrics = Tel.Metrics.create () in
   let started_at = Unix.gettimeofday () in
   let tel_mu = Mutex.create () in
   (* the shipper threads record their sends on a track of their own *)
@@ -1448,16 +1416,9 @@ let start ?replica_of cfg bnd (stores : store array) =
     Repl.Shipper.create ~window:cfg.repl_window ~cluster:cfg.repl_cluster
       ~span:repl_span ~log:repl_log ()
   in
-  let mk_pipe () =
-    let r, w = Unix.pipe () in
-    Unix.set_nonblock r;
-    Unix.set_nonblock w;
-    (r, w)
-  in
   let sh =
     Array.init cfg.shards (fun i ->
         let store = stores.(i) in
-        let wake_r, wake_w = mk_pipe () in
         {
           sh_id = i;
           sh_store = store;
@@ -1474,8 +1435,7 @@ let start ?replica_of cfg bnd (stores : store array) =
           sh_latch = Mutex.create ();
           sh_inbox = Msq.create ();
           sh_depth = Atomic.make 0;
-          sh_wake_r = wake_r;
-          sh_wake_w = wake_w;
+          sh_wake = Wakeup.create ();
           sh_in_mu = Mutex.create ();
           sh_incoming = Queue.create ();
           sh_conns = [];
@@ -1484,9 +1444,11 @@ let start ?replica_of cfg bnd (stores : store array) =
              else
                Tel.Recorder.fresh_track cfg.telemetry
                  (Printf.sprintf "srv/shard%d" i));
+          sh_latency = Tel.Metrics.fresh_histogram "server latency (us)";
+          sh_qwait = Tel.Metrics.fresh_histogram "queue wait (us)";
+          sh_scan_len = Tel.Metrics.fresh_histogram "scan length (items)";
         })
   in
-  let a_wake_r, a_wake_w = mk_pipe () in
   let t =
     {
       cfg;
@@ -1497,16 +1459,15 @@ let start ?replica_of cfg bnd (stores : store array) =
       started_at;
       repl_log;
       hub;
-      role_mu = Mutex.create ();
       t_role =
-        (match replica_of with
-        | Some addr -> Replica_of addr
-        | None -> Primary);
+        Atomic.make
+          (match replica_of with
+          | Some addr -> Replica_of addr
+          | None -> Primary);
       n_applied = Atomic.make 0;
       n_fence_timeouts = Atomic.make 0;
       tel_mu;
-      a_wake_r;
-      a_wake_w;
+      a_wake = Wakeup.create ();
       conns_accepted = Atomic.make 0;
       conns_open = Atomic.make 0;
       conns_rejected = Atomic.make 0;
@@ -1526,10 +1487,6 @@ let start ?replica_of cfg bnd (stores : store array) =
       n_scans = Atomic.make 0;
       n_scan_items = Atomic.make 0;
       n_xshard = Atomic.make 0;
-      m_mu = Mutex.create ();
-      h_latency = Tel.Metrics.histogram metrics "server latency (us)";
-      h_qwait = Tel.Metrics.histogram metrics "queue wait (us)";
-      h_scan_len = Tel.Metrics.histogram metrics "scan length (items)";
       obs = Obs.Registry.create ();
       d_mu = Mutex.create ();
       d_cv = Condition.create ();
@@ -1601,10 +1558,7 @@ let start ?replica_of cfg bnd (stores : store array) =
          (Array.fold_left (fun acc s -> acc + Txn.aborts s.sh_txn) 0 t.sh));
    Obs.Registry.summary reg ~help:"items returned per range scan"
      "privagic_scan_items" (fun () ->
-       Mutex.lock t.m_mu;
-       let p = Tel.Metrics.pctiles t.h_scan_len in
-       Mutex.unlock t.m_mu;
-       p);
+       Tel.Metrics.pctiles (merged t (fun s -> s.sh_scan_len)));
    Obs.Registry.multi_gauge reg ~help:"pending cross-shard requests per shard"
      "privagic_server_queue_depth" (fun () ->
        Array.to_list
@@ -1617,16 +1571,10 @@ let start ?replica_of cfg bnd (stores : store array) =
      "privagic_repl_seq" (fun () -> float_of_int (Repl.Log.head t.repl_log));
    Obs.Registry.summary reg ~help:"request latency (microseconds)"
      "privagic_server_latency_us" (fun () ->
-       Mutex.lock t.m_mu;
-       let p = Tel.Metrics.pctiles t.h_latency in
-       Mutex.unlock t.m_mu;
-       p);
+       Tel.Metrics.pctiles (merged t (fun s -> s.sh_latency)));
    Obs.Registry.summary reg ~help:"queue wait (microseconds)"
      "privagic_server_queue_wait_us" (fun () ->
-       Mutex.lock t.m_mu;
-       let p = Tel.Metrics.pctiles t.h_qwait in
-       Mutex.unlock t.m_mu;
-       p);
+       Tel.Metrics.pctiles (merged t (fun s -> s.sh_qwait)));
    Repl.Shipper.register_obs t.hub reg;
    (* one store registers its fixed-name gauges; with several shards the
       other backends' counters are visible through `stats` instead
@@ -1657,7 +1605,7 @@ let drain t =
     Condition.broadcast t.d_cv (* releases an idle supervisor *);
     Mutex.unlock t.d_mu;
     Atomic.set t.draining true;
-    wake_fd t.a_wake_w;
+    Wakeup.wake t.a_wake;
     (match t.acceptor with Some th -> Thread.join th | None -> ());
     Array.iter wake t.sh;
     (* stage 1: wait until every shard has dispatched all parsed work —
@@ -1686,17 +1634,8 @@ let drain t =
        (bounded) for their acks before tearing the backends down *)
     Repl.Shipper.drain t.hub ~timeout_s:5.0;
     Array.iter (fun s -> s.sh_store.st_drain ()) t.sh;
-    Array.iter
-      (fun s ->
-        try
-          Unix.close s.sh_wake_r;
-          Unix.close s.sh_wake_w
-        with Unix.Unix_error _ -> ())
-      t.sh;
-    (try
-       Unix.close t.a_wake_r;
-       Unix.close t.a_wake_w
-     with Unix.Unix_error _ -> ());
+    Array.iter (fun s -> Wakeup.close s.sh_wake) t.sh;
+    Wakeup.close t.a_wake;
     Mutex.lock t.d_mu;
     t.drained <- true;
     Condition.broadcast t.d_cv;
@@ -1751,10 +1690,8 @@ type stats = {
 
 let stats t =
   let g = Atomic.get in
-  Mutex.lock t.m_mu;
-  let lat = Tel.Metrics.pctiles t.h_latency in
-  let qw = Tel.Metrics.pctiles t.h_qwait in
-  Mutex.unlock t.m_mu;
+  let lat = Tel.Metrics.pctiles (merged t (fun s -> s.sh_latency)) in
+  let qw = Tel.Metrics.pctiles (merged t (fun s -> s.sh_qwait)) in
   {
     s_uptime = Unix.gettimeofday () -. t.started_at;
     s_conns_accepted = g t.conns_accepted;

@@ -1,17 +1,10 @@
 (** Set-associative LRU cache model, used for the L1, the shared LLC and —
     at page granularity — the EPC working set. Addresses are simulated
     byte addresses; the model answers hit/miss, latencies live in
-    {!Cost}. *)
+    {!Cost}. Sets are allocated on first touch, so a model's memory
+    follows the lines a run uses, not its capacity. *)
 
-type t = {
-  line_bits : int;
-  set_bits : int;
-  assoc : int;
-  sets : int array array;
-  lengths : int array;
-  mutable accesses : int;
-  mutable misses : int;
-}
+type t
 
 (** [create ~size_bytes ~line_bytes ~assoc]; sizes round up to powers of
     two. *)

@@ -40,23 +40,41 @@ let counter t name =
 
 let incr ?(by = 1) c = c.count <- c.count + by
 
+(* A histogram outside any registry, e.g. one per writer, read through
+   [merge]. *)
+let fresh_histogram name =
+  {
+    h_name = name;
+    buckets = Array.make nbuckets 0;
+    h_count = 0;
+    sum = 0.0;
+    h_min = infinity;
+    h_max = neg_infinity;
+  }
+
 let histogram t name =
   match Hashtbl.find_opt t.histograms name with
   | Some h -> h
   | None ->
-    let h =
-      {
-        h_name = name;
-        buckets = Array.make nbuckets 0;
-        h_count = 0;
-        sum = 0.0;
-        h_min = infinity;
-        h_max = neg_infinity;
-      }
-    in
+    let h = fresh_histogram name in
     Hashtbl.replace t.histograms name h;
     t.order <- name :: t.order;
     h
+
+(* The sum of several histograms, as a new one named after the first. A
+   source written concurrently contributes whatever its writer had
+   published. *)
+let merge hs =
+  let m = fresh_histogram (match hs with h :: _ -> h.h_name | [] -> "") in
+  List.iter
+    (fun h ->
+      Array.iteri (fun i c -> m.buckets.(i) <- m.buckets.(i) + c) h.buckets;
+      m.h_count <- m.h_count + h.h_count;
+      m.sum <- m.sum +. h.sum;
+      m.h_min <- Float.min m.h_min h.h_min;
+      m.h_max <- Float.max m.h_max h.h_max)
+    hs;
+  m
 
 (* Bucket of value [v]: the exponent of its power-of-two magnitude. *)
 let bucket_of v =

@@ -182,6 +182,145 @@ let test_log () =
   Alcotest.(check int) "mirror head" 2 (Log.head m);
   Alcotest.(check int) "to_list length" 2 (List.length (Log.to_list m))
 
+(* the log keeps nothing per delta on the OCaml heap, and decodes every
+   entry back exactly *)
+let test_log_compact () =
+  let l = Log.create () in
+  let n = 100_000 in
+  let op i =
+    if i mod 10 = 3 then Delta.Del { key = i }
+    else
+      Delta.Put
+        {
+          key = (if i mod 7 = 0 then -i else i * 1_000_003);
+          color = (if i mod 2 = 0 then "red" else "U");
+          payload = Printf.sprintf "%032d" i;
+        }
+  in
+  for i = 1 to n do
+    if Log.append l (op i) <> i then Alcotest.failf "append %d: wrong seq" i
+  done;
+  let words = Obj.reachable_words (Obj.repr l) in
+  if words > 4096 then
+    Alcotest.failf "%d deltas keep %d words on the OCaml heap" n words;
+  for i = 1 to n do
+    match Log.get l i with
+    | Some d when d = { Delta.seq = i; op = op i } -> ()
+    | _ -> Alcotest.failf "delta %d decoded wrong" i
+  done;
+  (* a payload larger than a whole chunk still round-trips *)
+  let big = String.make ((1 lsl 20) + 5) 'b' in
+  let s = Log.append l (Delta.Put { key = 1; color = "red"; payload = big }) in
+  let s' = Log.append l (Delta.Del { key = 2 }) in
+  (match (Log.get l s, Log.get l s') with
+  | ( Some { Delta.op = Delta.Put { payload; _ }; _ },
+      Some { Delta.op = Delta.Del { key = 2 }; _ } ) ->
+    Alcotest.(check bool) "big payload" true (payload = big)
+  | _ -> Alcotest.fail "big entry");
+  Alcotest.(check int) "to_list" (n + 2) (List.length (Log.to_list l))
+
+(* ------------------------------------------------------------------ *)
+(* shipper wakeups, driven through socketpair peers registered directly *)
+
+let peer () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.set_nonblock a;
+  (a, b)
+
+let send_ack b seq =
+  let s = Delta.render_ack seq in
+  ignore (Unix.write_substring b s 0 (String.length s) : int)
+
+(* Read the peer side until [needle] arrived; fails after [timeout]. *)
+let await_bytes b ~timeout needle =
+  let acc = Buffer.create 256 and buf = Bytes.create 4096 in
+  let deadline = Unix.gettimeofday () +. timeout in
+  while
+    (not (contains ~needle (Buffer.contents acc)))
+    && Unix.gettimeofday () < deadline
+  do
+    match
+      Unix.select [ b ] [] [] (Float.max 0.0 (deadline -. Unix.gettimeofday ()))
+    with
+    | [], _, _ -> ()
+    | _ -> (
+      match Unix.read b buf 0 (Bytes.length buf) with
+      | 0 -> Alcotest.failf "shipper closed the link before %S" needle
+      | n -> Buffer.add_subbytes acc buf 0 n)
+  done;
+  if not (contains ~needle (Buffer.contents acc)) then
+    Alcotest.failf "no %S within %.2f s" needle timeout
+
+(* Register [sync] peers and wait until each thread has said hello and
+   gone to sleep. *)
+let shipper_with ~sync n =
+  let log = Log.create () in
+  let hub = Shipper.create ~cluster:"wake-test" ~log () in
+  let peers = List.init n (fun _ -> peer ()) in
+  List.iter (fun (a, _) -> Shipper.register hub a ~sync ~from_seq:1) peers;
+  List.iter (fun (_, b) -> await_bytes b ~timeout:5.0 "REPLOK 1\r\n") peers;
+  Unix.sleepf 0.05;
+  (log, hub, List.map snd peers)
+
+let test_append_wakes_every_shipper () =
+  let log, hub, peers = shipper_with ~sync:false 2 in
+  let t0 = Unix.gettimeofday () in
+  ignore (Log.append log (Delta.Del { key = 7 }) : int);
+  List.iter (fun b -> await_bytes b ~timeout:1.0 "DDEL 1 7\r\n") peers;
+  let dt = Unix.gettimeofday () -. t0 in
+  if dt > 0.05 then Alcotest.failf "append reached both peers after %.3f s" dt;
+  List.iter (fun b -> send_ack b 1) peers;
+  Shipper.drain hub ~timeout_s:5.0;
+  List.iter Unix.close peers
+
+let test_ack_wakes_fence () =
+  let log, hub, peers = shipper_with ~sync:true 1 in
+  let b = List.hd peers in
+  let seq = Log.append log (Delta.Put { key = 1; color = "U"; payload = "x" }) in
+  await_bytes b ~timeout:1.0 "DPUT 1 1 U 0 1\r\nx\r\n";
+  let done_at = ref 0.0 and synced = ref false in
+  let waiter =
+    Thread.create
+      (fun () ->
+        synced := Shipper.wait_synced hub ~seq ~timeout_s:5.0;
+        done_at := Unix.gettimeofday ())
+      ()
+  in
+  Unix.sleepf 0.05;
+  let acked_at = Unix.gettimeofday () in
+  send_ack b seq;
+  Thread.join waiter;
+  Alcotest.(check bool) "fence passed" true !synced;
+  let dt = !done_at -. acked_at in
+  if dt > 0.05 then Alcotest.failf "fence released %.3f s after the ack" dt;
+  Shipper.drain hub ~timeout_s:5.0;
+  Unix.close b
+
+(* No timed condition wait exists, so the deadline must still be noticed:
+   a sync peer that never acks times the fence out, neither early nor
+   unboundedly late. *)
+let test_fence_times_out () =
+  let log, hub, peers = shipper_with ~sync:true 1 in
+  let seq = Log.append log (Delta.Del { key = 3 }) in
+  let t0 = Unix.gettimeofday () in
+  let c0 = Unix.times () in
+  let synced = Shipper.wait_synced hub ~seq ~timeout_s:0.3 in
+  let dt = Unix.gettimeofday () -. t0 in
+  let c1 = Unix.times () in
+  let cpu =
+    c1.Unix.tms_utime +. c1.Unix.tms_stime -. c0.Unix.tms_utime
+    -. c0.Unix.tms_stime
+  in
+  Alcotest.(check bool) "timed out" false synced;
+  if dt < 0.3 || dt > 1.0 then Alcotest.failf "timed out after %.3f s" dt;
+  (* the waiter sleeps on a condition and the ship thread in a bounded
+     select: a few wakeups, not a poll every half millisecond *)
+  if cpu > 0.004 then
+    Alcotest.failf "the 0.3 s fence wait burned %.1f ms of CPU" (cpu *. 1e3);
+  (* drain gives up on the silent peer at its own deadline *)
+  Shipper.drain hub ~timeout_s:0.2;
+  List.iter Unix.close peers
+
 (* ------------------------------------------------------------------ *)
 (* end-to-end nodes over loopback TCP *)
 
@@ -606,6 +745,14 @@ let suite =
   [ Alcotest.test_case "seal model" `Quick test_seal;
     Alcotest.test_case "delta codec" `Quick test_delta_codec;
     Alcotest.test_case "commit log" `Quick test_log;
+    Alcotest.test_case "commit log: compact, off the OCaml heap" `Quick
+      test_log_compact;
+    Alcotest.test_case "shipper: one append wakes every peer" `Quick
+      test_append_wakes_every_shipper;
+    Alcotest.test_case "shipper: an ack releases the fence" `Quick
+      test_ack_wakes_fence;
+    Alcotest.test_case "shipper: a silent sync peer times the fence out"
+      `Quick test_fence_times_out;
     Alcotest.test_case "wire: colored payloads sealed" `Quick
       (wire_capture `Colored true);
     Alcotest.test_case "wire: plain payloads unsealed" `Quick

@@ -422,7 +422,11 @@ let test_pipelined_burst () =
   let s = Server.stats srv in
   Alcotest.(check int) "shards reported" shards s.Server.s_shards;
   Alcotest.(check bool) "cross-shard requests flowed" true
-    (s.Server.s_xshard > 0)
+    (s.Server.s_xshard > 0);
+  (* each shard times what it executes; the merged histogram counts every
+     request exactly once *)
+  Alcotest.(check int) "every request timed once" (List.length want)
+    s.Server.s_latency.Privagic_telemetry.Metrics.n
 
 (* An idle server drains at once. The self-pipe wakeup that announces the
    drain must not be spent on a loop iteration that read the flag before

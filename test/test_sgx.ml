@@ -104,6 +104,64 @@ let test_seconds () =
   (* 1 GHz -> 1e9 cycles per second *)
   Alcotest.(check (float 1e-9)) "seconds" 1.0 (Machine.seconds m 1e9)
 
+(* A machine's cache models hold only the sets a run has touched: a fresh
+   machine B (8131 MiB of EPC, 131 072 page sets) stays under 1 MiB. *)
+let test_machine_footprint () =
+  let words = Obj.reachable_words (Obj.repr (Machine.create Config.machine_b)) in
+  if words > 131_072 then
+    Alcotest.failf "fresh machine-B model holds %d words (limit 131072)" words
+
+(* The paper's cost model, pinned: the benchmark's program (memcached,
+   1024 buckets, 32 B values, colored, hardened) on machine B serves a
+   fixed sequence of 20 000 requests — 5% set, 1% delete, the rest get,
+   over 4096 keys against an LRU of 2048 — and the machine counters and
+   summed request latency must come out exactly as recorded. Any change
+   to the cache, EPC or crossing models moves them. *)
+let pinned_counters engine () =
+  let plan =
+    Helpers.plan_of
+      (Privagic_workloads.Programs.memcached ~nbuckets:1024 ~vsize:32 `Colored)
+  in
+  let pt = Pinterp.create ~engine plan in
+  let heap = pt.Pinterp.exec.Exec.heap in
+  let vbuf = Heap.alloc heap Heap.Unsafe 32 in
+  let obuf = Heap.alloc heap Heap.Unsafe 32 in
+  let int k = Rvalue.Int (Int64.of_int k) in
+  let call name args = Pinterp.call_entry pt name args in
+  ignore (call "mc_init" [ int 2048 ]);
+  (* splitmix64-style mixer over the request index: the sequence must not
+     depend on the stdlib's Random *)
+  let mix i =
+    let open Int64 in
+    let step z s m = mul (logxor z (shift_right_logical z s)) m in
+    let z = mul (of_int (i + 1)) 0x9E3779B97F4A7C15L in
+    let z = step z 30 0xBF58476D1CE4E5B9L in
+    let z = step z 27 0x94D049BB133111EBL in
+    to_int (shift_right_logical (logxor z (shift_right_logical z 31)) 2)
+  in
+  let latency = ref 0.0 in
+  for i = 0 to 19_999 do
+    let r = mix i in
+    let key = r mod 4096 and dice = (r / 4096) mod 100 in
+    let res =
+      if dice < 5 then begin
+        String.iteri
+          (fun j c -> Heap.store heap (vbuf + j) 1 (Int64.of_int (Char.code c)))
+          (Printf.sprintf "%08d%024d" key i);
+        call "mc_set" [ int key; Rvalue.Ptr vbuf ]
+      end
+      else if dice < 6 then call "mc_delete" [ int key ]
+      else call "mc_get" [ int key; Rvalue.Ptr obuf ]
+    in
+    latency := !latency +. res.Pinterp.latency_cycles
+  done;
+  let c = Machine.counters (Pinterp.machine pt) in
+  Alcotest.(check int) "instructions" 876_660 c.Machine.instrs;
+  Alcotest.(check int) "LLC misses" 1867 c.Machine.llc_misses;
+  Alcotest.(check int) "EPC faults" 31 c.Machine.epc_faults;
+  Alcotest.(check int) "queue messages" 119_202 c.Machine.queue_msgs;
+  Alcotest.(check (float 0.0)) "summed latency cycles" 268_647_707.0 !latency
+
 (* --- heap --- *)
 
 let test_heap_roundtrip () =
@@ -224,6 +282,11 @@ let suite =
     Alcotest.test_case "epc faults" `Quick test_machine_epc_fault;
     Alcotest.test_case "machine counters" `Quick test_machine_counters;
     Alcotest.test_case "cycles to seconds" `Quick test_seconds;
+    Alcotest.test_case "machine footprint" `Quick test_machine_footprint;
+    Alcotest.test_case "pinned cost-model counters (walk)" `Quick
+      (pinned_counters Exec.Walk);
+    Alcotest.test_case "pinned cost-model counters (image)" `Quick
+      (pinned_counters Exec.Image);
     Alcotest.test_case "heap roundtrip" `Quick test_heap_roundtrip;
     Alcotest.test_case "heap zones" `Quick test_heap_zones;
     Alcotest.test_case "heap null" `Quick test_heap_null;
