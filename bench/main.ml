@@ -316,17 +316,11 @@ let server_plan () =
   let infer = Privagic_secure.Infer.run ~mode:Privagic_secure.Mode.Hardened m in
   Privagic_partition.Plan.build ~mode:Privagic_secure.Mode.Hardened infer
 
-let start_server plan ~backend ~shards ~records =
+let start_server plan ~shards ~records =
   let bnd = Option.get (Server.bindings_of_plan plan) in
   let stores =
     Array.init shards (fun _ ->
-        let store =
-          match backend with
-          | `Parallel ->
-            Server.store_of_parallel
-              (Privagic_parallel.Parallel.create ~lanes:2 plan)
-          | `Sim -> Server.store_of_pinterp (Privagic_vm.Pinterp.create plan)
-        in
+        let store = Server.store_of_pinterp (Privagic_vm.Pinterp.create plan) in
         (match
            store.Server.st_call "mc_init"
              [ Privagic_vm.Rvalue.Int (Int64.of_int (records * 2)) ]
@@ -351,11 +345,9 @@ let run_server_bench ~quick () =
   let records = if quick then 256 else 1024 in
   let operations = if quick then 5_000 else 40_000 in
   let plan = server_plan () in
-  (* headline: closed loop, pipelined connections, sharded sim backend
-     (the parallel backend measures lane handoff, not the serving shell;
-     its closed-loop cell is kept below for continuity) *)
+  (* headline: closed loop, pipelined connections, sharded sim backend *)
   let shards = 2 in
-  let srv = start_server plan ~backend:`Sim ~shards ~records in
+  let srv = start_server plan ~shards ~records in
   let cfg =
     { Loadgen.default_config with
       Loadgen.port = Server.port srv;
@@ -381,7 +373,7 @@ let run_server_bench ~quick () =
   let sweep_ops = if quick then 4_000 else 20_000 in
   List.iter
     (fun sw_shards ->
-      let ssrv = start_server plan ~backend:`Sim ~shards:sw_shards ~records in
+      let ssrv = start_server plan ~shards:sw_shards ~records in
       List.iter
         (fun clients ->
           List.iter
@@ -417,15 +409,8 @@ let run_server_bench ~quick () =
         (if quick then [ 8 ] else [ 4; 16 ]);
       Server.drain ssrv)
     (if quick then [ 2 ] else [ 2; 4 ]);
-  (* continuity cell: the parallel backend behind the same shell *)
-  let psrv = start_server plan ~backend:`Parallel ~shards ~records in
-  let pcfg = { cfg with Loadgen.port = Server.port psrv } in
-  let pr = Loadgen.run pcfg in
-  Server.drain psrv;
-  Format.printf "  parallel backend %8.2f kops/s wall  (%d shards)@."
-    pr.Loadgen.r_throughput_kops shards;
   (* one json record: the headline cell in the historical shape, plus
-     the sweep and the parallel continuity cell appended *)
+     the sweep appended *)
   let b = Buffer.create 4096 in
   let bp fmt = Printf.bprintf b fmt in
   let pct (x : Privagic_telemetry.Metrics.pctiles) =
@@ -448,9 +433,6 @@ let run_server_bench ~quick () =
   bp "  \"wall_seconds\": %.6f,\n" r.Loadgen.r_wall_seconds;
   bp "  \"throughput_kops\": %.3f,\n" r.Loadgen.r_throughput_kops;
   bp "  \"latency_us\": %s,\n" (pct r.Loadgen.r_latency);
-  bp "  \"parallel_backend\": { \"shards\": %d, \"throughput_kops\": %.3f, \
-      \"latency_us\": %s },\n"
-    shards pr.Loadgen.r_throughput_kops (pct pr.Loadgen.r_latency);
   bp "  \"open_loop_sweep\": [\n";
   let pts = List.rev !sweep in
   List.iteri

@@ -76,14 +76,12 @@ let backend_arg =
           Format.pp_print_string fmt
             (match b with `Sim -> "sim" | `Parallel -> "parallel") )
   in
-  fun default ->
-    Arg.(
-      value & opt backend_conv default
-      & info [ "backend" ] ~docv:"BACKEND"
-          ~doc:"Execution backend: 'sim' (deterministic virtual time on the \
-                SGX simulator) or 'parallel' (OCaml 5 domains, one worker \
-                per lane and partition, lock-free queues, wall-clock \
-                time).")
+  Arg.(
+    value & opt backend_conv `Sim
+    & info [ "backend" ] ~docv:"BACKEND"
+        ~doc:"Execution backend: 'sim' (deterministic virtual time on the \
+              SGX simulator) or 'parallel' (OCaml 5 domains, one worker \
+              per lane and partition, lock-free queues, wall-clock time).")
 
 let engine_arg =
   let engine_conv =
@@ -112,7 +110,7 @@ let lanes_arg =
     & info [ "lanes" ] ~docv:"N"
         ~doc:"Worker lanes of the parallel backend: application threads \
               map onto N queues per color, bounding the domain count at \
-              N × colors. The server also queues requests per lane.")
+              N × colors.")
 
 let auth_arg =
   Arg.(
@@ -498,7 +496,7 @@ module Server = Privagic_server.Server
 module Loadgen = Privagic_loadgen.Loadgen
 module Repl = Privagic_replication
 
-let serve_action mode auth trace backend lanes engine host port queue_depth
+let serve_action mode auth trace engine host port queue_depth
     policy max_batch vsize shards capacity replica_of repl_sync
     repl_window cluster_key path =
   let plan = build_plan ~auth mode path in
@@ -518,20 +516,12 @@ let serve_action mode auth trace backend lanes engine host port queue_depth
   let rec_ =
     match trace with Some _ -> Tel.Recorder.create () | None -> Tel.Recorder.null
   in
-  (* one backend instance per shard: each shard's event loop owns its
+  (* one simulator instance per shard: each shard's event loop owns its
      store exclusively, so the backends never contend *)
   let mk_store () =
-    match backend with
-    | `Parallel ->
-      let module Par = Privagic_parallel.Parallel in
-      let p = Par.create ~lanes ~engine plan in
-      if rec_ != Tel.Recorder.null then Par.set_telemetry p rec_;
-      Server.store_of_parallel p
-    | `Sim ->
-      let pt = Privagic_vm.Pinterp.create ~engine plan in
-      if rec_ != Tel.Recorder.null then
-        Privagic_vm.Pinterp.set_telemetry pt rec_;
-      Server.store_of_pinterp pt
+    let pt = Privagic_vm.Pinterp.create ~engine plan in
+    if rec_ != Tel.Recorder.null then Privagic_vm.Pinterp.set_telemetry pt rec_;
+    Server.store_of_pinterp pt
   in
   let stores = Array.init shards (fun _ -> mk_store ()) in
   (match bnd.Server.b_init with
@@ -553,7 +543,6 @@ let serve_action mode auth trace backend lanes engine host port queue_depth
       Server.host;
       port;
       shards;
-      lanes;
       queue_depth;
       policy;
       max_batch;
@@ -572,9 +561,8 @@ let serve_action mode auth trace backend lanes engine host port queue_depth
       exit 2
   in
   Format.printf
-    "listening on %s:%d (%s program, %s backend, %d shards x %d lanes%s)@."
+    "listening on %s:%d (%s program, %s backend, %d shards%s)@."
     host (Server.port srv) bnd.Server.b_family stores.(0).Server.st_name shards
-    lanes
     (match replica_disp with
     | Some a -> Printf.sprintf ", replica of %s" a
     | None -> "");
@@ -738,7 +726,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Execute a partitioned program on the SGX simulator \
                           or on real domains (--backend=parallel)")
     Term.(const run_action $ mode_arg $ auth_arg $ trace_arg $ schedule
-          $ max_steps $ backend_arg `Sim $ lanes_arg $ engine_arg $ file_arg
+          $ max_steps $ backend_arg $ lanes_arg $ engine_arg $ file_arg
           $ entry_pos $ args_pos)
 
 let profile_cmd =
@@ -914,7 +902,7 @@ let serve_cmd =
     Arg.(
       value & opt (pos_int "queue-depth") 64
       & info [ "queue-depth" ] ~docv:"N"
-          ~doc:"Per-lane request-queue high-water mark (backpressure \
+          ~doc:"Cross-shard inbox high-water mark (backpressure \
                 threshold).")
   in
   let policy =
@@ -1003,7 +991,7 @@ let serve_cmd =
        ~doc:"Serve a partitioned key-value program over TCP \
              (memcached-lite text protocol: get/set/del/stats/quit/shutdown)")
     Term.(const serve_action $ mode_arg $ auth_arg $ trace_arg
-          $ backend_arg `Parallel $ lanes_arg $ engine_arg $ host $ port
+          $ engine_arg $ host $ port
           $ queue_depth $ policy $ max_batch $ vsize $ shards
           $ capacity $ replica_of $ repl_sync $ repl_window $ cluster_key
           $ file_arg)

@@ -65,8 +65,7 @@ let make_server ~capacity () =
   let bnd = Option.get (Server.bindings_of_plan plan) in
   let stores =
     Array.init shards (fun _ ->
-        let pool = Privagic_parallel.Parallel.create ~lanes:2 plan in
-        let store = Server.store_of_parallel pool in
+        let store = Server.store_of_pinterp (Pinterp.create plan) in
         (match bnd.Server.b_init with
         | Some entry -> (
           match
@@ -226,7 +225,7 @@ let write_json ~path ~quick (r : t) =
   p "{\n";
   p "  \"bench\": \"txn\",\n";
   p "  \"quick\": %b,\n" quick;
-  p "  \"family\": \"memcached\", \"backend\": \"parallel\", \"vsize\": %d,\n"
+  p "  \"family\": \"memcached\", \"backend\": \"sim\", \"vsize\": %d,\n"
     vsize;
   p "  \"records\": %d, \"ops\": %d,\n" r.tb_records r.tb_ops;
   p "  \"mixes\": [\n";
@@ -259,7 +258,7 @@ let write_json ~path ~quick (r : t) =
 
 let run ?(quick = false) ?(path = "BENCH_txn.json") () =
   let r = run_all ~quick () in
-  Format.printf "@[<v>txn bench (memcached, parallel backend)@,%s@]@."
+  Format.printf "@[<v>txn bench (memcached, sim backend)@,%s@]@."
     (String.concat "\n"
        (List.map
           (fun c ->

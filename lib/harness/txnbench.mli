@@ -1,7 +1,7 @@
 (** The transaction benchmark ([bench txn] → BENCH_txn.json): the
     scan-heavy and read-modify-write YCSB mixes (E and F) driven by
-    {!Privagic_loadgen} against an in-process memcached server on the
-    real-parallel backend, plus a raw-socket phase of multi-op
+    {!Privagic_loadgen} against an in-process memcached server on two
+    simulator shards, plus a raw-socket phase of multi-op
     [txn … exec] transactions exercising commit and CAS-guard abort.
 
     Reported per mix: wall-clock throughput, answered ops, achieved vs

@@ -880,29 +880,6 @@ let shutdown ?(timeout_s = 10.0) t : bool =
 
 let exec t = t.base
 
-(* Pool statistics for external drivers (the serving layer's `stats` verb
-   and the CLI): a consistent snapshot is not needed — each field is read
-   atomically and the numbers are monitoring data, not invariants. *)
-type pool_stats = {
-  ps_lanes : int;
-  ps_domains : int;
-  ps_inflight : int;            (* chunks/entries created but not done *)
-  ps_entries_served : int;      (* completed entry-interface requests *)
-  ps_threads_started : int;     (* §7.3 application threads ever created *)
-}
-
-let stats t =
-  Mutex.lock t.wmu;
-  let domains = t.domains in
-  Mutex.unlock t.wmu;
-  {
-    ps_lanes = t.lanes;
-    ps_domains = domains;
-    ps_inflight = Atomic.get t.inflight;
-    ps_entries_served = Atomic.get t.entries_served;
-    ps_threads_started = Atomic.get t.next_thread - 1;
-  }
-
 let domain_count t =
   Mutex.lock t.wmu;
   let n = t.domains in

@@ -66,20 +66,6 @@ val domain_count : t -> int
     Call between requests (quiescent pool) for an exact count. *)
 val total_steps : t -> int
 
-(** Monitoring snapshot of the pool. The fields are read individually
-    (each one atomically); under concurrent activity they need not be
-    mutually consistent — this is telemetry, not a synchronization
-    primitive. *)
-type pool_stats = {
-  ps_lanes : int;
-  ps_domains : int;
-  ps_inflight : int;        (** chunks/entries created but not yet done *)
-  ps_entries_served : int;  (** completed entry-interface requests *)
-  ps_threads_started : int; (** §7.3 application threads ever created *)
-}
-
-val stats : t -> pool_stats
-
 (** Runtime state still held for activations: sequence-agreement entries
     ({!Dispatch.pending}) and workers holding a chunk frame (an activation
     and, with it, its barrier state). Both are zero after [call_entry]

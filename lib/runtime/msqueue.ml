@@ -63,23 +63,6 @@ let close q = Atomic.set q.closed true
 
 let is_closed q = Atomic.get q.closed
 
-(* Blocking drain helper implementing the documented protocol: exit only
-   on a None pop observed after the close flag, so that no element pushed
-   before [close] is ever lost. [idle] is the caller's backoff (the
-   consumers of the parallel backend spin-then-yield; a server worker may
-   sleep). *)
-let rec pop_or_closed q ~idle =
-  match pop q with
-  | Some v -> Some v
-  | None ->
-    if is_closed q then
-      (* the None pop below linearizes after the close flag was read *)
-      match pop q with Some v -> Some v | None -> None
-    else begin
-      idle ();
-      pop_or_closed q ~idle
-    end
-
 let length q =
   let rec go acc node =
     match Atomic.get node.next with

@@ -23,7 +23,8 @@ val pop : 'a t -> 'a option
 val is_empty : 'a t -> bool
 
 (** Close the queue: an advisory shutdown flag for consumers, used by the
-    parallel backend's worker-pool teardown. [close] does not modify the
+    parallel backend's worker-pool teardown and the server's shard-inbox
+    drain. [close] does not modify the
     list structure, so {!push}/{!pop} keep their exact lock-free semantics.
 
     Memory-ordering argument: OCaml [Atomic] operations are sequentially
@@ -40,14 +41,6 @@ val is_empty : 'a t -> bool
 val close : 'a t -> unit
 
 val is_closed : 'a t -> bool
-
-(** Blocking drain: wait (calling [idle] between attempts) until an
-    element is available ([Some]) or the queue is both closed and
-    observed empty per the drain protocol above ([None]). Consumers that
-    loop on [pop_or_closed] until it returns [None] process every element
-    pushed before {!close} — the serving layer's executors and the
-    parallel backend's teardown both rely on this. *)
-val pop_or_closed : 'a t -> idle:(unit -> unit) -> 'a option
 
 (** Snapshot length — exact only in quiescent states; used by tests and by
     the simulator's queue-depth statistics. *)

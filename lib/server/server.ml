@@ -5,7 +5,7 @@
    - its own execution backend instance (a whole partitioned program:
      the callers build one store per shard),
    - its slice of the version table and the ordered/hash indexes
-     (a [Txn.t] with a single index lane),
+     (a [Txn.t]),
    - its value-length table and its scratch value buffers,
    - an event loop, running on its own domain.
 
@@ -45,7 +45,6 @@
 module Tel = Privagic_telemetry
 module Msq = Privagic_runtime.Msqueue
 module Wakeup = Privagic_runtime.Wakeup
-module Parallel = Privagic_parallel.Parallel
 module Repl = Privagic_replication
 module Obs = Privagic_obs
 module Txn = Privagic_txn.Txn
@@ -58,9 +57,8 @@ type store = {
   st_alloc : int -> int;
   st_write : int -> string -> unit;
   st_read : int -> int -> string;
-  st_drain : unit -> unit;
   st_register_obs : Obs.Registry.t -> unit;
-      (* backend gauges (steps, externs, lane phases, declassify counts)
+      (* backend gauges (steps, externs, declassify counts)
          onto the server's registry *)
 }
 
@@ -76,23 +74,6 @@ let store_of_heap heap =
   in
   (write, read)
 
-let store_of_parallel p =
-  let heap = (Parallel.exec p).Exec.heap in
-  let st_write, st_read = store_of_heap heap in
-  {
-    st_name = "parallel";
-    st_call =
-      (fun name args ->
-        match Parallel.call_entry p name args with
-        | r -> Ok r.Parallel.value
-        | exception Parallel.Error m -> Error m);
-    st_alloc = (fun n -> Heap.alloc heap Heap.Unsafe n);
-    st_write;
-    st_read;
-    st_drain = (fun () -> ignore (Parallel.shutdown p));
-    st_register_obs = (fun reg -> Parallel.register_obs p reg);
-  }
-
 let store_of_pinterp (p : Pinterp.t) =
   let heap = p.Pinterp.exec.Exec.heap in
   let st_write, st_read = store_of_heap heap in
@@ -106,7 +87,6 @@ let store_of_pinterp (p : Pinterp.t) =
     st_alloc = (fun n -> Heap.alloc heap Heap.Unsafe n);
     st_write;
     st_read;
-    st_drain = (fun () -> ());
     st_register_obs =
       (fun reg ->
         let ex = p.Pinterp.exec in
@@ -179,7 +159,6 @@ type config = {
   host : string;
   port : int;
   shards : int;
-  lanes : int;
   queue_depth : int;
   policy : policy;
   max_batch : int;
@@ -194,7 +173,6 @@ let default_config =
     host = "127.0.0.1";
     port = 0;
     shards = 1;
-    lanes = 2;
     queue_depth = 64;
     policy = Block;
     max_batch = 8;
@@ -1369,7 +1347,6 @@ let registrar_loop t =
 
 let start ?replica_of cfg bnd (stores : store array) =
   if cfg.shards < 1 then invalid_arg "Server.start: shards must be positive";
-  if cfg.lanes < 1 then invalid_arg "Server.start: lanes must be positive";
   if Array.length stores <> cfg.shards then
     invalid_arg
       (Printf.sprintf "Server.start: %d stores for %d shards"
@@ -1425,10 +1402,8 @@ let start ?replica_of cfg bnd (stores : store array) =
           (* contract (see Txn.create): the bound stores must be empty
              when the server starts — there is no enumeration entry
              point to backfill versions/indexes from. The known
-             families' init entries all build empty tables. The index
-             needs a single lane: this shard already owns exactly the
-             keys congruent to i mod shards. *)
-          sh_txn = Txn.create ~lanes:1 ~value_color:bnd.b_vcolor ();
+             families' init entries all build empty tables. *)
+          sh_txn = Txn.create ~value_color:bnd.b_vcolor ();
           sh_lengths = Hashtbl.create 1024;
           sh_vbuf = store.st_alloc (max 1 cfg.vsize);
           sh_obuf = store.st_alloc (max 1 cfg.vsize);
@@ -1507,9 +1482,9 @@ let start ?replica_of cfg bnd (stores : store array) =
   in
   (* live metrics (lib/obs): server counters and summaries, per-shard
      inbox depths, replication shipper gauges, then whatever the
-     backend store contributes (pool lane phases, steps, declassify
-     counts). Registered before the first thread starts so
-     `stats metrics` is complete from the first request on. *)
+     backend store contributes (steps, externs, declassify counts).
+     Registered before the first thread starts so `stats metrics` is
+     complete from the first request on. *)
   (let reg = t.obs in
    let ac name help (a : int Atomic.t) =
      Obs.Registry.gauge reg ~help name (fun () -> float_of_int (Atomic.get a))
@@ -1631,9 +1606,8 @@ let drain t =
     Mutex.unlock t.reg_mu;
     (match t.registrar with Some th -> Thread.join th | None -> ());
     (* the log is final now: flush its tail to every replica and wait
-       (bounded) for their acks before tearing the backends down *)
+       (bounded) for their acks *)
     Repl.Shipper.drain t.hub ~timeout_s:5.0;
-    Array.iter (fun s -> s.sh_store.st_drain ()) t.sh;
     Array.iter (fun s -> Wakeup.close s.sh_wake) t.sh;
     Wakeup.close t.a_wake;
     Mutex.lock t.d_mu;
@@ -1739,7 +1713,6 @@ let stats_fields t =
     ("family", t.bnd.b_family);
     ("backend", t.sh.(0).sh_store.st_name);
     ("uptime_s", f s.s_uptime);
-    ("lanes", string_of_int t.cfg.lanes);
     ("conns_accepted", string_of_int s.s_conns_accepted);
     ("conns_open", string_of_int s.s_conns_open);
     ("ops", string_of_int s.s_ops);

@@ -1,7 +1,7 @@
 (** The TCP serving layer: a socket front-end that drives partitioned
     programs under real concurrent load (the paper's §8 evaluation shape
-    — memcached behind memtier-style clients — realized over this
-    repo's runtime backends).
+    — memcached behind memtier-style clients — realized over the
+    simulator backend, one instance per shard).
 
     Architecture (DESIGN.md §8.14): the keyspace is hash-partitioned
     ([key mod shards]) across N single-writer shards. Each shard owns —
@@ -38,13 +38,11 @@ type store = {
   st_alloc : int -> int;
   st_write : int -> string -> unit;
   st_read : int -> int -> string;
-  st_drain : unit -> unit;  (** close/join the backend (idempotent) *)
   st_register_obs : Privagic_obs.Registry.t -> unit;
-      (** register the backend's gauges (steps, externs, lane phases,
-          declassify counts) on the server's obs registry *)
+      (** register the backend's gauges (steps, externs, declassify
+          counts) on the server's obs registry *)
 }
 
-val store_of_parallel : Privagic_parallel.Parallel.t -> store
 val store_of_pinterp : Privagic_vm.Pinterp.t -> store
 
 (** Entry points a key-value protocol maps onto. *)
@@ -74,7 +72,6 @@ type config = {
   host : string;            (** default 127.0.0.1 *)
   port : int;               (** 0 picks an ephemeral port; see {!port} *)
   shards : int;             (** single-writer keyspace shards (event loops) *)
-  lanes : int;              (** per-shard backend pool lanes (display/config) *)
   queue_depth : int;        (** cross-shard inbox high-water mark; also the
                                 local-batch shed threshold under [Shed] *)
   policy : policy;
@@ -119,7 +116,8 @@ val port : t -> int
     flush every parsed request (a two-stage barrier guarantees no
     cross-shard handoff races the inbox close), close the inboxes
     (loops exit via the Msqueue drain protocol, so no queued request is
-    lost), then drain the backends. Idempotent; safe to call from any
+    lost), then flush the replication log's tail to the replicas. The
+    stores stay with the caller. Idempotent; safe to call from any
     thread — a [shutdown] verb routes here through a supervisor thread
     on the main domain. *)
 val drain : t -> unit

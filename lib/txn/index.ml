@@ -3,11 +3,9 @@
    Two structures, both living in *unsafe* memory (plain OCaml heap on
    the untrusted side of the partition):
 
-   - an ordered index: one immutable [IntMap] per lane, keyed by the
-     primary key, mirroring the server's key-mod-lanes partitioning.
-     Range scans merge-iterate the per-lane maps in ascending key
-     order, so a scan touches each partition exactly the way the
-     executor lanes do.
+   - an ordered index: one immutable [IntMap] keyed by the primary
+     key. Each server shard owns its own index, so a range scan is one
+     ascending walk here; the server merges the shards' cursors.
 
    - a hash index: a 64-bit FNV-1a fingerprint of the value bytes
      mapping back to the set of primary keys currently holding those
@@ -36,8 +34,7 @@ type entry = {
 }
 
 type t = {
-  lanes : int;
-  mutable ordered : entry IntMap.t array; (* slot i holds keys with key mod lanes = i *)
+  mutable ordered : entry IntMap.t;
   hash : (int64, unit IntMap.t) Hashtbl.t; (* fingerprint -> key set *)
   fp_of_key : (int, int64) Hashtbl.t; (* reverse map, for maintenance *)
 }
@@ -55,16 +52,8 @@ let fingerprint (s : string) : int64 =
     s;
   !h
 
-let create ~lanes =
-  let lanes = max 1 lanes in
-  {
-    lanes;
-    ordered = Array.make lanes IntMap.empty;
-    hash = Hashtbl.create 64;
-    fp_of_key = Hashtbl.create 64;
-  }
-
-let lane_of t key = key mod t.lanes
+let create () =
+  { ordered = IntMap.empty; hash = Hashtbl.create 64; fp_of_key = Hashtbl.create 64 }
 
 let hash_remove t key =
   match Hashtbl.find_opt t.fp_of_key key with
@@ -92,65 +81,24 @@ let put t ~key ~version ~len ~color ~value =
      secret-colored value never lands in unsafe index memory. *)
   let cached = if String.equal color unprotected_color then value else None in
   let e = { e_key = key; e_version = version; e_len = len; e_color = color; e_value = cached } in
-  let lane = lane_of t key in
-  t.ordered.(lane) <- IntMap.add key e t.ordered.(lane);
+  t.ordered <- IntMap.add key e t.ordered;
   hash_remove t key;
   match cached with None -> () | Some v -> hash_add t key (fingerprint v)
 
 let del t ~key =
-  let lane = lane_of t key in
-  t.ordered.(lane) <- IntMap.remove key t.ordered.(lane);
+  t.ordered <- IntMap.remove key t.ordered;
   hash_remove t key
 
-let find t key = IntMap.find_opt key t.ordered.(lane_of t key)
-let mem t key = IntMap.mem key t.ordered.(lane_of t key)
+let find t key = IntMap.find_opt key t.ordered
+let mem t key = IntMap.mem key t.ordered
+let cardinal t = IntMap.cardinal t.ordered
 
-let cardinal t =
-  Array.fold_left (fun acc m -> acc + IntMap.cardinal m) 0 t.ordered
-
-(* Merge-iterate the per-lane maps: each lane contributes an ascending
-   cursor starting at [start]; repeatedly take the smallest head until
-   [stop] is passed or [limit] entries are produced. *)
 let range t ~start ~stop ~limit =
   if limit <= 0 || stop < start then []
-  else begin
-    let heads =
-      Array.map
-        (fun m ->
-          let seq = IntMap.to_seq_from start m in
-          ref (Seq.uncons seq))
-        t.ordered
-    in
-    let out = ref [] in
-    let n = ref 0 in
-    let continue = ref true in
-    while !continue do
-      (* find the lane with the smallest pending key; [best < 0] means
-         "none yet", so no key value (not even max_int) is an in-band
-         sentinel. Lanes partition the key space, so there are no ties. *)
-      let best = ref (-1) in
-      let best_key = ref 0 in
-      Array.iteri
-        (fun i h ->
-          match !h with
-          | Some ((k, _), _) when !best < 0 || k < !best_key ->
-            best := i;
-            best_key := k
-          | _ -> ())
-        heads;
-      if !best < 0 || !best_key > stop || !n >= limit then continue := false
-      else begin
-        (match !(heads.(!best)) with
-        | Some ((_, e), rest) ->
-          out := e :: !out;
-          incr n;
-          heads.(!best) := Seq.uncons rest
-        | None -> assert false);
-        if !n >= limit then continue := false
-      end
-    done;
-    List.rev !out
-  end
+  else
+    IntMap.to_seq_from start t.ordered
+    |> Seq.take_while (fun (k, _) -> k <= stop)
+    |> Seq.take limit |> Seq.map snd |> List.of_seq
 
 (* Hash-index lookup by value bytes. For secret-colored values this is
    empty by construction: their fingerprints were never computed. *)

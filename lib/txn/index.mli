@@ -1,6 +1,6 @@
-(** Secondary indexes over the colored store: a per-lane ordered index
-    (range scans, merge-iterated in ascending key order) and a hash
-    index from value fingerprints back to primary keys.
+(** Secondary indexes over the colored store: an ordered index (range
+    scans in ascending key order) and a hash index from value
+    fingerprints back to primary keys.
 
     Color inheritance: an entry inherits the color of the value it
     indexes, and the index lives in unsafe memory — so entries for
@@ -25,8 +25,7 @@ val unprotected_color : string
 val fingerprint : string -> int64
 (** 64-bit FNV-1a over the value bytes. *)
 
-val create : lanes:int -> t
-val lane_of : t -> int -> int
+val create : unit -> t
 
 val put :
   t -> key:int -> version:int -> len:int -> color:string -> value:string option -> unit
@@ -39,8 +38,7 @@ val mem : t -> int -> bool
 val cardinal : t -> int
 
 val range : t -> start:int -> stop:int -> limit:int -> entry list
-(** Entries with [start <= key <= stop], ascending, at most [limit],
-    merged across the per-lane maps. *)
+(** Entries with [start <= key <= stop], ascending, at most [limit]. *)
 
 val lookup : t -> string -> entry list
 (** Keys currently holding exactly these value bytes — always [] for

@@ -67,9 +67,9 @@ type t = {
   scan_items : int Atomic.t;
 }
 
-let create ?(lanes = 1) ~value_color () =
+let create ~value_color () =
   {
-    idx = Index.create ~lanes;
+    idx = Index.create ();
     versions = Hashtbl.create 256;
     value_color;
     commits = Atomic.make 0;

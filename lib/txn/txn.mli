@@ -53,7 +53,7 @@ type outcome =
 
 type t
 
-val create : ?lanes:int -> value_color:string -> unit -> t
+val create : value_color:string -> unit -> t
 (** [value_color] is the color of the store's values; it is inherited
     by every index entry (see {!module:Index}).
 

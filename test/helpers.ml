@@ -66,3 +66,31 @@ let contains hay needle =
   let lh = String.length hay and ln = String.length needle in
   let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
   go 0
+
+(* A served store over a parallel pool. Serving runs on simulator shards;
+   the server differential and replication convergence cells keep the
+   paper's runtime behind the serving shell as a fidelity check. The server never tears its stores
+   down, so the caller shuts the pool down after the server drained. *)
+let store_of_parallel p =
+  let module Par = Privagic_parallel.Parallel in
+  let module Heap = Privagic_vm.Heap in
+  let heap = (Par.exec p).Privagic_vm.Exec.heap in
+  {
+    Privagic_server.Server.st_name = "parallel";
+    st_call =
+      (fun name args ->
+        match Par.call_entry p name args with
+        | r -> Ok r.Par.value
+        | exception Par.Error m -> Error m);
+    st_alloc = (fun n -> Heap.alloc heap Heap.Unsafe n);
+    st_write =
+      (fun addr s ->
+        String.iteri
+          (fun i c -> Heap.store heap (addr + i) 1 (Int64.of_int (Char.code c)))
+          s);
+    st_read =
+      (fun addr n ->
+        String.init n (fun i ->
+            Char.chr (Int64.to_int (Heap.load heap (addr + i) 1) land 0xff)));
+    st_register_obs = Par.register_obs p;
+  }

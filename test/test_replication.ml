@@ -325,21 +325,22 @@ let test_fence_times_out () =
 (* end-to-end nodes over loopback TCP *)
 
 (* one backend exec per shard, in shard order, so per-shard globals can
-   be compared against per-shard oracles *)
-type node = { n_srv : Server.t; n_execs : Exec.t list }
+   be compared against per-shard oracles; [n_pools] are the parallel
+   pools behind a `Parallel node, shut down by [drain_node] *)
+type node = { n_srv : Server.t; n_execs : Exec.t list; n_pools : Parallel.t list }
 
 let make_node ?replica_of ?(shards = 1) ~engine ~backend plan =
   let bnd = Option.get (Server.bindings_of_plan plan) in
   let cells =
     Array.init shards (fun _ ->
-        let n_exec, store =
+        let n_exec, store, pool =
           match backend with
           | `Sim ->
             let pt = Pinterp.create ~engine plan in
-            (pt.Pinterp.exec, Server.store_of_pinterp pt)
+            (pt.Pinterp.exec, Server.store_of_pinterp pt, None)
           | `Parallel ->
             let p = Parallel.create ~lanes:2 ~engine plan in
-            (Parallel.exec p, Server.store_of_parallel p)
+            (Parallel.exec p, Helpers.store_of_parallel p, Some p)
         in
         (match bnd.Server.b_init with
         | Some entry -> (
@@ -349,15 +350,24 @@ let make_node ?replica_of ?(shards = 1) ~engine ~backend plan =
           | Ok _ -> ()
           | Error m -> Alcotest.failf "%s: %s" entry m)
         | None -> ());
-        (n_exec, store))
+        (n_exec, store, pool))
   in
   let srv =
     Server.start ?replica_of
       { Server.default_config with Server.port = 0; shards; vsize }
       bnd
-      (Array.map snd cells)
+      (Array.map (fun (_, st, _) -> st) cells)
   in
-  { n_srv = srv; n_execs = Array.to_list (Array.map fst cells) }
+  let cells = Array.to_list cells in
+  {
+    n_srv = srv;
+    n_execs = List.map (fun (ex, _, _) -> ex) cells;
+    n_pools = List.filter_map (fun (_, _, p) -> p) cells;
+  }
+
+let drain_node node =
+  Server.drain node.n_srv;
+  List.iter (fun p -> ignore (Parallel.shutdown p : bool)) node.n_pools
 
 let attach ~sync node pport =
   let apply (d : Delta.t) =
@@ -498,7 +508,7 @@ let converge_cell ?(shards = 1) ~mode ~backend ~engine src () =
   done;
   Unix.close c.fd;
   (* drain ships the log tail and closes the replica links *)
-  Server.drain primary.n_srv;
+  drain_node primary;
   let log = Server.repl_log primary.n_srv in
   Alcotest.(check bool) "log is non-empty" true (Log.head log > 0);
   (* one oracle per shard, each replaying its slice of the merged log *)
@@ -529,7 +539,7 @@ let converge_cell ?(shards = 1) ~mode ~backend ~engine src () =
                tag shard)
             want got)
         (List.combine wants node.n_execs);
-      Server.drain node.n_srv)
+      drain_node node)
     (List.combine reps [ true; false ])
 
 let convergence_cases =

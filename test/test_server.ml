@@ -1,6 +1,7 @@
 (* The serving layer: protocol parsing, differential socket-vs-direct
-   execution on both backends, graceful drain without losing parsed
-   requests, and load shedding at a tiny queue bound. *)
+   execution (on simulator shards, and behind a parallel pool as the
+   paper-fidelity oracle), graceful drain without losing parsed requests, and load
+   shedding at a tiny queue bound. *)
 
 module Server = Privagic_server.Server
 module Protocol = Privagic_server.Protocol
@@ -21,20 +22,26 @@ let plan () =
   Alcotest.(check bool) "plan ok" true (Privagic_partition.Plan.ok plan);
   plan
 
-let store_of backend plan =
-  match backend with
-  | `Sim -> Server.store_of_pinterp (Pinterp.create plan)
-  | `Parallel -> Server.store_of_parallel (Parallel.create ~lanes:2 plan)
+let store_of plan = Server.store_of_pinterp (Pinterp.create plan)
 
 let init_store store =
   match store.Server.st_call "mc_init" [ Rvalue.Int (Int64.of_int capacity) ] with
   | Ok _ -> ()
   | Error m -> Alcotest.failf "mc_init: %s" m
 
+(* An uninitialized store on [backend], with the parallel pool behind it
+   (if any) for the caller to shut down once the server has drained. *)
+let backend_store backend plan =
+  match backend with
+  | `Sim -> (store_of plan, None)
+  | `Parallel ->
+    let p = Parallel.create ~lanes:2 plan in
+    (Helpers.store_of_parallel p, Some p)
+
 (* one initialized backend instance per shard *)
-let stores_of backend plan ~shards =
+let stores_of plan ~shards =
   Array.init shards (fun _ ->
-      let s = store_of backend plan in
+      let s = store_of plan in
       init_store s;
       s)
 
@@ -133,18 +140,24 @@ let test_protocol () =
 
 (* Differential: the same operation sequence over a socket (server on
    backend A, possibly sharded) and directly against an unsharded
-   instance (same backend); every observable response must agree —
-   each key lives wholly in one shard, so sharding must be invisible. *)
-let test_differential backend ~shards () =
+   instance (same backend); every observable response must agree — each
+   key lives wholly in one shard, so sharding must be invisible. *)
+let test_differential ?(backend = `Sim) ~shards () =
   let bnd =
     match Server.bindings_of_plan (plan ()) with
     | Some b -> b
     | None -> Alcotest.fail "bindings_of_plan failed"
   in
   let cfg = { Server.default_config with Server.port = 0; shards; vsize } in
-  let srv = Server.start cfg bnd (stores_of backend (plan ()) ~shards) in
+  let cells =
+    Array.init shards (fun _ ->
+        let s, pool = backend_store backend (plan ()) in
+        init_store s;
+        (s, pool))
+  in
+  let srv = Server.start cfg bnd (Array.map fst cells) in
   (* the direct side: a fresh instance of the same program *)
-  let dstore = store_of backend (plan ()) in
+  let dstore, dpool = backend_store backend (plan ()) in
   init_store dstore;
   let dvbuf = dstore.Server.st_alloc vsize
   and dobuf = dstore.Server.st_alloc vsize in
@@ -211,7 +224,9 @@ let test_differential backend ~shards () =
   | exception _ -> ()
   | _ -> Alcotest.fail "quit answered");
   Server.drain srv;
-  dstore.Server.st_drain ()
+  List.iter
+    (fun p -> ignore (Parallel.shutdown p : bool))
+    (List.filter_map Fun.id (dpool :: Array.to_list (Array.map snd cells)))
 
 (* Graceful drain: requests already parsed by the server are answered
    before the connection closes, even with the store slowed down and the
@@ -221,7 +236,7 @@ let test_drain_no_loss ~shards () =
   let p = plan () in
   let slow_stores =
     Array.init shards (fun _ ->
-        let inner = store_of `Sim p in
+        let inner = store_of p in
         init_store inner;
         { inner with
           Server.st_call =
@@ -232,7 +247,7 @@ let test_drain_no_loss ~shards () =
   let bnd = Option.get (Server.bindings_of_plan p) in
   let cfg =
     { Server.default_config with
-      Server.port = 0; shards; vsize; lanes = 1; queue_depth = 1;
+      Server.port = 0; shards; vsize; queue_depth = 1;
       max_batch = 1; policy = Server.Block }
   in
   let srv = Server.start cfg bnd slow_stores in
@@ -257,7 +272,7 @@ let test_drain_no_loss ~shards () =
   Alcotest.(check int) "server counted them" n s.Server.s_sets
 
 (* 'stats metrics' loopback: the Prometheus exposition must arrive over
-   a plain socket, closed by END, carrying the serving/pool/vm/replication
+   a plain socket, closed by END, carrying the serving/vm/replication
    metric families — the same probe the CI serve smoke runs with nc. *)
 
 let contains ~needle hay =
@@ -288,7 +303,7 @@ let read_until_end ?(timeout = 10.0) c =
 
 let test_stats_metrics_loopback () =
   Privagic_obs.set_enabled true;
-  let store = store_of `Parallel (plan ()) in
+  let store = store_of (plan ()) in
   init_store store;
   let bnd = Option.get (Server.bindings_of_plan (plan ())) in
   let srv =
@@ -314,9 +329,7 @@ let test_stats_metrics_loopback () =
       "# TYPE privagic_server_latency_us summary";
       "quantile=\"0.999\"";
       "privagic_repl_lag_us";
-      "privagic_pool_lanes";
       "privagic_vm_steps_total";
-      "privagic_lane_phase_us{lane=";
       "END\r\n";
     ];
   (* the connection must keep serving normal requests afterwards *)
@@ -326,11 +339,11 @@ let test_stats_metrics_loopback () =
   Unix.close c.fd;
   Server.drain srv
 
-(* Shedding: queue bound 1, one lane, slow store, several closed-loop
+(* Shedding: queue bound 1, one shard, slow store, several closed-loop
    clients — SERVER_BUSY must fire, and every shed op must succeed on
    retry (the load generator retries and demands zero errors). *)
 let test_shedding () =
-  let inner = store_of `Sim (plan ()) in
+  let inner = store_of (plan ()) in
   init_store inner;
   let slow =
     { inner with
@@ -342,7 +355,7 @@ let test_shedding () =
   let bnd = Option.get (Server.bindings_of_plan (plan ())) in
   let cfg =
     { Server.default_config with
-      Server.port = 0; vsize; lanes = 1; queue_depth = 1; max_batch = 1;
+      Server.port = 0; vsize; queue_depth = 1; max_batch = 1;
       policy = Server.Shed }
   in
   let srv = Server.start cfg bnd [| slow |] in
@@ -373,7 +386,7 @@ let test_pipelined_burst () =
   let cfg =
     { Server.default_config with Server.port = 0; shards; vsize }
   in
-  let srv = Server.start cfg bnd (stores_of `Sim (plan ()) ~shards) in
+  let srv = Server.start cfg bnd (stores_of (plan ()) ~shards) in
   let c = connect (Server.port srv) in
   let reqs = ref [] and want = ref [] in
   let push req resp =
@@ -436,7 +449,7 @@ let test_idle_drain () =
   let shards = 2 in
   let bnd = Option.get (Server.bindings_of_plan (plan ())) in
   let cfg = { Server.default_config with Server.port = 0; shards; vsize } in
-  let srv = Server.start cfg bnd (stores_of `Sim (plan ()) ~shards) in
+  let srv = Server.start cfg bnd (stores_of (plan ()) ~shards) in
   (* let both shard loops block in select *)
   Unix.sleepf 0.1;
   let t0 = Unix.gettimeofday () in
@@ -451,14 +464,14 @@ let suite =
     Alcotest.test_case "protocol: fragmented parse + roundtrip" `Quick
       test_protocol;
     Alcotest.test_case "differential socket-vs-direct (sim)" `Quick
-      (test_differential `Sim ~shards:1);
+      (test_differential ~shards:1);
     Alcotest.test_case "differential socket-vs-direct (sim, 4 shards)" `Quick
-      (test_differential `Sim ~shards:4);
+      (test_differential ~shards:4);
     Alcotest.test_case "differential socket-vs-direct (parallel)" `Slow
-      (test_differential `Parallel ~shards:1);
+      (test_differential ~backend:`Parallel ~shards:1);
     Alcotest.test_case "differential socket-vs-direct (parallel, 2 shards)"
       `Slow
-      (test_differential `Parallel ~shards:2);
+      (test_differential ~backend:`Parallel ~shards:2);
     Alcotest.test_case "graceful drain loses no parsed request" `Quick
       (test_drain_no_loss ~shards:1);
     Alcotest.test_case "sharded drain loses no parsed request" `Quick

@@ -2,7 +2,7 @@
    transactions with first-writer-wins CAS guards, the color-inheriting
    secondary indexes, and range scans — from pure semantics over a mock
    store up to the full serving stack: a differential transcript over
-   {walk,image} x {sim,parallel}, replica convergence of versions and
+   {walk,image} x {1 shard, sharded}, replica convergence of versions and
    indexes, a socket roundtrip of every new verb, and the
    indexed-accounts example on both engines. *)
 
@@ -10,7 +10,6 @@ module Txn = Privagic_txn.Txn
 module Index = Privagic_txn.Index
 module Server = Privagic_server.Server
 module Protocol = Privagic_server.Protocol
-module Parallel = Privagic_parallel.Parallel
 module Programs = Privagic_workloads.Programs
 module Ycsb = Privagic_workloads.Ycsb
 module Mode = Privagic_secure.Mode
@@ -154,7 +153,7 @@ let test_execute_applicability () =
 (* the color-inheritance rule of the index *)
 
 let test_index_color_rule () =
-  let ix = Index.create ~lanes:2 in
+  let ix = Index.create () in
   (* a secret-colored value: the index keeps (key, version, len) only,
      whatever the caller passes as value bytes *)
   Index.put ix ~key:5 ~version:1 ~len:3 ~color:"red" ~value:(Some "abc");
@@ -188,8 +187,8 @@ let test_index_color_rule () =
     (List.length (Index.lookup ix "xyz"));
   Alcotest.(check int) "deleted key left the ordered index" 1
     (List.length (Index.range ix ~start:0 ~stop:10 ~limit:10));
-  (* the extreme key is not a merge-cursor sentinel: an entry at
-     max_int is still scannable *)
+  (* the extreme key is not an in-band sentinel of the range walk: an
+     entry at max_int is still scannable *)
   Index.put ix ~key:max_int ~version:1 ~len:2 ~color:Index.unprotected_color
     ~value:(Some "mx");
   (match Index.range ix ~start:max_int ~stop:max_int ~limit:4 with
@@ -208,10 +207,10 @@ let test_index_color_rule () =
     (List.length (Txn.lookup t ~value:"secret-bytes"))
 
 (* ------------------------------------------------------------------ *)
-(* range scans against a reference model (merge across lanes) *)
+(* range scans against a reference model *)
 
 let test_range_oracle () =
-  let t = Txn.create ~lanes:3 ~value_color:Index.unprotected_color () in
+  let t = Txn.create ~value_color:Index.unprotected_color () in
   let model : (int, int * string) Hashtbl.t = Hashtbl.create 64 in
   let versions : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let bump k =
@@ -305,16 +304,11 @@ let rpc c req =
   | [ r ] -> r
   | _ -> Alcotest.fail "rpc: no response"
 
-let start_server ?replica_of ?(shards = 1) ~engine ~backend plan =
+let start_server ?replica_of ?(shards = 1) ~engine plan =
   let bnd = Option.get (Server.bindings_of_plan plan) in
   let stores =
     Array.init shards (fun _ ->
-        let store =
-          match backend with
-          | `Sim -> Server.store_of_pinterp (Pinterp.create ~engine plan)
-          | `Parallel ->
-            Server.store_of_parallel (Parallel.create ~lanes:2 ~engine plan)
-        in
+        let store = Server.store_of_pinterp (Pinterp.create ~engine plan) in
         (match bnd.Server.b_init with
         | Some entry -> (
           match
@@ -331,7 +325,7 @@ let start_server ?replica_of ?(shards = 1) ~engine ~backend plan =
 
 (* ------------------------------------------------------------------ *)
 (* differential transcripts: the same deterministic client session must
-   render bit-equal response streams on every engine x backend cell *)
+   render bit-equal response streams on every engine x shards cell *)
 
 (* One closed-loop session exercising every verb. CAS versions are read
    back through getv on the same connection, so success and conflict
@@ -382,19 +376,17 @@ let session port =
   Buffer.contents out
 
 let test_differential_cells () =
-  (* engine x backend x shards; the sharded cells route the session's
-     multi-key transactions through the cross-shard 2PC path, and their
-     transcripts must still be bit-equal to the unsharded oracle *)
+  (* engine x shards; the sharded cells route the session's multi-key
+     transactions through the cross-shard 2PC path, and their transcripts
+     must still be bit-equal to the unsharded oracle *)
   let cells =
-    [ (Exec.Walk, `Sim, 1); (Exec.Walk, `Parallel, 1); (Exec.Image, `Sim, 1);
-      (Exec.Image, `Parallel, 1); (Exec.Walk, `Sim, 3);
-      (Exec.Image, `Parallel, 2) ]
+    [ (Exec.Walk, 1); (Exec.Image, 1); (Exec.Walk, 3); (Exec.Image, 2) ]
   in
   let transcripts =
     List.map
-      (fun (engine, backend, shards) ->
+      (fun (engine, shards) ->
         let srv =
-          start_server ~engine ~backend ~shards
+          start_server ~engine ~shards
             (plan_of (Programs.memcached ~nbuckets:64 ~vsize `Colored))
         in
         let t = session (Server.port srv) in
@@ -407,9 +399,7 @@ let test_differential_cells () =
         if shards > 1 then
           Alcotest.(check bool) "sharded cell crossed shards" true
             (s.Server.s_xshard > 0);
-        ( Printf.sprintf "%s/%s/%d" (Exec.engine_name engine)
-            (match backend with `Sim -> "sim" | `Parallel -> "parallel")
-            shards,
+        ( Printf.sprintf "%s/%d" (Exec.engine_name engine) shards,
           t ))
       cells
   in
@@ -418,7 +408,7 @@ let test_differential_cells () =
     List.iter
       (fun (cell, t) ->
         if t <> first then
-          Alcotest.failf "cell %s diverged from walk/sim transcript" cell)
+          Alcotest.failf "cell %s diverged from the walk/1 transcript" cell)
       rest
   | [] -> Alcotest.fail "no cells ran"
 
@@ -428,13 +418,13 @@ let test_differential_cells () =
 let test_replica_convergence () =
   let src = Programs.memcached ~nbuckets:64 ~vsize `Colored in
   let primary =
-    start_server ~engine:(Exec.default_engine ()) ~backend:`Sim (plan_of src)
+    start_server ~engine:(Exec.default_engine ()) (plan_of src)
   in
   let pport = Server.port primary in
   let replica =
     start_server
       ~replica_of:(Printf.sprintf "127.0.0.1:%d" pport)
-      ~engine:(Exec.default_engine ()) ~backend:`Sim (plan_of src)
+      ~engine:(Exec.default_engine ()) (plan_of src)
   in
   let apply (d : Delta.t) =
     match d.Delta.op with
@@ -503,7 +493,7 @@ let test_replica_convergence () =
 
 let test_socket_roundtrip () =
   let srv =
-    start_server ~engine:(Exec.default_engine ()) ~backend:`Sim
+    start_server ~engine:(Exec.default_engine ())
       (plan_of (Programs.memcached ~nbuckets:64 ~vsize `Plain))
   in
   let c = connect (Server.port srv) in
@@ -633,7 +623,7 @@ let test_indexed_accounts () =
 let test_cross_shard_2pc () =
   let shards = 4 in
   let srv =
-    start_server ~shards ~engine:(Exec.default_engine ()) ~backend:`Sim
+    start_server ~shards ~engine:(Exec.default_engine ())
       (plan_of (Programs.memcached ~nbuckets:64 ~vsize `Plain))
   in
   let c = connect (Server.port srv) in
@@ -725,7 +715,7 @@ let suite =
       test_execute_applicability;
     Alcotest.test_case "index: color inheritance rule" `Quick
       test_index_color_rule;
-    Alcotest.test_case "scan: range oracle across lanes" `Quick
+    Alcotest.test_case "scan: range oracle" `Quick
       test_range_oracle;
     Alcotest.test_case "differential transcript on all four cells" `Slow
       test_differential_cells;
