@@ -65,7 +65,7 @@ let run (m : Pmodule.t) ~(entry : string) ~(offsets : float list) : outcome =
     in
     let f = Pmodule.find_func_exn ex.Exec.m callee in
     ignore
-      (Sched.spawn sched ~name:(Printf.sprintf "thread-%d:%s" k callee) ~at
+      (Sched.spawn sched ~name:(lazy (Printf.sprintf "thread-%d:%s" k callee)) ~at
          (fun clock ->
            ex.Exec.clock <- clock;
            ignore (Exec.exec_func ex f args)))
@@ -74,7 +74,7 @@ let run (m : Pmodule.t) ~(entry : string) ~(offsets : float list) : outcome =
   Exec.init_globals ex (fun _ -> Heap.Unsafe);
   let f = Pmodule.find_func_exn m entry in
   ignore
-    (Sched.spawn sched ~name:"main" ~at:0.0 (fun clock ->
+    (Sched.spawn sched ~name:(lazy "main") ~at:0.0 (fun clock ->
          ex.Exec.clock <- clock;
          ignore (Exec.exec_func ex f [||])));
   ignore (Sched.run sched : Sched.outcome);

@@ -46,9 +46,7 @@ exception Error of string
 type activation = {
   act_seq : int;
   act_root : int;                  (* seq of the request it serves *)
-  act_key : Infer.instance_key;
-  act_pf : Plan.pfunc;
-  act_participants : Color.t list;
+  act_rf : Dispatch.rfunc;         (* the function, resolved for its P *)
   act_spawned : Color.t list;      (* colors started via spawn messages *)
   act_pending : int Atomic.t;      (* spawned chunks still running *)
   act_done : Color.t list Atomic.t; (* spawned chunks completed *)
@@ -81,7 +79,7 @@ type msg =
   | Entry of {
       e_act : activation;
       e_args : Rvalue.t array;
-      e_direct : Color.t option; (* chunk the untrusted worker runs itself *)
+      e_entry : Dispatch.entry; (* the resolved §7.3.4 interface *)
       e_slot : slot;
     }
 
@@ -178,20 +176,17 @@ let[@inline] obs_enter_index w p =
   | None -> ()
   | Some l -> Obs.Lane.enter_index l p ~now_us:(Obs.now_us ())
 
-let pfunc_exn t key =
-  match Dispatch.find_pfunc t.disp key with
-  | Some pf -> pf
-  | None ->
-    raise (Error ("no partitioned function for " ^ Infer.instance_name key))
+let act_name (act : activation) =
+  Infer.instance_name act.act_rf.Dispatch.rf_pf.Plan.pf_key
 
-let chunk_for_exn (pf : Plan.pfunc) (c : Color.t) : Func.t =
-  match Dispatch.chunk_for pf c with
-  | Some f -> f
+let chunk_exn (act : activation) (c : Color.t) : Dispatch.chunk =
+  match Dispatch.chunk act.act_rf c with
+  | Some ch -> ch
   | None ->
     raise
       (Error
          (Printf.sprintf "no %s chunk in %s" (Color.to_string c)
-            (Infer.instance_name pf.Plan.pf_key)))
+            (act_name act)))
 
 let cur_frame (w : worker) =
   match w.w_frame with
@@ -202,22 +197,19 @@ let cur_act w = (cur_frame w).f_act
 
 (* A fresh activation; [root] defaults to the activation itself (a new
    request). *)
-let new_act ?root ~seq key pf ~participants ~spawned =
+let new_act ?root ~seq rf ~spawned =
   {
     act_seq = seq;
     act_root = Option.value root ~default:seq;
-    act_key = key;
-    act_pf = pf;
-    act_participants = participants;
+    act_rf = rf;
     act_spawned = spawned;
     act_pending = Atomic.make 0;
     act_done = Atomic.make [];
     act_arrived = Atomic.make [];
   }
 
-let fresh_act t ?root key pf ~participants ~spawned =
-  new_act ?root ~seq:(Dispatch.fresh_seq t.disp) key pf ~participants
-    ~spawned
+let fresh_act t ?root rf ~spawned =
+  new_act ?root ~seq:(Dispatch.fresh_seq t.disp) rf ~spawned
 
 let rec atomic_update a f =
   let cur = Atomic.get a in
@@ -383,8 +375,8 @@ and exec_spawn t w (s : msg) =
   match s with
   | Spawn { sp_act = act; sp_args; sp_reply_to; sp_forged } ->
     let chunk_name =
-      match Dispatch.chunk_for act.act_pf w.w_color with
-      | Some f -> f.Func.name
+      match Dispatch.chunk act.act_rf w.w_color with
+      | Some ch -> ch.Dispatch.ch_func.Func.name
       | None -> "<missing>"
     in
     (* §8 extension: the valid-spawn-sequence guard, enforced where the
@@ -427,7 +419,8 @@ and exec_spawn t w (s : msg) =
   | _ -> ()
 
 and run_chunk t w (act : activation) (args : Rvalue.t array) : Rvalue.t =
-  let f = chunk_for_exn act.act_pf w.w_color in
+  let ch = chunk_exn act w.w_color in
+  let f = ch.Dispatch.ch_func in
   let saved = w.w_frame in
   w.w_frame <-
     Some
@@ -445,7 +438,7 @@ and run_chunk t w (act : activation) (args : Rvalue.t array) : Rvalue.t =
     w.w_frame <- saved;
     obs_enter_index w obs_saved
   in
-  match Exec.exec_func w.w_exec f args with
+  match Dispatch.run_chunk w.w_exec ch args with
   | r ->
     tel_record t ~track:w.w_track ~name:f.Func.name Tel.Event.Chunk_end;
     finish ();
@@ -459,56 +452,50 @@ and run_chunk t w (act : activation) (args : Rvalue.t array) : Rvalue.t =
 
 and dispatch_call t w (i : Instr.t) callee (args : Rvalue.t array) : Rvalue.t =
   let act = cur_act w in
-  match Hashtbl.find_opt act.act_pf.Plan.pf_calls i.Instr.id with
-  | Some cp -> dispatch_local_call t w i cp args
-  | None ->
+  match Dispatch.resolved act.act_rf i.Instr.id with
+  | Dispatch.Call site -> dispatch_local_call t w i site args
+  | Dispatch.Extern -> extern t w act i callee args
+  | Dispatch.Unplanned | Dispatch.Thread _ | Dispatch.Indirect _ ->
     if Pmodule.is_defined t.base.Exec.m callee then
       raise
         (Error
            (Printf.sprintf "call to @%s at instr %d has no plan in %s" callee
-              i.Instr.id
-              (Infer.instance_name act.act_key)))
-    else
-      Dispatch.dispatch_extern t.disp w.w_exec ~color:w.w_color
-        ~caller:act.act_key.Infer.ik_func i callee args
+              i.Instr.id (act_name act)))
+    else extern t w act i callee args
 
-and dispatch_local_call t w (i : Instr.t) (cp : Plan.call_plan)
+and extern t w act i callee args =
+  Dispatch.dispatch_extern t.disp w.w_exec ~color:w.w_color
+    ~caller:act.act_rf.Dispatch.rf_pf.Plan.pf_key.Infer.ik_func i callee args
+
+and dispatch_local_call t w (i : Instr.t) (site : Dispatch.rsite)
     (args : Rvalue.t array) : Rvalue.t =
   let c = w.w_color in
   let thread = w.w_lane in
   let fr = cur_frame w in
   let act = fr.f_act in
-  let callee_pf = pfunc_exn t cp.Plan.cp_key in
-  let callee_cs = callee_pf.Plan.pf_colorset in
-  let p_site =
-    if act.act_pf.Plan.pf_colorset = [] then act.act_participants
-    else Dispatch.site_presence t.disp act.act_pf i.Instr.id
-  in
+  let callee = site.Dispatch.rs_callee in
   let { Dispatch.s_leader = leader; s_inter = inter; s_spawned = spawned;
         s_ret_sender = ret_sender } =
-    Dispatch.site_layout ~p_site ~callee_cs ~self:c
+    site.Dispatch.rs_layout
   in
   (* every participant of the site gets the same child activation *)
   let child_act =
     Dispatch.child t.disp ~calls:fr.f_calls ~root:act.act_root
-      ~seq:act.act_seq ~instr:i.Instr.id ~takers:(List.length p_site)
-      (fun seq ->
-        new_act ~root:act.act_root ~seq cp.Plan.cp_key callee_pf
-          ~participants:(if callee_cs = [] then p_site else callee_cs)
-          ~spawned)
+      ~seq:act.act_seq ~instr:i.Instr.id ~takers:site.Dispatch.rs_takers
+      (fun seq -> new_act ~root:act.act_root ~seq callee ~spawned)
   in
   let seq = child_act.act_seq in
-  let needers =
-    Dispatch.ret_needers t.disp ~caller_pf:act.act_pf ~p_site ~callee_cs i
-  in
+  let needers = site.Dispatch.rs_needers in
+  let is_sender = match ret_sender with Some d -> Color.equal c d | None -> false in
   (* the leader starts the missing chunks *)
   if Color.equal c leader && spawned <> [] then begin
     List.iter
       (fun d ->
         let reply_to =
-          if inter = [] && Some d = ret_sender then
+          match inter, ret_sender with
+          | [], Some r when Color.equal d r ->
             List.map (fun n -> (thread, n)) needers
-          else []
+          | _ -> []
         in
         send_spawn t (Some w) ~thread child_act d ~reply_to ~forged:false args)
       spawned;
@@ -517,19 +504,19 @@ and dispatch_local_call t w (i : Instr.t) (cp : Plan.call_plan)
     if not (Color.is_enclave c) then wait_pending t w child_act
   end;
   let result =
-    if callee_cs = [] then
+    if callee.Dispatch.rf_pure then
       (* pure-F callee: replicated, executes inline everywhere *)
       run_chunk t w child_act args
-    else if List.mem c callee_cs then begin
+    else if List.exists (Color.equal c) callee.Dispatch.rf_participants then begin
       (* direct call (§7.3.2): inline execution in this worker *)
       let r = run_chunk t w child_act args in
-      (if Some c = ret_sender && inter <> [] then
+      (if is_sender && inter <> [] then
          List.iter
            (fun d -> send_cont t w ~thread ~color:d ~seq r)
            needers);
       r
     end
-    else if List.mem c needers then wait_cont t w ~seq
+    else if List.exists (Color.equal c) needers then wait_cont t w ~seq
     else Rvalue.zero
   in
   (* an enclave leader waits after its own (direct) work *)
@@ -541,40 +528,47 @@ and dispatch_local_call t w (i : Instr.t) (cp : Plan.call_plan)
    entry in the current worker, which starts the missing chunks itself. *)
 and dispatch_indirect t w (i : Instr.t) name (args : Rvalue.t array) :
     Rvalue.t =
-  let f = Pmodule.find_func_exn t.base.Exec.m name in
-  let key = Dispatch.indirect_entry_key t.plan f in
-  let pf = pfunc_exn t key in
-  let cs = pf.Plan.pf_colorset in
   let c = w.w_color in
   let thread = w.w_lane in
+  let rf =
+    match Dispatch.indirect t.disp name ~color:c with
+    | Some rf -> rf
+    | None ->
+      let f = Pmodule.find_func_exn t.base.Exec.m name in
+      raise
+        (Error
+           ("no partitioned function for "
+           ^ Infer.instance_name (Dispatch.indirect_entry_key t.plan f)))
+  in
+  let cs = rf.Dispatch.rf_pf.Plan.pf_colorset in
   let spawned_cs = List.filter (fun d -> not (Color.equal d c)) cs in
   let parent = cur_act w in
-  let act =
-    fresh_act t ~root:parent.act_root key pf
-      ~participants:(if cs = [] then [ c ] else cs)
-      ~spawned:spawned_cs
-  in
-  if cs = [] then run_chunk t w act args
+  let act = fresh_act t ~root:parent.act_root rf ~spawned:spawned_cs in
+  if rf.Dispatch.rf_pure then run_chunk t w act args
   else begin
+    let in_cs = List.exists (Color.equal c) cs in
     let i_need =
-      match Instr.defines i with
-      | None -> false
-      | Some id -> (
-        (not (List.mem c cs))
-        &&
-        match Dispatch.chunk_for parent.act_pf c with
-        | Some cf -> Dispatch.chunk_needs t.disp cf id
-        | None -> false)
+      (not in_cs)
+      &&
+      match
+        Dispatch.resolved parent.act_rf i.Instr.id,
+        Dispatch.chunk parent.act_rf c
+      with
+      | Dispatch.Indirect readers, Some ch ->
+        List.exists (Color.equal ch.Dispatch.ch_color) readers
+      | _ -> false
     in
     let first = match cs with d :: _ -> Some d | [] -> None in
     List.iter
       (fun d ->
         let reply_to =
-          if i_need && Some d = first then [ (thread, c) ] else []
+          match first with
+          | Some f when i_need && Color.equal d f -> [ (thread, c) ]
+          | _ -> []
         in
         send_spawn t (Some w) ~thread act d ~reply_to ~forged:false args)
       spawned_cs;
-    if List.mem c cs then run_chunk t w act args
+    if in_cs then run_chunk t w act args
     else if i_need then wait_cont t w ~seq:act.act_seq
     else Rvalue.zero
   end
@@ -582,23 +576,19 @@ and dispatch_indirect t w (i : Instr.t) name (args : Rvalue.t array) :
 (* §7.3 thread creation: start every chunk of the target instance on the
    workers of a fresh application thread — this is where the backend's
    parallelism is real rather than simulated. *)
-and dispatch_spawn t w (i : Instr.t) _callee (args : Rvalue.t array) =
+and dispatch_spawn t w (i : Instr.t) (args : Rvalue.t array) =
   let act = cur_act w in
-  match Infer.call_site t.plan.Plan.infer act.act_key i.Instr.id with
-  | None -> raise (Error "spawn site without plan")
-  | Some key ->
+  match Dispatch.resolved act.act_rf i.Instr.id with
+  | Dispatch.Thread rf ->
     let thread = Atomic.fetch_and_add t.next_thread 1 in
-    let pf = pfunc_exn t key in
-    let cs =
-      if pf.Plan.pf_colorset = [] then [ Color.Free ]
-      else pf.Plan.pf_colorset
-    in
-    let child =
-      fresh_act t ~root:act.act_root key pf ~participants:cs ~spawned:cs
-    in
+    let cs = rf.Dispatch.rf_participants in
+    let child = fresh_act t ~root:act.act_root rf ~spawned:cs in
     List.iter
       (fun d -> send_spawn t (Some w) ~thread child d ~reply_to:[] ~forged:false args)
       cs
+  | Dispatch.Unplanned | Dispatch.Extern | Dispatch.Call _
+  | Dispatch.Indirect _ ->
+    raise (Error "spawn site without plan")
 
 (* §7.3.3 synchronization barrier, realized with real shared state: the
    arriving worker records its arrival in the activation and waits
@@ -617,7 +607,7 @@ and barrier t w (fr : frame) (instr : int) =
   atomic_update act.act_arrived (fun l ->
       (instr, c, occ) :: List.filter (fun (i, d, _) -> not (same i d)) l);
   tel_record t ~track:w.w_track ~name:(Color.to_string c) Tel.Event.Barrier;
-  let present = Dispatch.site_presence t.disp act.act_pf instr in
+  let present = Dispatch.presence act.act_rf instr in
   let spawned d = List.exists (Color.equal d) act.act_spawned in
   let preds =
     if spawned w.w_color then
@@ -648,17 +638,12 @@ and hooks_for t w : Exec.hooks =
         let name = Exec.resolve_func ex fv in
         if Pmodule.is_defined ex.Exec.m name then
           dispatch_indirect t w i name args
-        else
-          let act = cur_act w in
-          Dispatch.dispatch_extern t.disp w.w_exec ~color:w.w_color
-            ~caller:act.act_key.Infer.ik_func i name args);
-    h_spawn = (fun _ i callee args -> dispatch_spawn t w i callee args);
+        else extern t w (cur_act w) i name args);
+    h_spawn = (fun _ i _ args -> dispatch_spawn t w i args);
     h_pre_instr =
       (fun _ i ->
         match w.w_frame with
-        | Some fr
-          when Dispatch.barrier_at fr.f_act.act_pf i.Instr.id
-                 ~participants:fr.f_act.act_participants ->
+        | Some fr when Dispatch.barrier fr.f_act.act_rf i.Instr.id ->
           barrier t w fr i.Instr.id
         | _ -> ());
     h_alloca_zone = (fun _ ty -> Dispatch.alloca_zone ty ~current:w.w_color);
@@ -669,23 +654,21 @@ and hooks_for t w : Exec.hooks =
 
 and exec_entry t w (e : msg) =
   match e with
-  | Entry { e_act = act; e_args; e_direct; e_slot } ->
+  | Entry { e_act = act; e_args; e_entry; e_slot } ->
     (match
-       (let cs = act.act_pf.Plan.pf_colorset in
-        let first = match cs with x :: _ -> Some x | [] -> None in
-        List.iter
+       (List.iter
           (fun d ->
             let reply_to =
-              if e_direct = None && Some d = first then
-                [ (w.w_lane, Color.Unsafe) ]
-              else []
+              match e_entry.Dispatch.en_replier with
+              | Some r when Color.equal d r -> [ (w.w_lane, Color.Unsafe) ]
+              | _ -> []
             in
             send_spawn t (Some w) ~thread:w.w_lane act d ~reply_to
               ~forged:false e_args)
           act.act_spawned;
         (* host order: enclave chunks complete before the U body *)
         wait_pending t w act;
-        match e_direct with
+        match e_entry.Dispatch.en_direct with
         | Some _ -> run_chunk t w act e_args
         | None -> wait_cont t w ~seq:act.act_seq)
      with
@@ -710,14 +693,19 @@ let create ?(config = Sgx.Config.machine_b) ?cost ?(lanes = 2) ?engine
   in
   let sites = Exec.alloc_sites m in
   let base = Exec.create m heap layout machine dummy_hooks in
-  let disp = Dispatch.create ~sites plan in
   Exec.init_globals base (Dispatch.global_zone plan);
   (* everything lazily built and shared becomes read-only before the first
      domain starts; the heap serializes its own structures from here on *)
   Exec.warm_caches base ~extra:(Dispatch.chunk_funcs plan);
-  (match engine with
-  | Exec.Image -> Image.install base (Image.build ~plan ~sites base)
-  | Exec.Walk -> ());
+  let image =
+    match engine with
+    | Exec.Image ->
+      let img = Image.build ~plan ~sites base in
+      Image.install base img;
+      Some img
+    | Exec.Walk -> None
+  in
+  let disp = Dispatch.create ~sites ?image plan in
   Heap.set_concurrent heap true;
   {
     plan;
@@ -744,38 +732,20 @@ type entry_result = { value : Rvalue.t; wall_seconds : float }
 
 let call_entry t ?(thread = 0) ?(timeout_s = 60.0) name (args : Rvalue.t list)
     : entry_result =
-  let ep =
-    match Dispatch.find_entry t.plan name with
+  let en =
+    match Dispatch.entry t.disp name with
     | Some e -> e
     | None -> raise (Error ("not an entry point: " ^ name))
   in
-  let pf = pfunc_exn t ep.Plan.ep_key in
-  let cs = pf.Plan.pf_colorset in
   Heap.reset_stacks t.base.Exec.heap;
-  let direct =
-    if List.mem Color.Unsafe cs then Some Color.Unsafe
-    else if cs = [] then Some Color.Free
-    else None
-  in
-  let participants = if cs = [] then [ Color.Free ] else cs in
-  let spawned_cs =
-    List.filter
-      (fun d ->
-        match direct with
-        | Some dc -> not (Color.equal d dc)
-        | None -> true)
-      participants
-  in
-  let act =
-    fresh_act t ep.Plan.ep_key pf ~participants ~spawned:spawned_cs
-  in
+  let act = fresh_act t en.Dispatch.en_rf ~spawned:en.Dispatch.en_spawned in
   let slot = { s_mu = Mutex.create (); s_result = None } in
   let uw = worker t thread Color.Unsafe in
   let start = Unix.gettimeofday () in
   Atomic.incr t.inflight;
   Msq.push uw.w_queue
-    (Entry { e_act = act; e_args = Array.of_list args; e_direct = direct;
-             e_slot = slot });
+    (Entry { e_act = act; e_args = Array.of_list args;
+             e_entry = en; e_slot = slot });
   (* wait for the response, then for full quiescence: background threads
      the request spawned (§7.3) finish before it is declared complete,
      matching Sched.run in the simulator. The timeout turns a deadlocked
@@ -820,13 +790,13 @@ let inject_spawn t ?(thread = 0) ~(color : Color.t) ~(chunk : string)
     (args : Rvalue.t list) : (unit, string) result =
   match Dispatch.locate_chunk t.plan chunk with
   | None -> Result.Error ("no such chunk: " ^ chunk)
-  | Some (key, pf, cc) ->
+  | Some (_, pf, cc) ->
     if not (Color.equal cc color) then
       Result.Error
         (Printf.sprintf "chunk %s belongs to partition %s" chunk
            (Color.to_string cc))
     else begin
-      let act = fresh_act t key pf ~participants:[ color ] ~spawned:[] in
+      let act = fresh_act t (Dispatch.shape t.disp pf [ color ]) ~spawned:[] in
       send_spawn t None ~thread act color ~reply_to:[] ~forged:true
         (Array.of_list args);
       let deadline = Unix.gettimeofday () +. 30.0 in

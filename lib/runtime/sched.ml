@@ -31,7 +31,7 @@ type worker_state =
 
 type worker = {
   wid : int;
-  name : string;
+  name : string Lazy.t; (* formatted only when telemetry or a report reads it *)
   track : int;
   clock : Vclock.t;
   mutable state : worker_state;
@@ -69,7 +69,7 @@ let spawn t ~name ?track ?parent ~at body =
   let track =
     match track with
     | Some k -> k
-    | None -> Tel.Recorder.fresh_track t.tel name
+    | None -> Tel.Recorder.fresh_track t.tel (Lazy.force name)
   in
   let w =
     { wid = t.next_id; name; track; clock = Vclock.make at; state = Not_started body }
@@ -82,7 +82,8 @@ let spawn t ~name ?track ?parent ~at body =
       | Some p -> p
       | None -> ( match t.running with Some p -> p.track | None -> -1)
     in
-    Tel.Recorder.record t.tel ~at ~track ~name ~arg Tel.Event.Fiber_spawn
+    Tel.Recorder.record t.tel ~at ~track ~name:(Lazy.force name) ~arg
+      Tel.Event.Fiber_spawn
   end;
   w
 
@@ -112,7 +113,8 @@ let step_worker t w =
   | Not_started body ->
     w.state <- Running;
     if tel_on then
-      Tel.Recorder.record t.tel ~at:(Vclock.get w.clock) ~track:w.track ~name:w.name
+      Tel.Recorder.record t.tel ~at:(Vclock.get w.clock) ~track:w.track
+        ~name:(Lazy.force w.name)
         Tel.Event.Fiber_start;
     Effect.Deep.match_with (fun () -> body w.clock) () (handler w)
   | Blocked (_, arrival, k) ->
@@ -131,7 +133,8 @@ let step_worker t w =
       Tel.Recorder.record t.tel ~at:(Vclock.get w.clock) ~track:w.track
         Tel.Event.Fiber_block
     | Finished ->
-      Tel.Recorder.record t.tel ~at:(Vclock.get w.clock) ~track:w.track ~name:w.name
+      Tel.Recorder.record t.tel ~at:(Vclock.get w.clock) ~track:w.track
+        ~name:(Lazy.force w.name)
         Tel.Event.Fiber_finish
     | Not_started _ | Running -> ())
 
@@ -176,7 +179,9 @@ let run ?(allow_blocked = true) ?(max_steps = max_int) t : outcome =
         let blocked =
           List.filter_map
             (fun w ->
-              match w.state with Blocked _ -> Some w.name | _ -> None)
+              match w.state with
+              | Blocked _ -> Some (Lazy.force w.name)
+              | _ -> None)
             t.workers
         in
         if blocked <> [] then begin

@@ -26,7 +26,7 @@ type worker_state =
 
 type worker = {
   wid : int;
-  name : string;
+  name : string Lazy.t;  (** formatted only when read *)
   track : int;       (** telemetry track the fiber's events land on *)
   clock : Vclock.t;
   mutable state : worker_state;
@@ -65,9 +65,11 @@ val set_telemetry : t -> Tel.Recorder.t -> unit
     [parent] overrides the spawning track recorded with the Fiber_spawn
     event (default: the running worker, or -1 for an external spawn); a
     parent equal to [track] marks the fiber as serialized after earlier
-    work on its own track. *)
+    work on its own track. [name] is forced only when telemetry records
+    the fiber or a run reports it blocked, so a hot spawner need not
+    format it. *)
 val spawn :
-  t -> name:string -> ?track:int -> ?parent:int -> at:float ->
+  t -> name:string Lazy.t -> ?track:int -> ?parent:int -> at:float ->
   (Vclock.t -> unit) -> worker
 
 (** Block the calling fiber; only valid inside a fiber run by {!run}. *)

@@ -91,7 +91,7 @@ let access_line t addr =
         fresh
       end
     in
-    let new_len = min t.assoc (len + 1) in
+    let new_len = Int.min t.assoc (len + 1) in
     for i = base + new_len downto base + 2 do
       chunk.(i) <- chunk.(i - 1)
     done;
@@ -104,12 +104,12 @@ let access_line t addr =
    is a scalar access inside one line, which is a single [access_line]. *)
 let lines_touched t addr size =
   let first = addr lsr t.line_bits in
-  let last = (addr + max 1 size - 1) lsr t.line_bits in
+  let last = (addr + Int.max 1 size - 1) lsr t.line_bits in
   last - first + 1
 
 let access_misses t addr size =
   let first = addr lsr t.line_bits in
-  let last = (addr + max 1 size - 1) lsr t.line_bits in
+  let last = (addr + Int.max 1 size - 1) lsr t.line_bits in
   if first = last then if access_line t addr then 0 else 1
   else begin
     let misses = ref 0 in

@@ -101,7 +101,7 @@ let mem_cost m ~cpu ~data addr size =
       let llc_misses = Cache.access_misses m.llc addr size in
       let llc_hits = l1_misses - llc_misses in
       let cost =
-        cost +. (m.cost.Cost.llc_hit *. float_of_int (max 0 llc_hits))
+        cost +. (m.cost.Cost.llc_hit *. float_of_int (Int.max 0 llc_hits))
       in
       if llc_misses > 0 then begin
         m.c.llc_misses <- m.c.llc_misses + llc_misses;

@@ -179,7 +179,7 @@ let warm_caches t ~(extra : Func.t list) =
       ignore (reg_tys t f))
     extra
 
-let size_of_ty t (ty : Ty.t) = max 1 (Layout.sizeof t.layout ty)
+let size_of_ty t (ty : Ty.t) = Int.max 1 (Layout.sizeof t.layout ty)
 
 let scalar_size (ty : Ty.t) =
   match ty.Ty.desc with
@@ -375,7 +375,7 @@ let rec exec_func t (f : Func.t) (args : Rvalue.t array) : Rvalue.t =
    fallback for functions absent from the image. *)
 and exec_func_body t (f : Func.t) (args : Rvalue.t array) : Rvalue.t =
   let fr =
-    { func = f; regs = Array.make (max 1 f.Func.next_reg) Rvalue.zero;
+    { func = f; regs = Array.make (Int.max 1 f.Func.next_reg) Rvalue.zero;
       tys = reg_tys t f }
   in
   Array.iteri

@@ -36,6 +36,8 @@ type t = {
       (* region n (1-based) owns addresses [n lsl region_bits, ...): the
          owning region of an address is by_index.(addr lsr region_bits) *)
   by_zone : (string, region) Hashtbl.t;
+  mutable stacks : (zone * region) list;
+      (* each zone's stack region, resolved on the zone's first alloca *)
   strings : (string, int) Hashtbl.t; (* interned rodata strings *)
   mutable region_count : int;
   mu : Mutex.t;
@@ -53,6 +55,7 @@ let create () =
     regions = [];
     by_index = Array.make 64 None;
     by_zone = Hashtbl.create 8;
+    stacks = [];
     strings = Hashtbl.create 16;
     region_count = 0;
     mu = Mutex.create ();
@@ -88,8 +91,6 @@ let zone_key = function
   | Rodata -> "\000R"
   | Enclave e -> e
 
-let stack_key zone = "\001stack:" ^ zone_key zone
-
 let index_region t r =
   let i = r.base lsr region_bits in
   if i >= Array.length t.by_index then begin
@@ -99,24 +100,29 @@ let index_region t r =
   end;
   t.by_index.(i) <- Some r
 
+(* Regions are numbered in creation order, heap and stack alike. *)
+let new_region t zone =
+  t.region_count <- t.region_count + 1;
+  let r =
+    {
+      zone;
+      base = t.region_count lsl region_bits;
+      brk = 16; (* offset 0 of the first region would be null *)
+      pages = Array.make 16 None;
+      live_bytes = 0;
+    }
+  in
+  t.regions <- r :: t.regions;
+  index_region t r;
+  r
+
 let region_for t zone =
   let key = zone_key zone in
   match Hashtbl.find_opt t.by_zone key with
   | Some r -> r
   | None ->
-    t.region_count <- t.region_count + 1;
-    let r =
-      {
-        zone;
-        base = t.region_count lsl region_bits;
-        brk = 16; (* offset 0 of the first region would be null *)
-        pages = Array.make 16 None;
-        live_bytes = 0;
-      }
-    in
+    let r = new_region t zone in
     Hashtbl.replace t.by_zone key r;
-    t.regions <- r :: t.regions;
-    index_region t r;
     r
 
 let find_region t addr =
@@ -163,29 +169,22 @@ let alloc t zone size = locked t (fun () -> alloc_u t zone size)
 (* Stack slots live in a dedicated region per zone so that they do not
    perturb the heap layout; [reset_stacks] rewinds them between requests
    (frames of one request nest, and nothing refers to a dead frame),
-   which also models the cache locality of a reused stack. *)
-let region_for_key t zone key =
-  match Hashtbl.find_opt t.by_zone key with
-  | Some r -> r
-  | None ->
-    t.region_count <- t.region_count + 1;
-    let r =
-      {
-        zone;
-        base = t.region_count lsl region_bits;
-        brk = 16;
-        pages = Array.make 16 None;
-        live_bytes = 0;
-      }
-    in
-    Hashtbl.replace t.by_zone key r;
-    t.regions <- r :: t.regions;
-    index_region t r;
-    r
+   which also models the cache locality of a reused stack. A zone's stack
+   region is created on its first alloca, numbered like any other region,
+   and found again by a scan of the few zones instead of a hashed key. *)
+let stack_region t zone =
+  let rec find = function
+    | (z, r) :: rest -> if zone_equal z zone then r else find rest
+    | [] ->
+      let r = new_region t zone in
+      t.stacks <- (zone, r) :: t.stacks;
+      r
+  in
+  find t.stacks
 
 let alloc_stack t zone size =
   locked t (fun () ->
-      let r = region_for_key t zone (stack_key zone) in
+      let r = stack_region t zone in
       let aligned = (size + 7) land lnot 7 in
       let off = r.brk in
       if off + aligned >= 1 lsl region_bits then
@@ -194,11 +193,7 @@ let alloc_stack t zone size =
       r.base + off)
 
 let reset_stacks t =
-  locked t (fun () ->
-      Hashtbl.iter
-        (fun key r ->
-          if String.length key > 1 && key.[0] = '\001' then r.brk <- 16)
-        t.by_zone)
+  locked t (fun () -> List.iter (fun (_, r) -> r.brk <- 16) t.stacks)
 
 let free t addr size =
   locked t (fun () ->

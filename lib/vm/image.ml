@@ -318,7 +318,7 @@ let build ?plan ?sites (ex : Exec.t) : t =
   in
   (* barrier candidacy per chunk function: the union of pf_barriers over
      every pfunc owning the (physical) function. A superset is enough —
-     the hooks re-check Dispatch.barrier_at precisely; instructions NOT in
+     the hooks re-check Dispatch.barrier precisely; instructions NOT in
      the set provably never act, so the hot loop skips the hook call. *)
   let barriers : (string, (Func.t * (int, unit) Hashtbl.t) list) Hashtbl.t =
     Hashtbl.create 16
@@ -499,8 +499,8 @@ let phi_trap (code : code) (b : lblock) (pred : string) =
           b.lb_label code.c_func.Func.name pred))
 
 let run_code (ex : Exec.t) (code : code) (args : Rvalue.t array) : Rvalue.t =
-  let regs = Array.make (max 1 code.c_nregs) Rvalue.zero in
-  let nargs = min (Array.length args) (Array.length regs) in
+  let regs = Array.make (Int.max 1 code.c_nregs) Rvalue.zero in
+  let nargs = Int.min (Array.length args) (Array.length regs) in
   Array.blit args 0 regs 0 nargs;
   let scratch =
     if code.c_maxphi = 0 then [||] else Array.make code.c_maxphi Rvalue.zero

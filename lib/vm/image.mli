@@ -39,5 +39,17 @@ val install : Exec.t -> t -> unit
 (** Whether this (physical) function was lowered into the image. *)
 val covers : t -> Func.t -> bool
 
+(** One lowered function body. *)
+type code
+
+(** The lowered body of this (physical) function, if the image has one.
+    The partitioned runtime resolves each chunk's code once, at
+    [Dispatch.create], instead of looking it up per call. *)
+val find_code : t -> Func.t -> code option
+
+(** Run a lowered body on executor [ex] — what {!install}'s [run_func]
+    does once it has found the code. *)
+val run_code : Exec.t -> code -> Rvalue.t array -> Rvalue.t
+
 (** Number of lowered function bodies (diagnostics). *)
 val func_count : t -> int

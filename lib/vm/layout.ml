@@ -104,13 +104,13 @@ let create ?(auth_pointers = false) (m : Pmodule.t) (mode : Mode.t) : t =
    slots of multi-color structs (their colored fields are allocated in their
    own enclaves). Returns the address. *)
 let rec alloc t (heap : Heap.t) (zone : Heap.zone) (ty : Ty.t) : int =
-  let addr = Heap.alloc heap zone (max 1 (sizeof t ty)) in
+  let addr = Heap.alloc heap zone (Int.max 1 (sizeof t ty)) in
   init_struct_slots t heap ty addr;
   addr
 
 (* Same, on the zone's stack region (alloca). *)
 and alloc_stack t (heap : Heap.t) (zone : Heap.zone) (ty : Ty.t) : int =
-  let addr = Heap.alloc_stack heap zone (max 1 (sizeof t ty)) in
+  let addr = Heap.alloc_stack heap zone (Int.max 1 (sizeof t ty)) in
   init_struct_slots t heap ty addr;
   addr
 

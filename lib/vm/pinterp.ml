@@ -59,9 +59,7 @@ type worker = {
 type activation = {
   act_seq : int;                     (* shared across participants *)
   act_root : int;                    (* seq of the request it serves *)
-  act_key : Infer.instance_key;
-  act_pf : Plan.pfunc;
-  act_participants : Color.t list;   (* P: colors executing this instance *)
+  act_rf : Dispatch.rfunc;           (* the function, resolved for its P *)
   mutable act_pending : int;         (* spawned fibers still running *)
   mutable act_done_max : float;      (* latest completion among spawned *)
   mutable act_done_flow : int;       (* telemetry flow of that completion *)
@@ -89,15 +87,21 @@ type event =
 
 type traced_event = { ev_at : float; ev : event }
 
+(* An application thread: its clock (requests on one thread serialize)
+   and its workers, one per color, created on first use. *)
+type thread = {
+  th_clock : Vclock.t;
+  mutable th_workers : worker list;
+}
+
 type t = {
   plan : Plan.t;
   exec : Exec.t;
-  disp : activation Dispatch.t;                (* shared plan math *)
+  disp : activation Dispatch.t;                (* resolved plan *)
   sched : Sched.t;
-  workers : (int * string, worker) Hashtbl.t;
+  mutable threads : thread array;              (* by thread id *)
   crossing : Sgx.Machine.t -> float;           (* cost of one boundary msg *)
   mutable current : fiber_ctx option;
-  thread_clock : (int, Vclock.t) Hashtbl.t;
   mutable next_thread : int;
   mutable traps : string list;
   mutable guard : bool;  (* §8 extension: valid-spawn-sequence guard *)
@@ -107,27 +111,38 @@ type t = {
 
 let cpu_of_color = Dispatch.cpu_of_color
 
-let worker t thread color =
-  let key = (thread, Color.to_string color) in
-  match Hashtbl.find_opt t.workers key with
+let thread t id =
+  let n = Array.length t.threads in
+  if id >= n then
+    t.threads <-
+      Array.init (Int.max (id + 1) (2 * n)) (fun k ->
+          if k < n then t.threads.(k)
+          else { th_clock = Vclock.make 0.0; th_workers = [] });
+  t.threads.(id)
+
+let thread_clock t id = (thread t id).th_clock
+
+let rec find_worker color = function
+  | w :: rest -> if Color.equal w.w_color color then Some w else find_worker color rest
+  | [] -> None
+
+let worker t id color =
+  let th = thread t id in
+  match find_worker color th.th_workers with
   | Some w -> w
   | None ->
     let track =
       Tel.Recorder.fresh_track t.tel
-        (Printf.sprintf "t%d/%s" thread (Color.to_string color))
+        (Printf.sprintf "t%d/%s" id (Color.to_string color))
     in
-    let w = { w_thread = thread; w_color = color; w_track = track;
+    let w = { w_thread = id; w_color = color; w_track = track;
               w_mail = [] } in
-    Hashtbl.replace t.workers key w;
+    th.th_workers <- w :: th.th_workers;
     w
 
-let thread_clock t thread =
-  match Hashtbl.find_opt t.thread_clock thread with
-  | Some r -> r
-  | None ->
-    let r = Vclock.make 0.0 in
-    Hashtbl.replace t.thread_clock thread r;
-    r
+let has_worker t ~thread:id color =
+  id >= 0 && id < Array.length t.threads
+  && find_worker color t.threads.(id).th_workers <> None
 
 let restore t (ctx : fiber_ctx) =
   t.current <- Some ctx;
@@ -197,42 +212,33 @@ let wait_cont t (ctx : fiber_ctx) ~seq ~tag : Rvalue.t =
 (* ------------------------------------------------------------------ *)
 (* plan helpers *)
 
-let pfunc_exn t key =
-  match Dispatch.find_pfunc t.disp key with
-  | Some pf -> pf
-  | None ->
-    raise (Error ("no partitioned function for " ^ Infer.instance_name key))
+let act_name (act : activation) =
+  Infer.instance_name act.act_rf.Dispatch.rf_pf.Plan.pf_key
 
-(* The chunk a participant of color [c] executes for [pf]. *)
-let chunk_for (pf : Plan.pfunc) (c : Color.t) : Func.t =
-  match Dispatch.chunk_for pf c with
-  | Some f -> f
+(* The chunk a participant of color [c] executes for [act]. *)
+let chunk_exn (act : activation) (c : Color.t) : Dispatch.chunk =
+  match Dispatch.chunk act.act_rf c with
+  | Some ch -> ch
   | None ->
     raise
       (Error
          (Printf.sprintf "no %s chunk in %s" (Color.to_string c)
-            (Infer.instance_name pf.Plan.pf_key)))
-
-let site_presence t pf id = Dispatch.site_presence t.disp pf id
-let chunk_needs t f r = Dispatch.chunk_needs t.disp f r
+            (act_name act)))
 
 (* A fresh activation; [root] defaults to the activation itself (a new
    request). *)
-let new_act ?root ~seq key pf participants =
+let new_act ?root ~seq rf =
   {
     act_seq = seq;
     act_root = Option.value root ~default:seq;
-    act_key = key;
-    act_pf = pf;
-    act_participants = participants;
+    act_rf = rf;
     act_pending = 0;
     act_done_max = 0.0;
     act_done_flow = -1;
     act_colors_done = [];
   }
 
-let fresh_act t ?root key pf participants =
-  new_act ?root ~seq:(Dispatch.fresh_seq t.disp) key pf participants
+let fresh_act t ?root rf = new_act ?root ~seq:(Dispatch.fresh_seq t.disp) rf
 
 (* ------------------------------------------------------------------ *)
 (* chunk execution *)
@@ -242,12 +248,13 @@ let rec exec_chunk t (ctx : fiber_ctx) (act : activation) (c : Color.t)
   let saved = ctx.act and saved_calls = ctx.calls in
   ctx.act <- act;
   ctx.calls <- Dispatch.counts ();
-  let f = chunk_for act.act_pf c in
+  let ch = chunk_exn act c in
+  let f = ch.Dispatch.ch_func in
   record t (Vclock.get ctx.clock) (Ev_chunk_start { color = c; chunk = f.Func.name });
   if Tel.Recorder.enabled t.tel then
     Tel.Recorder.record t.tel ~at:(Vclock.get ctx.clock) ~track:ctx.worker.w_track
       ~name:f.Func.name Tel.Event.Chunk_begin;
-  let r = Exec.exec_func t.exec f args in
+  let r = Dispatch.run_chunk t.exec ch args in
   record t (Vclock.get ctx.clock) (Ev_chunk_end { color = c; chunk = f.Func.name });
   if Tel.Recorder.enabled t.tel then
     Tel.Recorder.record t.tel ~at:(Vclock.get ctx.clock) ~track:ctx.worker.w_track
@@ -266,7 +273,7 @@ and spawn_chunk_fiber t ?(forged = false) ~thread (act : activation)
     (c : Color.t) ?(siblings = []) (args : Rvalue.t array) ~at
     ~(reply_to : (int * Color.t) list) =
   let w = worker t thread c in
-  let chunk_name = (chunk_for act.act_pf c).Func.name in
+  let chunk_name = (chunk_exn act c).Dispatch.ch_func.Func.name in
   (* §8 extension: the valid-spawn-sequence guard. Every spawn — including
      injected ones — is validated against the plan's legitimate targets. *)
   if
@@ -274,9 +281,9 @@ and spawn_chunk_fiber t ?(forged = false) ~thread (act : activation)
     && not (Plan.spawn_allowed t.plan c chunk_name)
   then raise (Error (Printf.sprintf "spawn guard: %s rejected in %s"
                        chunk_name (Color.to_string c)));
+  (* formatted only when telemetry, a trap or a deadlock report reads it *)
   let name =
-    Printf.sprintf "t%d/%s:%s" thread (Color.to_string c)
-      (Infer.instance_name act.act_key)
+    lazy (Printf.sprintf "t%d/%s:%s" thread (Color.to_string c) (act_name act))
   in
   act.act_pending <- act.act_pending + 1;
   record t at (Ev_spawn { target = c; chunk = chunk_name });
@@ -330,7 +337,7 @@ and spawn_chunk_fiber t ?(forged = false) ~thread (act : activation)
            let tc = thread_clock t thread in
            Vclock.set tc (Float.max (Vclock.get tc) (Vclock.get clock))
          | exception Exec.Trap msg ->
-           t.traps <- (name ^ ": " ^ msg) :: t.traps);
+           t.traps <- (Lazy.force name ^ ": " ^ msg) :: t.traps);
          (* completion signal back to the spawner (one crossing) *)
          Vclock.add ctx.clock (t.crossing t.exec.Exec.machine);
          act.act_pending <- act.act_pending - 1;
@@ -368,61 +375,54 @@ and host_wait_spawned ?(bump = true) t (ctx : fiber_ctx) (act : activation) =
 
 and dispatch_call t (i : Instr.t) callee (args : Rvalue.t array) : Rvalue.t =
   let ctx = ctx_exn t in
-  match Hashtbl.find_opt ctx.act.act_pf.Plan.pf_calls i.Instr.id with
-  | Some cp -> dispatch_local_call t ctx i cp args
-  | None ->
+  match Dispatch.resolved ctx.act.act_rf i.Instr.id with
+  | Dispatch.Call site -> dispatch_local_call t ctx i site args
+  | Dispatch.Extern -> dispatch_extern t ctx i callee args
+  | Dispatch.Unplanned | Dispatch.Thread _ | Dispatch.Indirect _ ->
     if Pmodule.is_defined t.exec.Exec.m callee then
       (* a defined function without a plan entry: a within-style direct
          execution in the current worker (single-participant call) *)
       raise
         (Error
            (Printf.sprintf "call to @%s at instr %d has no plan in %s" callee
-              i.Instr.id
-              (Infer.instance_name ctx.act.act_key)))
+              i.Instr.id (act_name ctx.act)))
     else dispatch_extern t ctx i callee args
 
 and dispatch_extern t (ctx : fiber_ctx) (i : Instr.t) callee args =
   Dispatch.dispatch_extern t.disp t.exec ~color:ctx.worker.w_color
-    ~caller:ctx.act.act_key.Infer.ik_func i callee args
+    ~caller:ctx.act.act_rf.Dispatch.rf_pf.Plan.pf_key.Infer.ik_func i callee
+    args
 
-and dispatch_local_call t (ctx : fiber_ctx) (i : Instr.t) (cp : Plan.call_plan)
-    (args : Rvalue.t array) : Rvalue.t =
+and dispatch_local_call t (ctx : fiber_ctx) (i : Instr.t)
+    (site : Dispatch.rsite) (args : Rvalue.t array) : Rvalue.t =
   let c = ctx.worker.w_color in
   let thread = ctx.worker.w_thread in
   let parent = ctx.act in
-  let callee_pf = pfunc_exn t cp.Plan.cp_key in
-  let callee_cs = callee_pf.Plan.pf_colorset in
-  let p_site =
-    if parent.act_pf.Plan.pf_colorset = [] then parent.act_participants
-    else site_presence t parent.act_pf i.Instr.id
-  in
+  let callee = site.Dispatch.rs_callee in
   (* every participant of the site gets the same child activation *)
   let child_act =
     Dispatch.child t.disp ~calls:ctx.calls ~root:parent.act_root
-      ~seq:parent.act_seq ~instr:i.Instr.id ~takers:(List.length p_site)
-      (fun seq ->
-        new_act ~root:parent.act_root ~seq cp.Plan.cp_key callee_pf
-          (if callee_cs = [] then p_site else callee_cs))
+      ~seq:parent.act_seq ~instr:i.Instr.id ~takers:site.Dispatch.rs_takers
+      (fun seq -> new_act ~root:parent.act_root ~seq callee)
   in
   let seq = child_act.act_seq in
-  let in_callee d = List.mem d callee_cs in
   let { Dispatch.s_leader = leader; s_inter = inter; s_spawned = spawned;
         s_ret_sender = ret_sender } =
-    Dispatch.site_layout ~p_site ~callee_cs ~self:c
+    site.Dispatch.rs_layout
   in
   (* which participants need the return value via message *)
-  let needers =
-    Dispatch.ret_needers t.disp ~caller_pf:parent.act_pf ~p_site ~callee_cs i
-  in
+  let needers = site.Dispatch.rs_needers in
+  let is_sender = match ret_sender with Some d -> Color.equal c d | None -> false in
   (* the leader starts the missing chunks *)
   if Color.equal c leader && spawned <> [] then begin
-    let f_reg_args = Dispatch.f_reg_args cp i in
+    let f_reg_args = site.Dispatch.rs_f_reg_args in
     List.iter
       (fun d ->
         let reply_to =
-          if inter = [] && Some d = ret_sender then
+          match inter, ret_sender with
+          | [], Some r when Color.equal d r ->
             List.map (fun n -> (thread, n)) needers
-          else []
+          | _ -> []
         in
         (* one spawn message, plus one cont per computed F argument *)
         let cost = t.crossing t.exec.Exec.machine in
@@ -438,21 +438,21 @@ and dispatch_local_call t (ctx : fiber_ctx) (i : Instr.t) (cp : Plan.call_plan)
     if not (Color.is_enclave c) then host_wait_spawned t ctx child_act
   end;
   let result =
-    if callee_cs = [] then
+    if callee.Dispatch.rf_pure then
       (* pure-F callee: replicated, executes inline everywhere *)
       exec_chunk t ctx child_act c args
-    else if in_callee c then begin
+    else if List.exists (Color.equal c) callee.Dispatch.rf_participants then begin
       (* direct call (§7.3.2): inline execution in this worker *)
       let r = exec_chunk t ctx child_act c args in
       restore t ctx;
-      (if Some c = ret_sender && inter <> [] then
+      (if is_sender && inter <> [] then
          List.iter
            (fun d ->
              send_cont t ctx (worker t thread d) ~seq ~tag:Retval ~value:r)
            needers);
       r
     end
-    else if List.mem c needers then wait_cont t ctx ~seq ~tag:Retval
+    else if List.exists (Color.equal c) needers then wait_cont t ctx ~seq ~tag:Retval
     else Rvalue.zero
   in
   (* an enclave leader waits after its own (direct) work *)
@@ -466,22 +466,33 @@ and dispatch_local_call t (ctx : fiber_ctx) (i : Instr.t) (cp : Plan.call_plan)
    indirect call instruction is U-colored. *)
 and dispatch_indirect_local t (ctx : fiber_ctx) (i : Instr.t) name
     (args : Rvalue.t array) : Rvalue.t =
-  let f = Pmodule.find_func_exn t.exec.Exec.m name in
-  let key = Dispatch.indirect_entry_key t.plan f in
-  let pf = pfunc_exn t key in
-  let cs = pf.Plan.pf_colorset in
   let c = ctx.worker.w_color in
   let thread = ctx.worker.w_thread in
-  let act =
-    fresh_act t ~root:ctx.act.act_root key pf (if cs = [] then [ c ] else cs)
+  let rf =
+    match Dispatch.indirect t.disp name ~color:c with
+    | Some rf -> rf
+    | None ->
+      let f = Pmodule.find_func_exn t.exec.Exec.m name in
+      raise
+        (Error
+           ("no partitioned function for "
+           ^ Infer.instance_name (Dispatch.indirect_entry_key t.plan f)))
   in
-  if cs = [] then exec_chunk t ctx act c args
+  let act = fresh_act t ~root:ctx.act.act_root rf in
+  if rf.Dispatch.rf_pure then exec_chunk t ctx act c args
   else begin
+    let cs = rf.Dispatch.rf_pf.Plan.pf_colorset in
+    let in_cs = List.exists (Color.equal c) cs in
     let i_need =
-      match Instr.defines i with
-      | None -> false
-      | Some id ->
-        (not (List.mem c cs)) && chunk_needs t (chunk_for ctx.act.act_pf c) id
+      (not in_cs)
+      &&
+      match
+        Dispatch.resolved ctx.act.act_rf i.Instr.id,
+        Dispatch.chunk ctx.act.act_rf c
+      with
+      | Dispatch.Indirect readers, Some ch ->
+        List.exists (Color.equal ch.Dispatch.ch_color) readers
+      | _ -> false
     in
     let first = match cs with d :: _ -> d | [] -> c in
     let spawned_cs = List.filter (fun d -> not (Color.equal d c)) cs in
@@ -494,30 +505,30 @@ and dispatch_indirect_local t (ctx : fiber_ctx) (i : Instr.t) name
         spawn_chunk_fiber t ~thread act d ~siblings:spawned_cs args
           ~at:(Vclock.get ctx.clock) ~reply_to)
       spawned_cs;
-    if List.mem c cs then exec_chunk t ctx act c args
+    if in_cs then exec_chunk t ctx act c args
     else if i_need then wait_cont t ctx ~seq:act.act_seq ~tag:Retval
     else Rvalue.zero
   end
 
 (* thread creation: start every chunk of the target instance on the workers
    of a fresh application thread *)
-and dispatch_spawn t (i : Instr.t) callee (args : Rvalue.t array) =
+and dispatch_spawn t (i : Instr.t) (args : Rvalue.t array) =
   let ctx = ctx_exn t in
-  ignore callee;
-  match Infer.call_site t.plan.Plan.infer ctx.act.act_key i.Instr.id with
-  | None -> raise (Error "spawn site without plan")
-  | Some key ->
+  match Dispatch.resolved ctx.act.act_rf i.Instr.id with
+  | Dispatch.Thread rf ->
     Exec.charge t.exec (Sgx.Machine.thread_spawn_cost t.exec.Exec.machine);
     let thread = t.next_thread in
     t.next_thread <- thread + 1;
-    let pf = pfunc_exn t key in
-    let cs = if pf.Plan.pf_colorset = [] then [ Color.Free ] else pf.Plan.pf_colorset in
-    let act = fresh_act t ~root:ctx.act.act_root key pf cs in
+    let cs = rf.Dispatch.rf_participants in
+    let act = fresh_act t ~root:ctx.act.act_root rf in
     List.iter
       (fun d ->
         Vclock.add ctx.clock (t.crossing t.exec.Exec.machine);
         spawn_chunk_fiber t ~thread act d ~siblings:cs args ~at:(Vclock.get ctx.clock) ~reply_to:[])
       cs
+  | Dispatch.Unplanned | Dispatch.Extern | Dispatch.Call _
+  | Dispatch.Indirect _ ->
+    raise (Error "spawn site without plan")
 
 (* ------------------------------------------------------------------ *)
 
@@ -530,15 +541,13 @@ let make_hooks t : Exec.hooks =
         if Pmodule.is_defined ex.Exec.m name then
           dispatch_indirect_local t (ctx_exn t) i name args
         else dispatch_extern t (ctx_exn t) i name args);
-    h_spawn = (fun _ i callee args -> dispatch_spawn t i callee args);
+    h_spawn = (fun _ i _ args -> dispatch_spawn t i args);
     h_pre_instr =
       (fun ex i ->
         (* §7.3.3: a visible effect in a multi-partition instance costs a
            synchronization barrier (one cont/wait round) *)
         match t.current with
-        | Some ctx
-          when Dispatch.barrier_at ctx.act.act_pf i.Instr.id
-                 ~participants:ctx.act.act_participants ->
+        | Some ctx when Dispatch.barrier ctx.act.act_rf i.Instr.id ->
           Exec.charge ex (t.crossing ex.Exec.machine);
           record t (Vclock.get ctx.clock) (Ev_barrier { color = ctx.worker.w_color });
           if Tel.Recorder.enabled t.tel then
@@ -578,16 +587,25 @@ let create ?(config = Sgx.Config.machine_b) ?cost
   in
   let sites = Exec.alloc_sites m in
   let ex = Exec.create m heap layout machine dummy_hooks in
+  (* globals placed per §7.1 *)
+  Exec.init_globals ex (Dispatch.global_zone plan);
+  let image =
+    match engine with
+    | Exec.Image ->
+      let img = Image.build ~plan ~sites ex in
+      Image.install ex img;
+      Some img
+    | Exec.Walk -> None
+  in
   let t =
     {
       plan;
       exec = ex;
-      disp = Dispatch.create ~sites plan;
+      disp = Dispatch.create ~sites ?image plan;
       sched = Sched.create ();
-      workers = Hashtbl.create 16;
+      threads = [||];
       crossing;
       current = None;
-      thread_clock = Hashtbl.create 8;
       next_thread = 1;
       traps = [];
       guard = true;
@@ -596,11 +614,6 @@ let create ?(config = Sgx.Config.machine_b) ?cost
     }
   in
   ex.Exec.hooks <- make_hooks t;
-  (* globals placed per §7.1 *)
-  Exec.init_globals t.exec (Dispatch.global_zone plan);
-  (match engine with
-  | Exec.Image -> Image.install ex (Image.build ~plan ~sites ex)
-  | Exec.Walk -> ());
   t
 
 (* Attach a telemetry recorder to every layer: the scheduler records
@@ -623,31 +636,20 @@ type entry_result = {
 
 let call_entry t ?(thread = 0) ?max_steps name (args : Rvalue.t list) :
     entry_result =
-  let ep =
-    match
-      List.find_opt (fun (e : Plan.entry_plan) -> String.equal e.ep_name name)
-        t.plan.Plan.entries
-    with
+  let en =
+    match Dispatch.entry t.disp name with
     | Some e -> e
     | None -> raise (Error ("not an entry point: " ^ name))
   in
-  let pf = pfunc_exn t ep.Plan.ep_key in
-  let cs = pf.Plan.pf_colorset in
+  let direct = en.Dispatch.en_direct in
   Heap.reset_stacks t.exec.Exec.heap;
   let now = (Vclock.get (thread_clock t thread)) in
   let argv = Array.of_list args in
-  let act =
-    fresh_act t ep.Plan.ep_key pf (if cs = [] then [ Color.Free ] else cs)
-  in
+  let act = fresh_act t en.Dispatch.en_rf in
   let slot = ref None in
   let uw = worker t thread Color.Unsafe in
-  let direct =
-    if List.mem Color.Unsafe cs then Some Color.Unsafe
-    else if cs = [] then Some Color.Free
-    else None
-  in
   (* interface fiber on the U worker (§7.3.4) *)
-  let name_ = Printf.sprintf "t%d/interface:%s" thread name in
+  let name_ = lazy (Printf.sprintf "t%d/interface:%s" thread name) in
   ignore
     (* parent = its own track: a request is serialized after earlier
        requests on the same application thread (the thread clock) *)
@@ -656,20 +658,13 @@ let call_entry t ?(thread = 0) ?max_steps name (args : Rvalue.t list) :
          let ctx = { worker = uw; act; calls = Dispatch.counts (); clock } in
          restore t ctx;
          (* start the missing chunks *)
-         let spawned_cs =
-           List.filter
-             (fun d ->
-               match direct with
-               | Some dc -> not (Color.equal d dc)
-               | None -> true)
-             act.act_participants
-         in
+         let spawned_cs = en.Dispatch.en_spawned in
          List.iter
            (fun d ->
              let reply_to =
-               if direct = None && Some d = (match cs with x :: _ -> Some x | [] -> None)
-               then [ (thread, Color.Unsafe) ]
-               else []
+               match en.Dispatch.en_replier with
+               | Some r when Color.equal d r -> [ (thread, Color.Unsafe) ]
+               | _ -> []
              in
              Vclock.add ctx.clock (t.crossing t.exec.Exec.machine);
              spawn_chunk_fiber t ~thread act d ~siblings:spawned_cs argv
@@ -740,13 +735,13 @@ let inject_spawn t ?(thread = 0) ~(color : Color.t) ~(chunk : string)
   (* resolve the chunk name to an instance *)
   match Dispatch.locate_chunk t.plan chunk with
   | None -> Result.Error ("no such chunk: " ^ chunk)
-  | Some (key, pf, cc) ->
+  | Some (_, pf, cc) ->
     if not (Color.equal cc color) then
       Result.Error
         (Printf.sprintf "chunk %s belongs to partition %s" chunk
            (Color.to_string cc))
     else begin
-      let act = fresh_act t key pf [ color ] in
+      let act = fresh_act t (Dispatch.shape t.disp pf [ color ]) in
       let now = (Vclock.get (thread_clock t thread)) in
       match
         spawn_chunk_fiber t ~forged:true ~thread act color

@@ -10,7 +10,6 @@
     for the host-order/virtual-order discipline. *)
 
 open Privagic_pir
-open Privagic_secure
 open Privagic_partition
 module Sgx = Privagic_sgx
 module Sched = Privagic_runtime.Sched
@@ -33,9 +32,8 @@ type worker = {
 type activation = {
   act_seq : int;
   act_root : int;  (** seq of the request the activation serves *)
-  act_key : Infer.instance_key;
-  act_pf : Plan.pfunc;
-  act_participants : Color.t list;
+  act_rf : Dispatch.rfunc;
+      (** the function resolved for this activation's participants *)
   mutable act_pending : int;
   mutable act_done_max : float;
   mutable act_done_flow : int;
@@ -60,16 +58,21 @@ type event =
 
 type traced_event = { ev_at : float; ev : event }
 
+(** An application thread: its clock and its workers, one per color. *)
+type thread = {
+  th_clock : Privagic_runtime.Vclock.t;
+  mutable th_workers : worker list;
+}
+
 type t = {
   plan : Plan.t;
   exec : Exec.t;
   disp : activation Dispatch.t;
-      (** shared plan math and sequence agreement (see {!Dispatch}) *)
+      (** resolved plan and sequence agreement (see {!Dispatch}) *)
   sched : Sched.t;
-  workers : (int * string, worker) Hashtbl.t;
+  mutable threads : thread array;  (** by thread id, grown on use *)
   crossing : Sgx.Machine.t -> float;
   mutable current : fiber_ctx option;
-  thread_clock : (int, Privagic_runtime.Vclock.t) Hashtbl.t;
   mutable next_thread : int;
   mutable traps : string list;
   mutable guard : bool;
@@ -115,6 +118,9 @@ val call_entry :
 
 val output : t -> string
 val machine : t -> Sgx.Machine.t
+
+(** Whether application thread [thread] has a worker of this color. *)
+val has_worker : t -> thread:int -> Color.t -> bool
 
 (** §8 extension: inject a forged spawn message (the attacker model). With
     the guard on (default), chunks the plan never spawns into that

@@ -255,9 +255,9 @@ let test_concurrent_client_threads () =
   done;
   (* both threads have their own blue workers *)
   Alcotest.(check bool) "thread 0 blue worker" true
-    (Hashtbl.mem pt.Pinterp.workers (0, "blue"));
+    (Pinterp.has_worker pt ~thread:0 (Privagic_pir.Color.Named "blue"));
   Alcotest.(check bool) "thread 1 blue worker" true
-    (Hashtbl.mem pt.Pinterp.workers (1, "blue"))
+    (Pinterp.has_worker pt ~thread:1 (Privagic_pir.Color.Named "blue"))
 
 let test_trace () =
   let pt = Helpers.pinterp ~mode:Mode.Relaxed P.fig6 in
@@ -291,6 +291,188 @@ let test_trace () =
   Alcotest.(check int) "no trace once stopped" 0
     (List.length (Pinterp.stop_trace pt))
 
+(* ------------------------------------------------------------------ *)
+(* resolution differential: Dispatch.create resolves every partitioned
+   function once; each resolved record must say exactly what the
+   plan-level derivations say, for every call site and participant *)
+
+let shipped_sources () =
+  let both name f = [ (name, f `Colored); (name ^ " (plain)", f `Plain) ] in
+  let examples =
+    let dir = List.find Sys.file_exists [ "../examples"; "examples" ] in
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".mc")
+    |> List.sort compare
+    |> List.map (fun f ->
+           let ic = open_in_bin (Filename.concat dir f) in
+           let src = really_input_string ic (in_channel_length ic) in
+           close_in ic;
+           ("examples/" ^ f, src))
+  in
+  both "hashmap" (P.hashmap ~nbuckets:16 ~vsize:16)
+  @ both "linked_list" (P.linked_list ~vsize:16)
+  @ both "rbtree" (P.rbtree ~vsize:16)
+  @ both "hashmap_two_color" (P.hashmap_two_color ~nbuckets:16 ~vsize:16)
+  @ both "memcached" (P.memcached ~nbuckets:16 ~vsize:16)
+  @ [ ("fig1", P.fig1); ("fig3_dataflow", P.fig3_dataflow);
+      ("fig3_secure", P.fig3_secure); ("fig4", P.fig4); ("fig6", P.fig6);
+      ("indexed_accounts", P.indexed_accounts) ]
+  @ examples
+
+(* Every (source, mode) that checks and partitions without diagnostics. *)
+let shipped_plans () =
+  List.concat_map
+    (fun (name, src) ->
+      List.filter_map
+        (fun mode ->
+          let m = Helpers.compile src in
+          let infer = Infer.run ~mode m in
+          if not (Infer.ok infer) then None
+          else
+            let plan = Privagic_partition.Plan.build ~mode infer in
+            if plan.Privagic_partition.Plan.diagnostics <> [] then None
+            else Some (Printf.sprintf "%s/%s" name (Mode.to_string mode), plan))
+        [ Mode.Hardened; Mode.Relaxed ])
+    (shipped_sources ())
+
+let check_resolution (name, (plan : Privagic_partition.Plan.t)) =
+  let module Plan = Privagic_partition.Plan in
+  let module Color = Privagic_pir.Color in
+  let module Func = Privagic_pir.Func in
+  let module Instr = Privagic_pir.Instr in
+  let m = plan.Plan.pmodule in
+  let nop _ _ _ _ = Rvalue.zero in
+  let hooks =
+    { Exec.h_call = nop; h_callind = nop; h_spawn = (fun _ _ _ _ -> ());
+      h_pre_instr = (fun _ _ -> ()); h_alloca_zone = (fun _ _ -> Heap.Unsafe) }
+  in
+  let ex =
+    Exec.create m (Heap.create ())
+      (Layout.create ~auth_pointers:plan.Plan.auth_pointers m plan.Plan.mode)
+      (Sgx.Machine.create Sgx.Config.machine_test) hooks
+  in
+  Exec.init_globals ex (Dispatch.global_zone plan);
+  let image = Image.build ~plan ex in
+  let disp : unit Dispatch.t = Dispatch.create ~image plan in
+  let records = Dispatch.records disp in
+  let fail fmt = Alcotest.failf ("%s: " ^^ fmt) name in
+  (* every function has its own record, reachable without a fresh build *)
+  Hashtbl.iter
+    (fun _ (pf : Plan.pfunc) ->
+      let own = match pf.Plan.pf_colorset with [] -> [ Color.Free ] | cs -> cs in
+      if not (List.memq (Dispatch.shape disp pf own) records) then
+        fail "no record for %s"
+          (Infer.instance_name pf.Plan.pf_key))
+    plan.Plan.pfuncs;
+  List.iter
+    (fun (ep : Plan.entry_plan) ->
+      match Dispatch.entry disp ep.Plan.ep_name with
+      | Some en when en.Dispatch.en_rf.Dispatch.rf_pf.Plan.pf_key = ep.Plan.ep_key -> ()
+      | _ -> fail "entry %s unresolved" ep.Plan.ep_name)
+    plan.Plan.entries;
+  List.iter
+    (fun (rf : Dispatch.rfunc) ->
+      let pf = rf.Dispatch.rf_pf in
+      let parts = rf.Dispatch.rf_participants in
+      let fname = Infer.instance_name pf.Plan.pf_key in
+      (* chunks and their code *)
+      List.iter
+        (fun c ->
+          match Dispatch.chunk rf c, Dispatch.chunk_for pf c with
+          | None, None -> ()
+          | Some ch, Some f when ch.Dispatch.ch_func == f -> (
+            match ch.Dispatch.ch_code, Image.find_code image f with
+            | Some a, Some b when a == b -> ()
+            | None, None -> ()
+            | _ -> fail "%s: chunk %s has the wrong code" fname f.Func.name)
+          | _ -> fail "%s: wrong chunk for %s" fname (Color.to_string c))
+        ([ Color.Free; Color.Unsafe; Color.Shared ] @ parts
+        @ List.map (fun (ci : Plan.chunk_info) -> ci.Plan.ci_color) pf.Plan.pf_chunks);
+      (* barriers and presence, per instruction id *)
+      Hashtbl.iter
+        (fun id () ->
+          if Dispatch.barrier rf id <> Dispatch.barrier_at pf id ~participants:parts
+          then fail "%s: barrier at %d" fname id)
+        pf.Plan.pf_barriers;
+      Array.iteri
+        (fun id present ->
+          if Dispatch.barrier rf id <> Dispatch.barrier_at pf id ~participants:parts
+          then fail "%s: barrier at %d" fname id;
+          if present <> Dispatch.site_presence pf id then
+            fail "%s: presence of %d" fname id)
+        rf.Dispatch.rf_presence;
+      (* every instruction of every chunk: its resolved site *)
+      List.iter
+        (fun (ci : Plan.chunk_info) ->
+          Func.iter_instrs ci.Plan.ci_func (fun _ (i : Instr.t) ->
+              let id = i.Instr.id in
+              match i.Instr.op, Dispatch.resolved rf id with
+              | Instr.Call _, Dispatch.Call rs ->
+                let cp = Hashtbl.find pf.Plan.pf_calls id in
+                let callee_pf = Option.get (Plan.find_pfunc plan cp.Plan.cp_key) in
+                let callee_cs = callee_pf.Plan.pf_colorset in
+                let p_site =
+                  if pf.Plan.pf_colorset = [] then parts
+                  else Dispatch.site_presence pf id
+                in
+                if rs.Dispatch.rs_callee.Dispatch.rf_pf != callee_pf
+                   || rs.Dispatch.rs_callee.Dispatch.rf_participants
+                      <> (if callee_cs = [] then p_site else callee_cs)
+                then fail "%s/%d: callee record" fname id;
+                if rs.Dispatch.rs_p_site <> p_site
+                   || rs.Dispatch.rs_takers <> List.length p_site
+                then fail "%s/%d: site participants" fname id;
+                List.iter
+                  (fun self ->
+                    if Dispatch.site_layout ~p_site ~callee_cs ~self
+                       <> rs.Dispatch.rs_layout
+                    then fail "%s/%d: layout for %s" fname id (Color.to_string self))
+                  p_site;
+                if rs.Dispatch.rs_needers
+                   <> Dispatch.ret_needers ~caller_pf:pf ~p_site ~callee_cs i
+                then fail "%s/%d: return-value needers" fname id;
+                if rs.Dispatch.rs_f_reg_args <> Dispatch.f_reg_args cp i then
+                  fail "%s/%d: computed F arguments" fname id
+              | Instr.Call (callee, _), r ->
+                let expected =
+                  if Hashtbl.mem pf.Plan.pf_calls id then "a call site"
+                  else if Privagic_pir.Pmodule.is_defined m callee then "unplanned"
+                  else "an extern"
+                in
+                (match r, expected with
+                | Dispatch.Unplanned, "unplanned" | Dispatch.Extern, "an extern" -> ()
+                | _ -> fail "%s/%d: @%s should be %s" fname id callee expected)
+              | Instr.Spawn _, r -> (
+                match Infer.call_site plan.Plan.infer pf.Plan.pf_key id, r with
+                | Some key, Dispatch.Thread t
+                  when t.Dispatch.rf_pf.Plan.pf_key = key -> ()
+                | None, Dispatch.Unplanned -> ()
+                | _ -> fail "%s/%d: thread spawn" fname id)
+              | Instr.Callind _, Dispatch.Indirect readers ->
+                let expected =
+                  match Instr.defines i with
+                  | None -> []
+                  | Some r ->
+                    List.filter_map
+                      (fun (ci : Plan.chunk_info) ->
+                        if Dispatch.chunk_needs ci.Plan.ci_func r then
+                          Some ci.Plan.ci_color
+                        else None)
+                      pf.Plan.pf_chunks
+                in
+                if readers <> expected then fail "%s/%d: indirect readers" fname id
+              | Instr.Callind _, _ -> fail "%s/%d: indirect call" fname id
+              | _, Dispatch.Unplanned -> ()
+              | _, _ -> fail "%s/%d: a non-call resolved as a call" fname id))
+        pf.Plan.pf_chunks)
+    records
+
+let test_resolution_differential () =
+  let plans = shipped_plans () in
+  (* the shipped corpus partitions: guard against a vacuous pass *)
+  Alcotest.(check bool) "at least 20 plans checked" true (List.length plans >= 20);
+  List.iter check_resolution plans
+
 let suite =
   [
     Alcotest.test_case "fig6 equivalence" `Quick test_fig6_equivalence;
@@ -313,4 +495,6 @@ let suite =
     Alcotest.test_case "execution trace" `Quick test_trace;
     Alcotest.test_case "concurrent client threads" `Quick
       test_concurrent_client_threads;
+    Alcotest.test_case "resolution differential (shipped programs)" `Quick
+      test_resolution_differential;
   ]

@@ -168,9 +168,9 @@ let test_sched_runs_by_clock () =
   let sched = Sched.create () in
   let order = ref [] in
   ignore
-    (Sched.spawn sched ~name:"late" ~at:100.0 (fun _ -> order := "late" :: !order));
+    (Sched.spawn sched ~name:(lazy "late") ~at:100.0 (fun _ -> order := "late" :: !order));
   ignore
-    (Sched.spawn sched ~name:"early" ~at:1.0 (fun _ -> order := "early" :: !order));
+    (Sched.spawn sched ~name:(lazy "early") ~at:1.0 (fun _ -> order := "early" :: !order));
   (match Sched.run sched with
   | Sched.Completed -> ()
   | _ -> Alcotest.fail "expected Completed");
@@ -181,12 +181,12 @@ let test_sched_block_resume () =
   let flag = ref false in
   let observed = ref (-1.0) in
   ignore
-    (Sched.spawn sched ~name:"waiter" ~at:0.0 (fun clock ->
+    (Sched.spawn sched ~name:(lazy "waiter") ~at:0.0 (fun clock ->
          Sched.block (fun () -> !flag) (fun () -> 55.0);
          Vclock.set clock (Float.max (Vclock.get clock) 55.0);
          observed := (Vclock.get clock)));
   ignore
-    (Sched.spawn sched ~name:"setter" ~at:10.0 (fun _ -> flag := true));
+    (Sched.spawn sched ~name:(lazy "setter") ~at:10.0 (fun _ -> flag := true));
   ignore (Sched.run sched : Sched.outcome);
   Alcotest.(check (float 0.001)) "resumed at arrival time" 55.0 !observed
 
@@ -194,17 +194,17 @@ let test_sched_spawn_during_run () =
   let sched = Sched.create () in
   let hits = ref 0 in
   ignore
-    (Sched.spawn sched ~name:"parent" ~at:0.0 (fun _ ->
+    (Sched.spawn sched ~name:(lazy "parent") ~at:0.0 (fun _ ->
          incr hits;
          ignore
-           (Sched.spawn sched ~name:"child" ~at:5.0 (fun _ -> incr hits))));
+           (Sched.spawn sched ~name:(lazy "child") ~at:5.0 (fun _ -> incr hits))));
   ignore (Sched.run sched : Sched.outcome);
   Alcotest.(check int) "both ran" 2 !hits
 
 let test_sched_blocked_stays () =
   let sched = Sched.create () in
   ignore
-    (Sched.spawn sched ~name:"stuck" ~at:0.0 (fun _ ->
+    (Sched.spawn sched ~name:(lazy "stuck") ~at:0.0 (fun _ ->
          Sched.block (fun () -> false) (fun () -> 0.0)));
   (* default allows blocked workers (servers waiting for messages) and
      reports them in the outcome *)
@@ -223,11 +223,11 @@ let test_sched_virtual_time_causality () =
   let mailbox = ref None in
   let consumer_clock = ref 0.0 in
   ignore
-    (Sched.spawn sched ~name:"producer" ~at:0.0 (fun clock ->
+    (Sched.spawn sched ~name:(lazy "producer") ~at:0.0 (fun clock ->
          Vclock.add clock (500.0);
          mailbox := Some (Vclock.get clock)));
   ignore
-    (Sched.spawn sched ~name:"consumer" ~at:0.0 (fun clock ->
+    (Sched.spawn sched ~name:(lazy "consumer") ~at:0.0 (fun clock ->
          Sched.block
            (fun () -> !mailbox <> None)
            (fun () -> match !mailbox with Some t -> t | None -> 0.0);

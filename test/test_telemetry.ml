@@ -312,7 +312,7 @@ let prop_queue_linearizable =
       List.iteri
         (fun i ops ->
           ignore
-            (Sched.spawn sched ~name:(Printf.sprintf "fiber-%d" i)
+            (Sched.spawn sched ~name:(lazy (Printf.sprintf "fiber-%d" i))
                ~at:(float_of_int (i mod 2))
                (fun clock ->
                  List.iter
