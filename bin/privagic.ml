@@ -8,10 +8,10 @@
    privagic profile <file.mc> <entry> [args...]
                                    execute under telemetry; print metrics
                                    and the critical path (--live dumps the
-                                   Prometheus exposition, --stalls writes
-                                   the per-lane stall report)
+                                   Prometheus exposition)
    privagic tcb <file.mc>          per-enclave TCB report
-   privagic experiments [names]    regenerate the paper's tables/figures *)
+   privagic experiments [names]    regenerate the paper's tables/figures
+   privagic bench vm|obs           engine speed / observability records *)
 
 open Cmdliner
 open Privagic_pir
@@ -310,69 +310,60 @@ let run_action mode auth trace schedule max_steps backend lanes engine path
 (* profile: run an entry under telemetry, then print the plain-text
    summary (counters, histograms, occupancy) and the critical path.
    --live additionally dumps the lib/obs Prometheus exposition of the
-   run's VM counters; --stalls skips the single-entry run entirely and
-   produces the per-lane stall-attribution report (BENCH_obs.json). *)
-let profile_action mode auth trace engine stalls live quick path entry args =
-  match (stalls, path, entry) with
-  | true, _, _ ->
-    ignore (Privagic_harness.Obsbench.run ~quick ());
-    0
-  | false, Some path, Some entry ->
-    let plan = build_plan ~auth mode path in
-    let pt = Privagic_vm.Pinterp.create ~engine plan in
-    let argv =
-      List.map (fun a -> Privagic_vm.Rvalue.Int (Int64.of_string a)) args
-    in
-    let rec_ = Tel.Recorder.create () in
-    Privagic_vm.Pinterp.set_telemetry pt rec_;
-    (match Privagic_vm.Pinterp.call_entry pt entry argv with
-    | r ->
-      print_string (Privagic_vm.Pinterp.output pt);
-      let track_name = Tel.Recorder.track_name rec_ in
-      let summary = Tel.Summary.of_recorder rec_ in
-      Format.printf "%a@." (Tel.Summary.pp ~track_name) summary;
-      let cp = Tel.Critical_path.analyze (Tel.Recorder.events rec_) in
-      Format.printf "%a@." (Tel.Critical_path.pp ~track_name) cp;
-      (match trace with
-      | Some out ->
-        write_trace rec_ out;
-        Format.printf "trace written to %s@." out
-      | None -> ());
-      (if live then begin
-         let module Obs = Privagic_obs in
-         let reg = Obs.Registry.create () in
-         let ex = pt.Privagic_vm.Pinterp.exec in
-         Obs.Registry.gauge reg
-           ~help:"Executed PIR instructions (all executors)"
-           "privagic_vm_steps_total"
-           (fun () -> float_of_int ex.Privagic_vm.Exec.steps);
-         Obs.Registry.gauge reg ~help:"Extern dispatches"
-           "privagic_vm_externs_total"
-           (fun () -> float_of_int ex.Privagic_vm.Exec.externs);
-         Obs.Registry.multi_gauge reg
-           ~help:"Declassify calls by source color"
-           "privagic_declassify_total"
-           (fun () ->
-             Hashtbl.fold
-               (fun color r acc ->
-                 ([ ("color", color) ], float_of_int !r) :: acc)
-               ex.Privagic_vm.Exec.declass []
-             |> List.sort compare);
-         print_string (Obs.Registry.expose reg)
-       end);
-      Format.printf "=> %s  (latency: %.0f cycles)@."
-        (Privagic_vm.Rvalue.to_string r.Privagic_vm.Pinterp.value)
-        r.Privagic_vm.Pinterp.latency_cycles
-    | exception Privagic_vm.Pinterp.Error msg ->
-      prerr_endline ("runtime error: " ^ msg);
-      exit 3
-    | exception Privagic_vm.Exec.Trap msg ->
-      prerr_endline ("trap: " ^ msg);
-      exit 3);
-    0
-  | false, _, _ ->
-    prerr_endline "profile: FILE and ENTRY are required (unless --stalls)";
-    2
+   run's VM counters. *)
+let profile_action mode auth trace engine live path entry args =
+  let plan = build_plan ~auth mode path in
+  let pt = Privagic_vm.Pinterp.create ~engine plan in
+  let argv =
+    List.map (fun a -> Privagic_vm.Rvalue.Int (Int64.of_string a)) args
+  in
+  let rec_ = Tel.Recorder.create () in
+  Privagic_vm.Pinterp.set_telemetry pt rec_;
+  (match Privagic_vm.Pinterp.call_entry pt entry argv with
+  | r ->
+    print_string (Privagic_vm.Pinterp.output pt);
+    let track_name = Tel.Recorder.track_name rec_ in
+    let summary = Tel.Summary.of_recorder rec_ in
+    Format.printf "%a@." (Tel.Summary.pp ~track_name) summary;
+    let cp = Tel.Critical_path.analyze (Tel.Recorder.events rec_) in
+    Format.printf "%a@." (Tel.Critical_path.pp ~track_name) cp;
+    (match trace with
+    | Some out ->
+      write_trace rec_ out;
+      Format.printf "trace written to %s@." out
+    | None -> ());
+    (if live then begin
+       let module Obs = Privagic_obs in
+       let reg = Obs.Registry.create () in
+       let ex = pt.Privagic_vm.Pinterp.exec in
+       Obs.Registry.gauge reg
+         ~help:"Executed PIR instructions (all executors)"
+         "privagic_vm_steps_total"
+         (fun () -> float_of_int ex.Privagic_vm.Exec.steps);
+       Obs.Registry.gauge reg ~help:"Extern dispatches"
+         "privagic_vm_externs_total"
+         (fun () -> float_of_int ex.Privagic_vm.Exec.externs);
+       Obs.Registry.multi_gauge reg
+         ~help:"Declassify calls by source color"
+         "privagic_declassify_total"
+         (fun () ->
+           Hashtbl.fold
+             (fun color r acc ->
+               ([ ("color", color) ], float_of_int !r) :: acc)
+             ex.Privagic_vm.Exec.declass []
+           |> List.sort compare);
+       print_string (Obs.Registry.expose reg)
+     end);
+    Format.printf "=> %s  (latency: %.0f cycles)@."
+      (Privagic_vm.Rvalue.to_string r.Privagic_vm.Pinterp.value)
+      r.Privagic_vm.Pinterp.latency_cycles
+  | exception Privagic_vm.Pinterp.Error msg ->
+    prerr_endline ("runtime error: " ^ msg);
+    exit 3
+  | exception Privagic_vm.Exec.Trap msg ->
+    prerr_endline ("trap: " ^ msg);
+    exit 3);
+  0
 
 let graph_action mode auth path =
   let plan = build_plan ~auth mode path in
@@ -394,47 +385,15 @@ let experiments_action quick names =
 let bench_action quick out target =
   match target with
   | "vm" ->
-    let path = Option.value out ~default:"BENCH_vm.json" in
-    ignore (Privagic_harness.Vmbench.run ~quick ~path ());
+    Privagic_harness.Vmbench.run ~quick
+      ~path:(Option.value out ~default:"BENCH_vm.json") ();
     0
-  | "replication" ->
-    let path = Option.value out ~default:"BENCH_replication.json" in
-    ignore (Privagic_harness.Replbench.run ~quick ~path ());
-    0
-  | "robust" ->
-    let module R = Privagic_robust.Driver in
-    let path = Option.value out ~default:"BENCH_robust.json" in
-    let rp = R.fuzz ~seed:1 ~programs:(if quick then 40 else 500) () in
-    R.write_json ~path rp;
-    Printf.printf
-      "robust: %d programs, %d violation(s), kill rate %.0f%% -> %s\n"
-      rp.R.rp_programs (R.violations_total rp)
-      (100. *. R.kill_rate rp)
-      path;
-    if R.passed rp then 0 else 1
   | "obs" ->
-    let path = Option.value out ~default:"BENCH_obs.json" in
-    ignore (Privagic_harness.Obsbench.run ~quick ~path ());
+    Privagic_harness.Obsbench.run ~quick
+      ~path:(Option.value out ~default:"BENCH_obs.json") ();
     0
-  | "txn" ->
-    let path = Option.value out ~default:"BENCH_txn.json" in
-    let r = Privagic_harness.Txnbench.run ~quick ~path () in
-    let module T = Privagic_harness.Txnbench in
-    (* sanity gate for CI: commits happened, aborts matched the seeded
-       stale guards, and no mix saw protocol errors *)
-    if
-      r.T.tb_txn.T.tp_commits = 0
-      || r.T.tb_txn.T.tp_aborts = 0
-      || List.exists (fun c -> c.T.tb_errors > 0) r.T.tb_mixes
-    then begin
-      prerr_endline "bench txn: counter sanity check failed";
-      1
-    end
-    else 0
   | t ->
-    prerr_endline
-      ("bench: unknown target '" ^ t
-     ^ "' (expected: vm, replication, robust, obs, txn)");
+    prerr_endline ("bench: unknown target '" ^ t ^ "' (expected: vm, obs)");
     2
 
 (* --- the robust-safety fuzzer --- *)
@@ -449,7 +408,7 @@ let fuzz_action seed programs quick out =
   in
   let rp = R.fuzz ~seed ~programs ~progress () in
   let path = Option.value out ~default:"BENCH_robust.json" in
-  R.write_json ~path rp;
+  R.write_json ~env:(Privagic_harness.Report.env_json ~seed) ~path rp;
   let killed = List.length (List.filter (fun k -> k.R.k_killed) rp.R.rp_kills) in
   Printf.printf
     "robust: %d adversarial programs, %d actions, %d secrecy violation(s), \
@@ -730,15 +689,6 @@ let run_cmd =
           $ entry_pos $ args_pos)
 
 let profile_cmd =
-  let stalls =
-    Arg.(
-      value & flag
-      & info [ "stalls" ]
-          ~doc:"Per-lane stall attribution on the real-parallel backend: \
-                decompose each lane's wall time into run / pump-wait / \
-                queue-wait / barrier / park per workload family, print the \
-                table and write BENCH_obs.json. FILE/ENTRY are not needed.")
-  in
   let live =
     Arg.(
       value & flag
@@ -748,35 +698,14 @@ let profile_cmd =
                 exposition format — the same grammar 'stats metrics' \
                 serves on a live server.")
   in
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ]
-          ~doc:"With --stalls: reduced record/operation counts (seconds).")
-  in
-  let file_opt =
-    Arg.(
-      value
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE"
-          ~doc:"Annotated mini-C source file (not needed with --stalls).")
-  in
-  let entry_opt =
-    Arg.(
-      value
-      & pos 1 (some string) None
-      & info [] ~docv:"ENTRY"
-          ~doc:"Entry point to execute (not needed with --stalls).")
-  in
   Cmd.v
     (Cmd.info "profile"
        ~doc:"Execute an entry point under telemetry and print the metrics \
              summary (counters, latency histograms, per-worker occupancy) \
              and the critical path through the partitioned execution; \
-             --live dumps the Prometheus exposition of the run, --stalls \
-             writes the per-lane stall-attribution report instead")
+             --live dumps the Prometheus exposition of the run")
     Term.(const profile_action $ mode_arg $ auth_arg $ trace_arg $ engine_arg
-          $ stalls $ live $ quick $ file_opt $ entry_opt $ args_pos)
+          $ live $ file_arg $ entry_pos $ args_pos)
 
 let graph_cmd =
   Cmd.v
@@ -830,22 +759,17 @@ let bench_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"TARGET"
           ~doc:"Benchmark target: 'vm' (walk-vs-image engine comparison, \
-                steps/sec), 'replication' (sync/async delta shipping: \
-                throughput, lag percentiles, failover time), 'robust' \
-                (adversarial robust-safety campaign: programs/s checked, \
-                mutant kill rate), 'obs' (per-lane stall attribution \
-                plus instrumentation overhead), or 'txn' (YCSB-E/F mixes \
-                plus multi-op transactions against the serving layer).")
+                steps/sec) or 'obs' (per-lane stall attribution plus \
+                instrumentation overhead).")
   in
   Cmd.v
     (Cmd.info "bench"
        ~doc:"Run a runtime benchmark target; 'vm' compares the \
              tree-walking and linked-image engines across workloads on \
-             both backends (BENCH_vm.json), 'replication' measures delta \
-             shipping against in-process replicas (BENCH_replication.json), \
-             'robust' runs the adversarial robust-safety campaign \
-             (BENCH_robust.json), 'obs' measures stall attribution and \
-             observability overhead (BENCH_obs.json)")
+             both backends (BENCH_vm.json), 'obs' measures stall \
+             attribution and observability overhead (BENCH_obs.json). \
+             The served store is measured by the benchmark \
+             (benchsuite/run.py), the paper's figures by 'experiments'.")
     Term.(const bench_action $ quick $ out $ target)
 
 let fuzz_cmd =
@@ -1089,10 +1013,9 @@ let loadgen_cmd =
   let out =
     Arg.(
       value
-      & opt (some string) (Some "BENCH_server.json")
+      & opt (some string) None
       & info [ "out" ] ~docv:"FILE"
-          ~doc:"Write the JSON result record here (default \
-                BENCH_server.json).")
+          ~doc:"Also write the result as a JSON record to FILE.")
   in
   Cmd.v
     (Cmd.info "loadgen"

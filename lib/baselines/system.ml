@@ -14,7 +14,6 @@
 
 open Privagic_secure
 module Sgx = Privagic_sgx
-module Tel = Privagic_telemetry
 open Privagic_vm
 
 type kind =
@@ -51,7 +50,7 @@ type t = {
 exception Rejected of Diagnostic.t list
 
 let create ?(config = Sgx.Config.machine_b) ?cost ?(auth_pointers = false)
-    ?telemetry ?engine (kind : kind) (src : string) : t =
+    (kind : kind) (src : string) : t =
   let m = Privagic_minic.Driver.compile ~file:"program.mc" src in
   match kind with
   | Unprotected | Scone | Intel_sdk Mode.Hardened ->
@@ -61,14 +60,7 @@ let create ?(config = Sgx.Config.machine_b) ?cost ?(auth_pointers = false)
       | Intel_sdk _ -> Interp.intel_sdk
       | _ -> Interp.scone
     in
-    let it = Interp.create ~config ?cost ?engine m policy in
-    (* the single-system interpreters only expose the machine-level events
-       (transitions, faults), timed by the sequential clock *)
-    (match telemetry with
-    | Some r ->
-      Sgx.Machine.set_telemetry (Interp.machine it) r;
-      Tel.Recorder.set_now r (fun () -> Interp.clock it)
-    | None -> ());
+    let it = Interp.create ~config ?cost m policy in
     {
       name = kind_name kind;
       kind;
@@ -92,10 +84,7 @@ let create ?(config = Sgx.Config.machine_b) ?cost ?(auth_pointers = false)
       | Intel_sdk _ -> Sgx.Machine.switchless_cost
       | _ -> Sgx.Machine.queue_msg_cost
     in
-    let pt = Pinterp.create ~config ?cost ~crossing ?engine plan in
-    (match telemetry with
-    | Some r -> Pinterp.set_telemetry pt r
-    | None -> ());
+    let pt = Pinterp.create ~config ?cost ~crossing plan in
     {
       name = kind_name kind;
       kind;

@@ -38,15 +38,10 @@ type t = {
 exception Rejected of Diagnostic.t list
 (** The Privagic checker refused the program. *)
 
-(** [telemetry] attaches a recorder to the simulated execution: the
-    partitioned systems record the full event set (fibers, messages,
-    chunks, machine events); the single-system baselines record machine
-    events only. [engine] selects the VM execution engine (default
-    [Privagic_vm.Exec.default_engine ()]). *)
+(** The VM runs on [Privagic_vm.Exec.default_engine ()]. *)
 val create :
   ?config:Sgx.Config.t -> ?cost:Sgx.Cost.t -> ?auth_pointers:bool ->
-  ?telemetry:Privagic_telemetry.Recorder.t ->
-  ?engine:Privagic_vm.Exec.engine -> kind -> string -> t
+  kind -> string -> t
 
 (** Client-side buffers in unsafe memory (the harness's network buffers). *)
 val alloc_buffer : t -> int -> int

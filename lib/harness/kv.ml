@@ -52,150 +52,60 @@ type result = {
   ecalls_switchless : int;
 }
 
-(* --- real-parallel backend (OCaml 5 domains, wall-clock time) --- *)
-
-module Parallel = Privagic_parallel.Parallel
-
-type parallel_result = {
-  pr_family : family;
-  pr_record_count : int;
-  pr_operations : int;
-  pr_drivers : int;            (* issuing threads (1 = closed loop) *)
-  pr_domains : int;            (* domains the worker pool actually spawned *)
-  pr_wall_seconds : float;     (* run phase only, wall clock *)
-  pr_throughput_kops : float;
-  pr_p_found : float;
-  pr_steps : int;              (* VM steps retired during the run phase *)
-  pr_steps_per_sec : float;
-  pr_stalls : Privagic_obs.Lane.breakdown list;
-      (* per-lane phase decomposition at run end (empty with obs off) *)
-}
-
-let colored_plan ?(auth_pointers = false) ~mode src =
+(* The colored variant of a family, checked and partitioned under the
+   family's mode. *)
+let plan_for family ~nbuckets ~vsize =
+  let src = source family `Colored ~nbuckets ~vsize in
   let m = Privagic_minic.Driver.compile ~file:"program.mc" src in
-  let infer = Privagic_secure.Infer.run ~mode ~auth_pointers m in
+  let mode = mode_for family in
+  let infer = Privagic_secure.Infer.run ~mode m in
   if not (Privagic_secure.Infer.ok infer) then
-    invalid_arg "run_parallel: program rejected by the checker";
-  let plan = Privagic_partition.Plan.build ~mode ~auth_pointers infer in
+    invalid_arg "Kv.plan_for: program rejected by the checker";
+  let plan = Privagic_partition.Plan.build ~mode infer in
   if plan.Privagic_partition.Plan.diagnostics <> [] then
-    invalid_arg "run_parallel: partitioning rejected";
+    invalid_arg "Kv.plan_for: partitioning rejected";
   plan
 
-let run_parallel ?(nbuckets = 4096) ?(vsize = 1024) ?(seed = 42)
-    ?(distribution = Ycsb.Zipfian) ?(lanes = 2) ?(drivers = 1) ?telemetry
-    ?engine (family : family) ~(record_count : int) ~(operations : int) () :
-    parallel_result =
-  let src = source family `Colored ~nbuckets ~vsize in
-  let plan = colored_plan ~mode:(mode_for family) src in
-  let p = Parallel.create ~lanes ?engine plan in
-  (match telemetry with
-  | Some r -> Parallel.set_telemetry p r
-  | None -> ());
-  let heap = (Parallel.exec p).Exec.heap in
+(* One host-speed pass over a loaded store. The first pass inserts
+   fresh records (extra allocation steps); later passes overwrite in
+   place, so every pass after it executes the same instruction
+   sequence. *)
+let replay_pass ~call ~steps ~heap family ~records ~operations ~vsize =
   let put_entry, get_entry = entries family in
   let vbuf = Heap.alloc heap Heap.Unsafe vsize in
+  let obuf = Heap.alloc heap Heap.Unsafe vsize in
   String.iteri
     (fun i c -> Heap.store heap (vbuf + i) 1 (Int64.of_int (Char.code c)))
     (Ycsb.value_for ~size:vsize 1);
   (if family = Memcached then
-     ignore
-       (Parallel.call_entry p "mc_init"
-          [ Rvalue.Int (Int64.of_int (record_count * 2)) ]));
-  for k = 0 to record_count - 1 do
-    ignore
-      (Parallel.call_entry p put_entry
-         [ Rvalue.Int (Int64.of_int k); Rvalue.Ptr vbuf ])
-  done;
-  (* Measured phase. [drivers = 1] is the closed loop of old: one
-     blocking caller, so with more than one lane the pool mostly parks
-     waiting for the driver (E14) and the stall table measures the
-     driver. [drivers > 1] is the multi-inflight mode: that many
-     issuing threads keep the lanes fed concurrently, so stalls
-     attribute to the engine. Each driver owns its generator (offset
-     seeds), its output buffer and its share of the ops; keys are
-     shared on purpose — that is the contended case. *)
-  let drivers = max 1 drivers in
-  let mk_gen i =
-    let spec =
-      { (Ycsb.workload_b ~seed:(seed + (i * 1000003)) ~record_count
-           ~operation_count:operations ~value_size:vsize ())
-        with Ycsb.distribution }
-    in
-    Ycsb.create spec
+     ignore (call "mc_init" [ Rvalue.Int (Int64.of_int (records * 2)) ]));
+  let spec =
+    Ycsb.workload_b ~seed:42 ~record_count:records ~operation_count:operations
+      ~value_size:vsize ()
   in
-  let obufs = Array.init drivers (fun _ -> Heap.alloc heap Heap.Unsafe vsize) in
-  let founds = Array.make drivers 0 and readss = Array.make drivers 0 in
-  let share i =
-    (operations / drivers) + if i < operations mod drivers then 1 else 0
-  in
-  let drive i () =
-    let gen = mk_gen i in
-    let obuf = obufs.(i) in
-    for _ = 1 to share i do
+  fun () ->
+    let steps0 = steps () in
+    let t0 = Unix.gettimeofday () in
+    for k = 0 to records - 1 do
+      ignore (call put_entry [ Rvalue.Int (Int64.of_int k); Rvalue.Ptr vbuf ])
+    done;
+    let gen = Ycsb.create spec in
+    for _ = 1 to operations do
       match Ycsb.next_op gen with
-      | Ycsb.Read k | Ycsb.Scan (k, _) ->
-        readss.(i) <- readss.(i) + 1;
-        let r =
-          Parallel.call_entry p ~thread:i get_entry
-            [ Rvalue.Int (Int64.of_int k); Rvalue.Ptr obuf ]
-        in
-        if Rvalue.truthy r.Parallel.value then founds.(i) <- founds.(i) + 1
-      | Ycsb.Rmw k ->
-        readss.(i) <- readss.(i) + 1;
-        let r =
-          Parallel.call_entry p ~thread:i get_entry
-            [ Rvalue.Int (Int64.of_int k); Rvalue.Ptr obuf ]
-        in
-        if Rvalue.truthy r.Parallel.value then founds.(i) <- founds.(i) + 1;
-        ignore
-          (Parallel.call_entry p ~thread:i put_entry
-             [ Rvalue.Int (Int64.of_int k); Rvalue.Ptr vbuf ])
+      | Ycsb.Read k | Ycsb.Scan (k, _) | Ycsb.Rmw k ->
+        ignore (call get_entry [ Rvalue.Int (Int64.of_int k); Rvalue.Ptr obuf ])
       | Ycsb.Update k | Ycsb.Insert k ->
-        ignore
-          (Parallel.call_entry p ~thread:i put_entry
-             [ Rvalue.Int (Int64.of_int k); Rvalue.Ptr vbuf ])
-    done
-  in
-  let steps0 = Parallel.total_steps p in
-  let start = Unix.gettimeofday () in
-  (if drivers = 1 then drive 0 ()
-   else
-     let ths = List.init drivers (fun i -> Thread.create (drive i) ()) in
-     List.iter Thread.join ths);
-  let found = Array.fold_left ( + ) 0 founds
-  and reads = Array.fold_left ( + ) 0 readss in
-  let found = ref found and reads = ref reads in
-  let wall = Unix.gettimeofday () -. start in
-  let steps = Parallel.total_steps p - steps0 in
-  let stalls = Parallel.lane_breakdowns p in
-  let domains = Parallel.domain_count p in
-  ignore (Parallel.shutdown p);
-  {
-    pr_family = family;
-    pr_record_count = record_count;
-    pr_operations = operations;
-    pr_drivers = drivers;
-    pr_domains = domains;
-    pr_wall_seconds = wall;
-    pr_throughput_kops =
-      (if wall > 0.0 then float_of_int operations /. wall /. 1000.0 else 0.0);
-    pr_p_found =
-      (if !reads > 0 then float_of_int !found /. float_of_int !reads else 1.0);
-    pr_steps = steps;
-    pr_steps_per_sec =
-      (if wall > 0.0 then float_of_int steps /. wall else 0.0);
-    pr_stalls = stalls;
-  }
+        ignore (call put_entry [ Rvalue.Int (Int64.of_int k); Rvalue.Ptr vbuf ])
+    done;
+    (steps () - steps0, Unix.gettimeofday () -. t0)
 
 let run ?(config = Sgx.Config.machine_b) ?cost ?(nbuckets = 4096)
-    ?(vsize = 1024) ?(seed = 42) ?(distribution = Ycsb.Zipfian)
-    ?(auth_pointers = false) ?telemetry ?engine (family : family)
+    ?(vsize = 1024) ?(distribution = Ycsb.Zipfian) ?(auth_pointers = false)
+    (family : family)
     (kind : System.kind) ~(record_count : int) ~(operations : int) () :
     result =
   let src = source family (System.variant kind) ~nbuckets ~vsize in
-  let sys =
-    System.create ~config ?cost ~auth_pointers ?telemetry ?engine kind src
-  in
+  let sys = System.create ~config ?cost ~auth_pointers kind src in
   let put_entry, get_entry = entries family in
   let vbuf = System.alloc_buffer sys vsize in
   let obuf = System.alloc_buffer sys vsize in
@@ -211,13 +121,9 @@ let run ?(config = Sgx.Config.machine_b) ?cost ?(nbuckets = 4096)
     ignore (sys.System.call put_entry [ Rvalue.Int (Int64.of_int k); Rvalue.Ptr vbuf ])
   done;
   Sgx.Machine.reset_stats sys.System.machine;
-  (* the load phase is warm-up: telemetry covers the measured phase only *)
-  (match telemetry with
-  | Some r -> Privagic_telemetry.Recorder.clear r
-  | None -> ());
   (* run phase *)
   let spec =
-    { (Ycsb.workload_b ~seed ~record_count ~operation_count:operations
+    { (Ycsb.workload_b ~seed:42 ~record_count ~operation_count:operations
          ~value_size:vsize ())
       with Ycsb.distribution }
   in

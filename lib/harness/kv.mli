@@ -36,50 +36,37 @@ type result = {
   ecalls_switchless : int;
 }
 
-type parallel_result = {
-  pr_family : family;
-  pr_record_count : int;
-  pr_operations : int;
-  pr_drivers : int;        (** issuing threads (1 = closed loop) *)
-  pr_domains : int;        (** domains the worker pool actually spawned *)
-  pr_wall_seconds : float; (** run phase only, wall clock *)
-  pr_throughput_kops : float;
-  pr_p_found : float;
-  pr_steps : int;          (** VM steps retired during the run phase *)
-  pr_steps_per_sec : float;
-  pr_stalls : Privagic_obs.Lane.breakdown list;
-      (** per-lane phase decomposition at run end (lib/obs), empty when
-          obs is disabled *)
-}
+(** The [`Colored] variant of a family, checked and partitioned under
+    {!mode_for}. @raise Invalid_argument if the checker or the
+    partitioner rejects it. *)
+val plan_for :
+  family -> nbuckets:int -> vsize:int -> Privagic_partition.Plan.t
 
-(** Same load/replay protocol as {!run}, but on the real-parallel backend
-    ({!Privagic_parallel.Parallel}): OCaml 5 domains, wall-clock
-    throughput. No machine counters — the cost model does not run here. *)
-val run_parallel :
-  ?nbuckets:int ->
-  ?vsize:int ->
-  ?seed:int ->
-  ?distribution:Ycsb.distribution ->
-  ?lanes:int ->
-  ?drivers:int ->
-  ?telemetry:Privagic_telemetry.Recorder.t ->
-  ?engine:Privagic_vm.Exec.engine ->
+(** Host-speed replay of the YCSB-B protocol through [call] on a store
+    whose unsafe memory is [heap]: allocates the value and output
+    buffers (and runs [mc_init] for {!Memcached}), then returns one pass
+    that puts every record and replays [operations] operations. A pass
+    returns the steps it executed, read from [steps], and its wall
+    seconds. The first pass inserts; later ones overwrite in place, so
+    they all execute the same instruction sequence. *)
+val replay_pass :
+  call:(string -> Privagic_vm.Rvalue.t list -> Privagic_vm.Rvalue.t) ->
+  steps:(unit -> int) ->
+  heap:Privagic_vm.Heap.t ->
   family ->
-  record_count:int ->
+  records:int ->
   operations:int ->
+  vsize:int ->
   unit ->
-  parallel_result
+  int * float
 
 val run :
   ?config:Sgx.Config.t ->
   ?cost:Sgx.Cost.t ->
   ?nbuckets:int ->
   ?vsize:int ->
-  ?seed:int ->
   ?distribution:Ycsb.distribution ->
   ?auth_pointers:bool ->
-  ?telemetry:Privagic_telemetry.Recorder.t ->
-  ?engine:Privagic_vm.Exec.engine ->
   family ->
   System.kind ->
   record_count:int ->

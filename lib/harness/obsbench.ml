@@ -1,4 +1,4 @@
-(* Observability benchmark ([privagic profile --stalls], [bench obs]):
+(* Observability benchmark ([privagic bench obs]):
    two measurements over the always-on runtime observability of lib/obs.
 
    1. Stall attribution: replay the Kv YCSB-B protocol per workload family
@@ -9,9 +9,9 @@
       by construction; the gate asserts >= 0.95.
 
    2. Overhead: the sim hashmap image-engine replay with the event ring
-      attached vs detached, median over interleaved pass pairs. This is
-      the hot-path cost of the instrumentation itself; the CI gate
-      asserts <= 5% steps/s. *)
+      attached vs detached, over interleaved pass pairs. This is the
+      hot-path cost of the instrumentation itself; the CI gate asserts
+      <= 5% steps/s. *)
 
 module Obs = Privagic_obs
 module Ycsb = Privagic_workloads.Ycsb
@@ -34,6 +34,9 @@ type overhead = {
   oh_steps_per_sec_on : float;
   oh_steps_per_sec_off : float;
   oh_frac : float;             (* (off - on) / off; noise can go negative *)
+  oh_pairs : int;
+  oh_pair_quartiles : float * float * float;
+      (* of the per-pair (off - on) / off *)
 }
 
 let families =
@@ -65,95 +68,102 @@ let min_coverage r =
     (fun acc b -> Float.min acc (Obs.Lane.coverage b))
     1.0 r.ob_stalls
 
-let stall_workloads ?(quick = false) ?lanes_list () =
-  Obs.set_enabled true;
-  let lanes_list =
-    match lanes_list with
-    | Some l -> l
-    | None -> if quick then [ 2 ] else [ 2; 4 ]
-  in
-  let records = if quick then 128 else 512 in
-  let operations = if quick then 200 else 1000 in
-  List.concat_map
-    (fun lanes ->
-      List.map
-        (fun (family, label) ->
-          let r =
-            Kv.run_parallel ~nbuckets:256 ~vsize:256 ~lanes family
-              ~record_count:records ~operations ()
-          in
-          {
-            ob_family = label;
-            ob_lanes = lanes;
-            ob_domains = r.Kv.pr_domains;
-            ob_records = r.Kv.pr_record_count;
-            ob_operations = r.Kv.pr_operations;
-            ob_wall_seconds = r.Kv.pr_wall_seconds;
-            ob_throughput_kops = r.Kv.pr_throughput_kops;
-            ob_steps = r.Kv.pr_steps;
-            ob_steps_per_sec = r.Kv.pr_steps_per_sec;
-            ob_stalls = r.Kv.pr_stalls;
-          })
-        families)
-    lanes_list
-
-(* One measurement cell: a sim hashmap image-engine interpreter with the
-   event ring attached ([obs]) or left detached, wrapped as a thunk that
-   runs one load+replay pass and returns its steps/s. *)
-let sim_cell ~obs ~records ~operations =
-  let nbuckets = 8 and vsize = 64 in
-  let src = Kv.source Kv.Hashmap `Colored ~nbuckets ~vsize in
-  let m = Privagic_minic.Driver.compile ~file:"program.mc" src in
-  let mode = Kv.mode_for Kv.Hashmap in
-  let infer = Privagic_secure.Infer.run ~mode m in
-  if not (Privagic_secure.Infer.ok infer) then
-    invalid_arg "obsbench: program rejected by the checker";
-  let plan = Privagic_partition.Plan.build ~mode infer in
-  let pt = Pinterp.create ~engine:Exec.Image plan in
-  let exec = pt.Pinterp.exec in
-  exec.Exec.obs_ring <-
-    (if obs then Some (Obs.Ring.create ~id:0 ~label:"sim" ()) else None);
-  let put_entry, get_entry = Kv.entries Kv.Hashmap in
-  let heap = exec.Exec.heap in
+(* One stall workload: load [records] keys unmeasured, then replay the
+   YCSB-B operations from one closed-loop caller. With more than one
+   lane the pool mostly parks waiting for that caller (E14), which is
+   what the stall table shows. *)
+let stall_workload ~lanes (family, label) ~records ~operations =
+  let module Par = Privagic_parallel.Parallel in
+  let vsize = 256 in
+  let p = Par.create ~lanes (Kv.plan_for family ~nbuckets:256 ~vsize) in
+  let call entry args = ignore (Par.call_entry p entry args) in
+  let heap = (Par.exec p).Exec.heap in
+  let put_entry, get_entry = Kv.entries family in
   let vbuf = Heap.alloc heap Heap.Unsafe vsize in
   let obuf = Heap.alloc heap Heap.Unsafe vsize in
   String.iteri
     (fun i c -> Heap.store heap (vbuf + i) 1 (Int64.of_int (Char.code c)))
     (Ycsb.value_for ~size:vsize 1);
-  let spec =
-    Ycsb.workload_b ~seed:42 ~record_count:records ~operation_count:operations
-      ~value_size:vsize ()
+  if family = Kv.Memcached then
+    call "mc_init" [ Rvalue.Int (Int64.of_int (records * 2)) ];
+  for k = 0 to records - 1 do
+    call put_entry [ Rvalue.Int (Int64.of_int k); Rvalue.Ptr vbuf ]
+  done;
+  let gen =
+    Ycsb.create
+      (Ycsb.workload_b ~seed:42 ~record_count:records
+         ~operation_count:operations ~value_size:vsize ())
+  in
+  let steps0 = Par.total_steps p in
+  let start = Unix.gettimeofday () in
+  for _ = 1 to operations do
+    match Ycsb.next_op gen with
+    | Ycsb.Read k | Ycsb.Scan (k, _) | Ycsb.Rmw k ->
+      call get_entry [ Rvalue.Int (Int64.of_int k); Rvalue.Ptr obuf ]
+    | Ycsb.Update k | Ycsb.Insert k ->
+      call put_entry [ Rvalue.Int (Int64.of_int k); Rvalue.Ptr vbuf ]
+  done;
+  let wall = Unix.gettimeofday () -. start in
+  let steps = Par.total_steps p - steps0 in
+  let per_sec n = if wall > 0.0 then float_of_int n /. wall else 0.0 in
+  let r =
+    {
+      ob_family = label;
+      ob_lanes = lanes;
+      ob_domains = Par.domain_count p;
+      ob_records = records;
+      ob_operations = operations;
+      ob_wall_seconds = wall;
+      ob_throughput_kops = per_sec operations /. 1000.0;
+      ob_steps = steps;
+      ob_steps_per_sec = per_sec steps;
+      ob_stalls = Par.lane_breakdowns p;
+    }
+  in
+  ignore (Par.shutdown p);
+  r
+
+(* One report per (lanes, family): 2 lanes ([quick]) or 2 and 4 lanes.
+   Forces obs on. *)
+let stall_workloads ~quick =
+  Obs.set_enabled true;
+  let records = if quick then 128 else 512 in
+  let operations = if quick then 200 else 1000 in
+  List.concat_map
+    (fun lanes ->
+      List.map
+        (fun f -> stall_workload ~lanes f ~records ~operations)
+        families)
+    (if quick then [ 2 ] else [ 2; 4 ])
+
+(* One measurement cell: a sim hashmap image-engine interpreter with the
+   event ring attached ([obs]) or left detached, wrapped as a thunk that
+   runs one load+replay pass and returns its steps/s. *)
+let sim_cell ~obs ~records ~operations =
+  let vsize = 64 in
+  let pt =
+    Pinterp.create ~engine:Exec.Image
+      (Kv.plan_for Kv.Hashmap ~nbuckets:8 ~vsize)
+  in
+  let exec = pt.Pinterp.exec in
+  exec.Exec.obs_ring <-
+    (if obs then Some (Obs.Ring.create ~id:0 ~label:"sim" ()) else None);
+  let pass =
+    Kv.replay_pass
+      ~call:(fun entry args -> (Pinterp.call_entry pt entry args).Pinterp.value)
+      ~steps:(fun () -> exec.Exec.steps)
+      ~heap:exec.Exec.heap Kv.Hashmap ~records ~operations ~vsize
   in
   fun () ->
-    let steps0 = exec.Exec.steps in
-    let t0 = Unix.gettimeofday () in
-    for k = 0 to records - 1 do
-      ignore
-        (Pinterp.call_entry pt put_entry
-           [ Rvalue.Int (Int64.of_int k); Rvalue.Ptr vbuf ])
-    done;
-    let gen = Ycsb.create spec in
-    for _ = 1 to operations do
-      match Ycsb.next_op gen with
-      | Ycsb.Read k | Ycsb.Scan (k, _) | Ycsb.Rmw k ->
-        ignore
-          (Pinterp.call_entry pt get_entry
-             [ Rvalue.Int (Int64.of_int k); Rvalue.Ptr obuf ])
-      | Ycsb.Update k | Ycsb.Insert k ->
-        ignore
-          (Pinterp.call_entry pt put_entry
-             [ Rvalue.Int (Int64.of_int k); Rvalue.Ptr vbuf ])
-    done;
-    let wall = Unix.gettimeofday () -. t0 in
-    let d = exec.Exec.steps - steps0 in
-    if wall > 0.0 then float_of_int d /. wall else 0.0
+    let steps, wall = pass () in
+    if wall > 0.0 then float_of_int steps /. wall else 0.0
 
-(* Paired comparison: run obs-off and obs-on passes back to back and
-   take the MEDIAN of the per-pair overhead ratios. Adjacent passes see
-   the same machine conditions, so drift cancels within a pair, and the
-   median discards pairs a noisy neighbour lands in — the two properties
-   a CI gate needs that fastest-of-separate-blocks lacks. *)
-let measure_overhead ?(quick = false) () =
+(* Paired comparison: run obs-off and obs-on passes back to back.
+   Adjacent passes see the same machine conditions, so drift hits both
+   sides, and medians discard passes a noisy neighbour lands in — the
+   two properties a CI gate needs that fastest-of-separate-blocks
+   lacks. *)
+let measure_overhead ~quick =
   (* passes must be long enough (hundreds of ms) that OS scheduling
      jitter averages out within a pass: the signal is well under 1% *)
   let records = if quick then 128 else 256 in
@@ -170,10 +180,23 @@ let measure_overhead ?(quick = false) () =
     offs.(i) <- pass_off ();
     ons.(i) <- pass_on ()
   done;
-  let median a =
+  let sorted a =
     let s = Array.copy a in
     Array.sort compare s;
-    s.(Array.length s / 2)
+    s
+  in
+  let median a = (sorted a).(Array.length a / 2) in
+  (* linear interpolation between order statistics *)
+  let quantile s q =
+    let x = q *. float_of_int (Array.length s - 1) in
+    let i = int_of_float x in
+    if i + 1 >= Array.length s then s.(i)
+    else s.(i) +. ((x -. float_of_int i) *. (s.(i + 1) -. s.(i)))
+  in
+  let fracs =
+    sorted
+      (Array.init pairs (fun i ->
+           if offs.(i) > 0.0 then (offs.(i) -. ons.(i)) /. offs.(i) else 0.0))
   in
   (* ratio of the median rates, not median of per-pair ratios: each side's
      median is taken over the same interleaved time span, so macro drift
@@ -184,6 +207,9 @@ let measure_overhead ?(quick = false) () =
     oh_steps_per_sec_on = m_on;
     oh_steps_per_sec_off = m_off;
     oh_frac = (if m_off > 0.0 then (m_off -. m_on) /. m_off else 0.0);
+    oh_pairs = pairs;
+    oh_pair_quartiles =
+      (quantile fracs 0.25, quantile fracs 0.5, quantile fracs 0.75);
   }
 
 let print_stall_table reports =
@@ -219,11 +245,15 @@ let write_json ~path reports overhead =
   bp "{\n";
   bp "  \"benchmark\": \"obs-stall-attribution\",\n";
   bp "  \"backend\": \"domains\",\n";
+  bp "  \"env\": %s,\n" (Report.env_json ~seed:42);
   bp "  \"min_coverage\": %.4f,\n" overall_cov;
   bp "  \"overhead\": {\n";
   bp "    \"bench\": \"sim-hashmap-image\",\n";
   bp "    \"steps_per_sec_obs_on\": %.1f,\n" overhead.oh_steps_per_sec_on;
   bp "    \"steps_per_sec_obs_off\": %.1f,\n" overhead.oh_steps_per_sec_off;
+  bp "    \"pairs\": %d,\n" overhead.oh_pairs;
+  (let q1, q2, q3 = overhead.oh_pair_quartiles in
+   bp "    \"pair_overhead_frac_quartiles\": [ %.4f, %.4f, %.4f ],\n" q1 q2 q3);
   bp "    \"overhead_frac\": %.4f\n" overhead.oh_frac;
   bp "  },\n";
   bp "  \"workloads\": [";
@@ -269,14 +299,13 @@ let write_json ~path reports overhead =
 
 let run ?(quick = false) ?(path = "BENCH_obs.json") () =
   Format.printf "== obs: per-lane stall attribution, parallel backend ==@.";
-  let reports = stall_workloads ~quick () in
+  let reports = stall_workloads ~quick in
   print_stall_table reports;
   Format.printf "== obs: instrumentation overhead, sim hashmap image ==@.";
-  let overhead = measure_overhead ~quick () in
+  let overhead = measure_overhead ~quick in
   Format.printf
     "  steps/s obs-on %.0f, obs-off %.0f  -> overhead %.2f%%@."
     overhead.oh_steps_per_sec_on overhead.oh_steps_per_sec_off
     (100.0 *. overhead.oh_frac);
   write_json ~path reports overhead;
-  Format.printf "  -> %s@.@." path;
-  (reports, overhead)
+  Format.printf "  -> %s@.@." path

@@ -1,49 +1,13 @@
-(** Observability benchmark ([privagic profile --stalls], [bench obs]):
-    per-lane stall attribution of the Kv YCSB-B workloads on the
-    real-parallel backend, plus the hot-path overhead of the lib/obs
-    instrumentation itself (sim hashmap image replay, event ring attached
-    vs detached). Writes BENCH_obs.json. *)
+(** Observability benchmark ([privagic bench obs]): per-lane stall
+    attribution of the Kv YCSB-B workloads on the real-parallel backend
+    ({memcached, hashmap, hashmap-2color} at 2 lanes, or 2 and 4 lanes),
+    plus the hot-path overhead of the lib/obs instrumentation itself
+    (sim hashmap image replay, event ring attached vs detached, over
+    interleaved pass pairs). The record carries [min_coverage] and
+    [overhead_frac] (the CI gates: >= 0.95 and <= 0.05), the pair count,
+    the quartiles of the per-pair overhead, and an [env] block. *)
 
-type workload_report = {
-  ob_family : string;
-  ob_lanes : int;              (** lanes requested from the pool *)
-  ob_domains : int;            (** domains actually spawned *)
-  ob_records : int;
-  ob_operations : int;
-  ob_wall_seconds : float;
-  ob_throughput_kops : float;
-  ob_steps : int;
-  ob_steps_per_sec : float;
-  ob_stalls : Privagic_obs.Lane.breakdown list;
-}
-
-type overhead = {
-  oh_steps_per_sec_on : float;
-  oh_steps_per_sec_off : float;
-  oh_frac : float;  (** [(off - on) / off]; noise can go negative *)
-}
-
-(** Phase with the largest non-run time summed across the lanes. *)
-val dominant_stall : workload_report -> Privagic_obs.Phase.t
-
-(** Smallest per-lane coverage (accounted / wall time) of the report;
-    1.0 when there are no lanes. *)
-val min_coverage : workload_report -> float
-
-(** One report per (lanes, family): {memcached, hashmap, hashmap-2color}
-    at 2 lanes ([quick]) or 2 and 4 lanes. Forces obs on. *)
-val stall_workloads :
-  ?quick:bool -> ?lanes_list:int list -> unit -> workload_report list
-
-(** Sim hashmap image replay with the ring attached vs detached:
-    interleaved pass pairs, median of the per-pair overhead ratios (drift
-    cancels within a pair, the median discards noisy pairs). *)
-val measure_overhead : ?quick:bool -> unit -> overhead
-
-val print_stall_table : workload_report list -> unit
-val write_json : path:string -> workload_report list -> overhead -> unit
-
-(** [stall_workloads] + [measure_overhead] + printed table +
-    {!write_json} (default BENCH_obs.json). *)
-val run :
-  ?quick:bool -> ?path:string -> unit -> workload_report list * overhead
+(** Run both measurements with obs forced on, print the stall table and
+    write the JSON record (default BENCH_obs.json). [quick] shrinks
+    record/operation counts and the lane list. *)
+val run : ?quick:bool -> ?path:string -> unit -> unit

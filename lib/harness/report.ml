@@ -38,3 +38,25 @@ let print t = Format.printf "%a@." pp t
 let f1 x = Printf.sprintf "%.1f" x
 let f2 x = Printf.sprintf "%.2f" x
 let i n = string_of_int n
+
+(* The machine and configuration stamp of a BENCH_*.json record, with the
+   keys of the benchmark's env block (benchsuite/run.py), so a record
+   can be told apart from one taken on another host or build. *)
+let env_json ~seed =
+  let git_sha =
+    if not (Sys.file_exists ".git") then "unknown"
+    else
+      match Unix.open_process_in "git rev-parse HEAD 2>/dev/null" with
+      | ic ->
+        let sha = try String.trim (input_line ic) with End_of_file -> "" in
+        ignore (Unix.close_process_in ic);
+        if sha = "" then "unknown" else sha
+      | exception Unix.Unix_error _ -> "unknown"
+  in
+  let var name = Option.value ~default:"" (Sys.getenv_opt name) in
+  Printf.sprintf
+    "{ \"nproc\": %d, \"ocaml\": %S, \"git_sha\": %S, \"PRIVAGIC_ENGINE\": \
+     %S, \"PRIVAGIC_OBS\": %S, \"seed\": %d }"
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version git_sha (var "PRIVAGIC_ENGINE") (var "PRIVAGIC_OBS")
+    seed

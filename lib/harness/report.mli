@@ -12,3 +12,8 @@ val f1 : float -> string
 
 val f2 : float -> string
 val i : int -> string
+
+(** The [env] object of a BENCH_*.json record: [nproc], [ocaml],
+    [git_sha], [PRIVAGIC_ENGINE], [PRIVAGIC_OBS] and [seed], the keys of
+    the benchmark's own env block. *)
+val env_json : seed:int -> string

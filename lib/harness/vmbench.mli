@@ -1,31 +1,17 @@
-(** Walk-vs-image VM benchmark ([privagic bench vm], [bench/main.exe vm]):
-    replays the Kv harness's YCSB-B-style protocol once per
-    (family × backend × engine) cell and reports raw interpreter speed —
-    executed PIR instructions per wall-clock second. Virtual-time results
-    are engine-invariant (the differential tests check that), so
-    steps/sec is the one metric where the engines differ. *)
+(** Walk-vs-image VM benchmark ([privagic bench vm]): replays the Kv
+    harness's YCSB-B-style protocol per (family × backend × engine)
+    cell and reports raw interpreter speed — executed PIR instructions
+    per wall-clock second. Virtual-time results are engine-invariant
+    (the differential tests check that), so steps/sec is the one metric
+    where the engines differ.
 
-type result = {
-  vb_family : string;
-  vb_backend : string;        (** "sim" | "parallel" *)
-  vb_engine : string;         (** "walk" | "image" *)
-  vb_records : int;
-  vb_operations : int;
-  vb_steps : int;             (** executed instructions, all executors *)
-  vb_wall_seconds : float;    (** load + run phases *)
-  vb_steps_per_sec : float;
-  vb_ops_per_sec : float;
-}
+    Cells: {hashmap, treemap, memcached} × {sim, parallel} ×
+    {walk, image}. Each cell runs one warm-up pass and then three
+    measured passes; the record keeps the fastest pass and the min/max
+    steps/s of the measured ones, the image-over-walk ratio of the sim
+    hashmap cell ([speedup_sim_hashmap], the CI engine gate) and an
+    [env] block. *)
 
-(** All cells: {hashmap, treemap, memcached} × {sim, parallel} ×
-    {walk, image}. [quick] shrinks record/operation counts. *)
-val run_all : ?quick:bool -> unit -> result list
-
-(** Image-over-walk steps/sec ratio for one (family, backend) cell, e.g.
-    [~family:"hashmap" ~backend:"sim"]; [None] if a cell is missing. *)
-val speedup : result list -> family:string -> backend:string -> float option
-
-val write_json : path:string -> result list -> unit
-
-(** [run_all] + a printed table + {!write_json} (default BENCH_vm.json). *)
-val run : ?quick:bool -> ?path:string -> unit -> result list
+(** Run every cell, print a table and write the JSON record (default
+    BENCH_vm.json). [quick] shrinks record/operation counts. *)
+val run : ?quick:bool -> ?path:string -> unit -> unit

@@ -73,8 +73,8 @@ type result = {
     established or the server dies mid-run. *)
 val run : config -> result
 
-(** Append/write the BENCH_server.json record (same shape as the other
-    BENCH_*.json files: one top-level object). *)
+(** Write the configuration and the result as one JSON object
+    ([loadgen --out]). *)
 val write_json : path:string -> config -> result -> unit
 
 val pp_result : Format.formatter -> result -> unit

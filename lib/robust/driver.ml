@@ -709,11 +709,13 @@ let json_str s =
   Buffer.add_char b '"';
   Buffer.contents b
 
-let write_json ~path rp =
+(* [env] is the record's machine stamp, a rendered JSON object *)
+let write_json ~env ~path rp =
   let b = Buffer.create 4096 in
   let p fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   p "{\n";
   p "  \"bench\": \"robust\",\n";
+  p "  \"env\": %s,\n" env;
   p "  \"seed\": %d,\n" rp.rp_seed;
   p "  \"programs\": %d,\n" rp.rp_programs;
   p "  \"actions\": %d,\n" rp.rp_actions;

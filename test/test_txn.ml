@@ -3,8 +3,9 @@
    secondary indexes, and range scans — from pure semantics over a mock
    store up to the full serving stack: a differential transcript over
    {walk,image} x {1 shard, sharded}, replica convergence of versions and
-   indexes, a socket roundtrip of every new verb, and the
-   indexed-accounts example on both engines. *)
+   indexes, a socket roundtrip of every new verb, the indexed-accounts
+   example on both engines, and the YCSB-E/F load-generator mixes
+   followed by guarded transactions with exact commit/abort counts. *)
 
 module Txn = Privagic_txn.Txn
 module Index = Privagic_txn.Index
@@ -15,6 +16,7 @@ module Ycsb = Privagic_workloads.Ycsb
 module Mode = Privagic_secure.Mode
 module Delta = Privagic_replication.Delta
 module Replica = Privagic_replication.Replica
+module Loadgen = Privagic_loadgen.Loadgen
 open Privagic_vm
 
 let vsize = 32
@@ -707,6 +709,82 @@ let test_cross_shard_2pc () =
   Unix.close c.fd;
   Server.drain srv
 
+(* ------------------------------------------------------------------ *)
+(* the YCSB-E/F mixes through the load generator, then guarded
+   transactions, against colored memcached on two shards: no mix error,
+   and commit/abort counts that the client and the server agree on
+   exactly *)
+
+let test_mixes_and_txn_counters () =
+  let records = 128 and ops = 300 and txns = 200 in
+  let srv =
+    start_server ~shards:2 ~engine:(Exec.default_engine ())
+      (plan_of (Programs.memcached ~nbuckets:256 ~vsize `Colored))
+  in
+  let cfg =
+    { Loadgen.default_config with
+      Loadgen.port = Server.port srv;
+      clients = 4;
+      ops;
+      record_count = records;
+      vsize;
+      scan_len = 16 }
+  in
+  let run_mix mix ~preload =
+    let r = Loadgen.run { cfg with Loadgen.mix; preload } in
+    let name = Loadgen.mix_name mix in
+    Alcotest.(check int) (name ^ " errors") 0 r.Loadgen.r_errors;
+    Alcotest.(check int) (name ^ " ops answered") ops r.Loadgen.r_ops_ok;
+    r
+  in
+  let e = run_mix Loadgen.Ycsb_e ~preload:true in
+  Alcotest.(check bool) "ycsb-e scanned" true
+    (e.Loadgen.r_scans > 0 && e.Loadgen.r_scan_items > 0);
+  let before_f = Server.stats srv in
+  ignore (run_mix Loadgen.Ycsb_f ~preload:false);
+  let before = Server.stats srv in
+  Alcotest.(check bool) "ycsb-f ran read-modify-writes" true
+    (before.Server.s_getv > before_f.Server.s_getv
+    && before.Server.s_cas > before_f.Server.s_cas);
+  (* even transactions read-check-write key k and blind-write k + 1, so
+     they span both shards and commit; odd ones carry a stale guard and
+     abort. The keys lie above anything the mixes touched, so versions
+     are tracked exactly here. *)
+  let c = connect (Server.port srv) in
+  let versions = Hashtbl.create 64 in
+  let ver k = Option.value ~default:0 (Hashtbl.find_opt versions k) in
+  let bump k = Hashtbl.replace versions k (ver k + 1) in
+  let commits = ref 0 and aborts = ref 0 in
+  for i = 0 to txns - 1 do
+    let k = records + 10_000 + (i mod 32) in
+    let payload = Ycsb.value_for ~size:vsize k in
+    let req =
+      if i mod 2 = 0 then
+        Protocol.Txn
+          [ Txn.T_get k; Txn.T_cas (k, ver k, payload);
+            Txn.T_set (k + 1, payload) ]
+      else Protocol.Txn [ Txn.T_cas (k, ver k + 1000, payload) ]
+    in
+    match rpc c req with
+    | Protocol.Txn_reply _ ->
+      incr commits;
+      bump k;
+      bump (k + 1)
+    | Protocol.Txn_abort _ -> incr aborts
+    | r -> Alcotest.failf "txn %d: %s" i (Protocol.render r)
+  done;
+  Unix.close c.fd;
+  let after = Server.stats srv in
+  Server.drain srv;
+  Alcotest.(check int) "client commits" (txns / 2) !commits;
+  Alcotest.(check int) "client aborts" (txns / 2) !aborts;
+  Alcotest.(check int) "server txn_commits" (txns / 2)
+    (after.Server.s_txn_commits - before.Server.s_txn_commits);
+  Alcotest.(check int) "server txn_aborts" (txns / 2)
+    (after.Server.s_txn_aborts - before.Server.s_txn_aborts);
+  Alcotest.(check bool) "commits crossed shards" true
+    (after.Server.s_xshard > before.Server.s_xshard)
+
 let suite =
   [
     Alcotest.test_case "execute: snapshot reads, guards, atomic commit" `Quick
@@ -727,4 +805,6 @@ let suite =
       test_cross_shard_2pc;
     Alcotest.test_case "indexed accounts agree across engines" `Quick
       test_indexed_accounts;
+    Alcotest.test_case "ycsb-e/f mixes and txn counters on 2 shards" `Quick
+      test_mixes_and_txn_counters;
   ]
