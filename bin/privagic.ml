@@ -6,7 +6,7 @@
    privagic run <file.mc> <entry> [args...]
                                    execute the partitioned program
    privagic profile <file.mc> <entry> [args...]
-                                   execute under telemetry; print metrics
+                                   execute traced; print metrics
                                    and the critical path (--live dumps the
                                    Prometheus exposition)
    privagic tcb <file.mc>          per-enclave TCB report
@@ -211,42 +211,38 @@ let tcb_action mode auth path =
     (Privagic_partition.Tcb.of_plan plan);
   0
 
-module Tel = Privagic_telemetry
+module Obs = Privagic_obs
 
-let write_trace rec_ out =
-  try Tel.Chrome_trace.recorder_to_file rec_ out with
-  | Sys_error msg ->
-    prerr_endline ("cannot write trace: " ^ msg);
-    exit 2
+let report_trace rings out =
+  (try Obs.Chrome_trace.to_file rings out
+   with Sys_error msg ->
+     prerr_endline ("cannot write trace: " ^ msg);
+     exit 2);
+  Format.printf "trace: %d events on %d tracks -> %s@."
+    (List.fold_left (fun acc r -> acc + Obs.Ring.length r) 0 rings)
+    (Array.length (Obs.Ring.tracks rings))
+    out
+
+(* The ring a traced simulator run records into. *)
+let vm_ring () =
+  Obs.Ring.create ~cap:(1 lsl 18) ~clock:Obs.Ring.Virtual ~id:0 ~label:"" ()
 
 (* run --backend=parallel: same plan, executed on OCaml 5 domains with the
    lock-free queue; reports wall-clock time instead of simulated cycles. *)
 let run_parallel_action trace lanes engine plan entry argv =
   let module Par = Privagic_parallel.Parallel in
-  let pt = Par.create ~lanes ~engine plan in
-  let rec_ =
-    match trace with
-    | None -> None
-    | Some _ ->
-      let r = Tel.Recorder.create () in
-      Par.set_telemetry pt r;
-      Some r
-  in
+  let pt = Par.create ~lanes ~engine ~trace:(trace <> None) plan in
   (match Par.call_entry pt entry argv with
   | r ->
     print_string (Par.output pt);
-    (match (trace, rec_) with
-    | Some out, Some rec_ ->
-      write_trace rec_ out;
-      Format.printf "trace: %d events on %d tracks -> %s@."
-        (Tel.Recorder.length rec_)
-        (List.length (Tel.Recorder.tracks rec_))
-        out
-    | _ -> ());
+    let domains = Par.domain_count pt in
+    let lanes = Par.obs_lanes pt in
+    (* the lanes' rings are read once their domains have joined *)
+    ignore (Par.shutdown pt);
+    Option.iter (report_trace (List.map Obs.Lane.ring lanes)) trace;
     Format.printf "=> %s  (wall: %.3f ms on %d domains)@."
       (Privagic_vm.Rvalue.to_string r.Par.value)
-      (r.Par.wall_seconds *. 1e3) (Par.domain_count pt);
-    ignore (Par.shutdown pt)
+      (r.Par.wall_seconds *. 1e3) domains
   | exception Par.Error msg ->
     ignore (Par.shutdown pt);
     prerr_endline ("runtime error: " ^ msg);
@@ -270,30 +266,13 @@ let run_action mode auth trace schedule max_steps backend lanes engine path
   let argv =
     List.map (fun a -> Privagic_vm.Rvalue.Int (Int64.of_string a)) args
   in
-  let rec_ =
-    match trace with
-    | None -> None
-    | Some _ ->
-      let r = Tel.Recorder.create () in
-      Privagic_vm.Pinterp.set_telemetry pt r;
-      Some r
-  in
-  if schedule then Privagic_vm.Pinterp.start_trace pt;
+  let rings = if trace = None && not schedule then [] else [ vm_ring () ] in
+  List.iter (Privagic_vm.Pinterp.attach_ring pt) rings;
   (match Privagic_vm.Pinterp.call_entry pt ?max_steps entry argv with
   | r ->
     print_string (Privagic_vm.Pinterp.output pt);
-    if schedule then
-      Format.printf "%a"
-        Privagic_vm.Pinterp.pp_trace
-        (Privagic_vm.Pinterp.stop_trace pt);
-    (match (trace, rec_) with
-    | Some out, Some rec_ ->
-      write_trace rec_ out;
-      Format.printf "trace: %d events on %d tracks -> %s@."
-        (Tel.Recorder.length rec_)
-        (List.length (Tel.Recorder.tracks rec_))
-        out
-    | _ -> ());
+    if schedule then Format.printf "%a" Obs.Schedule.pp rings;
+    Option.iter (report_trace rings) trace;
     Format.printf "=> %s  (latency: %.0f cycles)@."
       (Privagic_vm.Rvalue.to_string r.Privagic_vm.Pinterp.value)
       r.Privagic_vm.Pinterp.latency_cycles
@@ -307,7 +286,7 @@ let run_action mode auth trace schedule max_steps backend lanes engine path
   0
   end
 
-(* profile: run an entry under telemetry, then print the plain-text
+(* profile: run an entry traced, then print the plain-text
    summary (counters, histograms, occupancy) and the critical path.
    --live additionally dumps the lib/obs Prometheus exposition of the
    run's VM counters. *)
@@ -317,41 +296,19 @@ let profile_action mode auth trace engine live path entry args =
   let argv =
     List.map (fun a -> Privagic_vm.Rvalue.Int (Int64.of_string a)) args
   in
-  let rec_ = Tel.Recorder.create () in
-  Privagic_vm.Pinterp.set_telemetry pt rec_;
+  let ring = vm_ring () in
+  Privagic_vm.Pinterp.attach_ring pt ring;
   (match Privagic_vm.Pinterp.call_entry pt entry argv with
   | r ->
     print_string (Privagic_vm.Pinterp.output pt);
-    let track_name = Tel.Recorder.track_name rec_ in
-    let summary = Tel.Summary.of_recorder rec_ in
-    Format.printf "%a@." (Tel.Summary.pp ~track_name) summary;
-    let cp = Tel.Critical_path.analyze (Tel.Recorder.events rec_) in
-    Format.printf "%a@." (Tel.Critical_path.pp ~track_name) cp;
-    (match trace with
-    | Some out ->
-      write_trace rec_ out;
-      Format.printf "trace written to %s@." out
-    | None -> ());
+    Format.printf "%a@." Obs.Summary.pp (Obs.Summary.of_rings [ ring ]);
+    Format.printf "%a@." Obs.Critical_path.pp
+      (Obs.Critical_path.analyze [ ring ]);
+    Option.iter (report_trace [ ring ]) trace;
     (if live then begin
-       let module Obs = Privagic_obs in
+       (* the gauges a server registers for a simulator shard *)
        let reg = Obs.Registry.create () in
-       let ex = pt.Privagic_vm.Pinterp.exec in
-       Obs.Registry.gauge reg
-         ~help:"Executed PIR instructions (all executors)"
-         "privagic_vm_steps_total"
-         (fun () -> float_of_int ex.Privagic_vm.Exec.steps);
-       Obs.Registry.gauge reg ~help:"Extern dispatches"
-         "privagic_vm_externs_total"
-         (fun () -> float_of_int ex.Privagic_vm.Exec.externs);
-       Obs.Registry.multi_gauge reg
-         ~help:"Declassify calls by source color"
-         "privagic_declassify_total"
-         (fun () ->
-           Hashtbl.fold
-             (fun color r acc ->
-               ([ ("color", color) ], float_of_int !r) :: acc)
-             ex.Privagic_vm.Exec.declass []
-           |> List.sort compare);
+       (Privagic_server.Server.store_of_pinterp pt).st_register_obs reg;
        print_string (Obs.Registry.expose reg)
      end);
     Format.printf "=> %s  (latency: %.0f cycles)@."
@@ -472,15 +429,10 @@ let serve_action mode auth trace engine host port queue_depth
     prerr_endline "serve: --shards must be at least 1";
     exit 1
   end;
-  let rec_ =
-    match trace with Some _ -> Tel.Recorder.create () | None -> Tel.Recorder.null
-  in
   (* one simulator instance per shard: each shard's event loop owns its
      store exclusively, so the backends never contend *)
   let mk_store () =
-    let pt = Privagic_vm.Pinterp.create ~engine plan in
-    if rec_ != Tel.Recorder.null then Privagic_vm.Pinterp.set_telemetry pt rec_;
-    Server.store_of_pinterp pt
+    Server.store_of_pinterp (Privagic_vm.Pinterp.create ~engine plan)
   in
   let stores = Array.init shards (fun _ -> mk_store ()) in
   (match bnd.Server.b_init with
@@ -506,7 +458,7 @@ let serve_action mode auth trace engine host port queue_depth
       policy;
       max_batch;
       vsize;
-      telemetry = rec_;
+      trace = trace <> None;
       repl_window;
       repl_cluster = cluster_key;
     }
@@ -576,11 +528,7 @@ let serve_action mode auth trace engine host port queue_depth
   List.iter
     (fun (k, v) -> Format.printf "  %-20s %s@." k v)
     (Server.stats_fields srv);
-  (match trace with
-  | Some out ->
-    write_trace rec_ out;
-    Format.printf "trace written to %s@." out
-  | None -> ());
+  Option.iter (report_trace (Server.rings srv)) trace;
   0
 
 let loadgen_action host port clients ops rate depth records vsize seed
@@ -651,9 +599,12 @@ let trace_arg =
     value
     & opt (some string) None
     & info [ "trace" ] ~docv:"OUT.json"
-        ~doc:"Record telemetry and write a Chrome trace-event JSON file \
-              (open in chrome://tracing or Perfetto): one track per \
-              worker, chunk spans, flow arrows for spawn/cont messages.")
+        ~doc:"Record every writer into its own ring and write a Chrome \
+              trace-event JSON file (open in chrome://tracing or \
+              Perfetto): one track per worker, chunk and request spans, \
+              flow arrows for spawn/cont messages; virtual cycles and \
+              wall-clock microseconds are separate processes, and a \
+              served shard's tracks carry the shard (s0/..., s1/...).")
 
 let entry_pos =
   Arg.(
@@ -700,7 +651,7 @@ let profile_cmd =
   in
   Cmd.v
     (Cmd.info "profile"
-       ~doc:"Execute an entry point under telemetry and print the metrics \
+       ~doc:"Execute an entry point traced and print the metrics \
              summary (counters, latency histograms, per-worker occupancy) \
              and the critical path through the partitioned execution; \
              --live dumps the Prometheus exposition of the run")

@@ -3,7 +3,7 @@
    simulated store sustains (a few kops/s), one thread multiplexing a few
    dozen sockets has orders of magnitude of headroom. *)
 
-module Tel = Privagic_telemetry
+module Metrics = Privagic_obs.Metrics
 module Ycsb = Privagic_workloads.Ycsb
 module Protocol = Privagic_server.Protocol
 
@@ -62,7 +62,7 @@ type result = {
   r_wall_seconds : float;
   r_throughput_kops : float;
   r_target_rate : float;
-  r_latency : Tel.Metrics.pctiles;
+  r_latency : Metrics.pctiles;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -144,7 +144,7 @@ exception Dead of string
    whole read-modify-write (the CO-free convention extends across
    legs). Only the [cas] answer counts the op. *)
 let run_phase cfg clients ~total ~rate ~(next_req : unit -> Protocol.request)
-    ~(hist : Tel.Metrics.histogram option) (counts : phase_counts) =
+    ~(hist : Metrics.histogram option) (counts : phase_counts) =
   let n = Array.length clients in
   let depth = max 1 cfg.depth in
   let start = Unix.gettimeofday () in
@@ -159,7 +159,7 @@ let run_phase cfg clients ~total ~rate ~(next_req : unit -> Protocol.request)
   let observe sched_at =
     match hist with
     | Some h ->
-      Tel.Metrics.observe h ((Unix.gettimeofday () -. sched_at) *. 1e6)
+      Metrics.observe h ((Unix.gettimeofday () -. sched_at) *. 1e6)
     | None -> ()
   in
   while !completed < total do
@@ -326,8 +326,7 @@ let run cfg =
       (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
       clients
   in
-  let metrics = Tel.Metrics.create () in
-  let hist = Tel.Metrics.histogram metrics "latency (us)" in
+  let hist = Metrics.histogram "latency (us)" in
   let counts = fresh_counts () in
   let finally f = try f () with e -> close_all (); raise e in
   finally @@ fun () ->
@@ -400,7 +399,7 @@ let run cfg =
     r_throughput_kops =
       (if wall > 0.0 then float_of_int counts.ok /. wall /. 1000.0 else 0.0);
     r_target_rate = cfg.rate;
-    r_latency = Tel.Metrics.pctiles hist;
+    r_latency = Metrics.pctiles hist;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -434,8 +433,8 @@ let write_json ~path cfg r =
        float_of_int r.r_ops_ok /. r.r_wall_seconds
      else 0.0);
   p "  \"latency_us\": { \"n\": %d, \"mean\": %.1f, \"p50\": %.1f, \"p95\": %.1f, \"p99\": %.1f, \"p999\": %.1f, \"max\": %.1f }\n"
-    l.Tel.Metrics.n l.Tel.Metrics.p_mean l.Tel.Metrics.p50 l.Tel.Metrics.p95
-    l.Tel.Metrics.p99 l.Tel.Metrics.p999 l.Tel.Metrics.p_max;
+    l.Metrics.n l.Metrics.p_mean l.Metrics.p50 l.Metrics.p95
+    l.Metrics.p99 l.Metrics.p999 l.Metrics.p_max;
   p "}\n";
   close_out oc
 
@@ -453,5 +452,5 @@ let pp_result fmt r =
     (if r.r_target_rate > 0.0 then
        Printf.sprintf " (target %.2f kops/s)" (r.r_target_rate /. 1000.0)
      else "")
-    l.Tel.Metrics.p50 l.Tel.Metrics.p95 l.Tel.Metrics.p99 l.Tel.Metrics.p999
-    l.Tel.Metrics.p_max l.Tel.Metrics.p_mean
+    l.Metrics.p50 l.Metrics.p95 l.Metrics.p99 l.Metrics.p999
+    l.Metrics.p_max l.Metrics.p_mean

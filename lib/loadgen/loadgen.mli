@@ -26,7 +26,7 @@
     latency recorded for the op is the full read-modify-write, not the
     second leg alone. *)
 
-module Tel = Privagic_telemetry
+module Metrics = Privagic_obs.Metrics
 
 (** [Custom] is the read/update dial ([read_prop]); the YCSB presets
     override it. *)
@@ -66,7 +66,7 @@ type result = {
   r_wall_seconds : float; (** measured phase only *)
   r_throughput_kops : float;
   r_target_rate : float;  (** 0 in closed loop *)
-  r_latency : Tel.Metrics.pctiles;  (** microseconds *)
+  r_latency : Metrics.pctiles;  (** microseconds *)
 }
 
 (** Run the workload. @raise Failure when no connection can be

@@ -30,7 +30,7 @@ let enter_index t p ~now_us =
     t.acc.(t.cur) <- t.acc.(t.cur) + (now_us - t.since_us);
     t.cur <- p;
     t.since_us <- now_us;
-    Ring.record t.l_ring ~code:p ~arg:0 ~t_us:now_us
+    Ring.record t.l_ring ~track:0 ~code:p ~arg:0 ~ts:now_us
   end
 
 let enter t phase ~now_us = enter_index t (Phase.index phase) ~now_us

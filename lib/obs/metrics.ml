@@ -1,13 +1,10 @@
-(* Counters and log-scale histograms, snapshotted per run.
+(* Log-scale histograms, read as percentiles.
 
    A histogram has 64 power-of-two buckets: bucket [i] counts observations
    in [2^(i-1), 2^i) (bucket 0 holds everything below 1). Percentile
    estimates interpolate inside the bucket, which is accurate enough for
-   latency distributions spanning decades of cycles. Registration is
-   name-keyed and idempotent so call sites can look metrics up on the hot
-   path without threading handles around. *)
-
-type counter = { c_name : string; mutable count : int }
+   latency distributions spanning decades of cycles. A histogram has one
+   writer; readers [merge] several. *)
 
 let nbuckets = 64
 
@@ -20,29 +17,7 @@ type histogram = {
   mutable h_max : float;
 }
 
-type t = {
-  counters : (string, counter) Hashtbl.t;
-  histograms : (string, histogram) Hashtbl.t;
-  mutable order : string list;       (* registration order, newest first *)
-}
-
-let create () =
-  { counters = Hashtbl.create 16; histograms = Hashtbl.create 16; order = [] }
-
-let counter t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some c -> c
-  | None ->
-    let c = { c_name = name; count = 0 } in
-    Hashtbl.replace t.counters name c;
-    t.order <- name :: t.order;
-    c
-
-let incr ?(by = 1) c = c.count <- c.count + by
-
-(* A histogram outside any registry, e.g. one per writer, read through
-   [merge]. *)
-let fresh_histogram name =
+let histogram name =
   {
     h_name = name;
     buckets = Array.make nbuckets 0;
@@ -52,20 +27,11 @@ let fresh_histogram name =
     h_max = neg_infinity;
   }
 
-let histogram t name =
-  match Hashtbl.find_opt t.histograms name with
-  | Some h -> h
-  | None ->
-    let h = fresh_histogram name in
-    Hashtbl.replace t.histograms name h;
-    t.order <- name :: t.order;
-    h
-
 (* The sum of several histograms, as a new one named after the first. A
    source written concurrently contributes whatever its writer had
    published. *)
 let merge hs =
-  let m = fresh_histogram (match hs with h :: _ -> h.h_name | [] -> "") in
+  let m = histogram (match hs with h :: _ -> h.h_name | [] -> "") in
   List.iter
     (fun h ->
       Array.iteri (fun i c -> m.buckets.(i) <- m.buckets.(i) + c) h.buckets;
@@ -134,35 +100,3 @@ let pctiles h =
     p999 = percentile h 0.999;
     p_max = (if h.h_count = 0 then 0.0 else h.h_max);
   }
-
-let fold_counters t f acc =
-  List.fold_left
-    (fun acc name ->
-      match Hashtbl.find_opt t.counters name with
-      | Some c -> f acc c
-      | None -> acc)
-    acc (List.rev t.order)
-
-let fold_histograms t f acc =
-  List.fold_left
-    (fun acc name ->
-      match Hashtbl.find_opt t.histograms name with
-      | Some h -> f acc h
-      | None -> acc)
-    acc (List.rev t.order)
-
-let pp fmt t =
-  let open Format in
-  fold_counters t
-    (fun () c -> fprintf fmt "  %-32s %12d@." c.c_name c.count)
-    ();
-  fold_histograms t
-    (fun () h ->
-      if h.h_count = 0 then fprintf fmt "  %-32s (no samples)@." h.h_name
-      else
-        let p = pctiles h in
-        fprintf fmt
-          "  %-32s n=%-7d mean=%-10.0f p50=%-10.0f p95=%-10.0f p99=%-10.0f \
-           p99.9=%-10.0f max=%-10.0f@."
-          h.h_name p.n p.p_mean p.p50 p.p95 p.p99 p.p999 p.p_max)
-    ()

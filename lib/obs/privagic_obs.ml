@@ -1,16 +1,23 @@
-(* Always-on runtime observability (§8.12 in DESIGN.md).
+(* Runtime observability (§8.12 in DESIGN.md): one event store — a ring
+   per writer ({!Ring}, vocabulary {!Ev}) — its readers (Chrome trace,
+   summary, critical path, schedule), per-lane phase accounting and the
+   metrics registry.
 
-   This root module re-exports the pieces and owns the two process-wide
-   bits of state every component shares: the obs epoch (so all rings
-   timestamp against one clock and merge into one timeline) and the
-   enabled switch. "Always-on" means the default is on; PRIVAGIC_OBS=off
-   exists so the CI overhead gate has an off-state to compare against,
-   not as something users are expected to set. *)
+   This root module owns the process-wide state: the obs epoch (all
+   wall-clock rings stamp against one clock) and the switch of the
+   always-on lanes. It defaults to on; PRIVAGIC_OBS=off exists so the CI
+   overhead gate has an off-state to compare against. *)
 
 module Phase = Phase
+module Ev = Ev
 module Ring = Ring
 module Lane = Lane
+module Metrics = Metrics
 module Registry = Registry
+module Chrome_trace = Chrome_trace
+module Critical_path = Critical_path
+module Summary = Summary
+module Schedule = Schedule
 
 let enabled_ref =
   ref
@@ -21,7 +28,7 @@ let enabled_ref =
 let enabled () = !enabled_ref
 let set_enabled b = enabled_ref := b
 
-(* Process obs epoch: all ring timestamps are integer microseconds since
-   this instant (see clock.ml — Ring's amortized clock shares it). *)
+(* Process obs epoch: all wall-clock timestamps are integer microseconds
+   since this instant (see clock.ml — Ring's amortized clock shares it). *)
 let epoch = Clock.epoch
 let now_us = Clock.now_us

@@ -1,5 +1,3 @@
-module Metrics = Privagic_telemetry.Metrics
-
 type value =
   | Counter of int Atomic.t
   | Gauge of (unit -> float)

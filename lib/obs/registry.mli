@@ -8,8 +8,6 @@
     gauges/summaries are pulled through their closures only at [expose]
     time (a closure may take its component's own lock). *)
 
-module Metrics = Privagic_telemetry.Metrics
-
 type t
 
 val create : unit -> t

@@ -1,12 +1,16 @@
-(* Single-writer event ring over three int arrays. See ring.mli for the
+(* Single-writer event ring over four int arrays. See ring.mli for the
    contract; the key invariant is that [record] performs only unboxed int
    stores, so attaching a ring to a hot loop costs a handful of
-   nanoseconds and zero GC pressure. *)
+   nanoseconds and zero GC pressure. Names (tracks, chunks, requests)
+   are interned when they are registered, so an event row is all ints. *)
+
+type clock = Virtual | Wall
 
 type t = {
   cap : int;
   mask : int;
-  ts : int array; (* microseconds since the obs epoch *)
+  ts : int array; (* µs since the obs epoch, or encoded virtual cycles *)
+  tracks : int array;
   codes : int array;
   args : int array;
   mutable pos : int; (* total events ever written; owner-domain only *)
@@ -14,16 +18,20 @@ type t = {
   mutable refresh : int; (* [record_now] calls until the next real read *)
   id : int;
   label : string;
+  clock : clock;
+  mutable track_names : string list; (* registered tracks, newest first *)
+  names : (string, int) Hashtbl.t; (* interned names, dense from 0 *)
 }
 
 let rec round_pow2 n k = if k >= n then k else round_pow2 n (k * 2)
 
-let create ?(cap = 4096) ~id ~label () =
+let create ?(cap = 4096) ?(clock = Wall) ~id ~label () =
   let cap = round_pow2 (max 2 cap) 2 in
   {
     cap;
     mask = cap - 1;
     ts = Array.make cap 0;
+    tracks = Array.make cap 0;
     codes = Array.make cap 0;
     args = Array.make cap 0;
     pos = 0;
@@ -31,16 +39,26 @@ let create ?(cap = 4096) ~id ~label () =
     refresh = 0;
     id;
     label;
+    clock;
+    track_names = [];
+    names = Hashtbl.create 8;
   }
 
-let[@inline] record t ~code ~arg ~t_us =
+(* A non-negative float's sign bit is 0, so its other 63 bits fit an int
+   exactly: virtual timestamps stay exact in an int column. *)
+let[@inline] of_cycles c = Int64.to_int (Int64.bits_of_float c)
+let[@inline] to_cycles i =
+  Int64.float_of_bits (Int64.logand (Int64.of_int i) Int64.max_int)
+
+let[@inline] record t ~track ~code ~arg ~ts =
   let i = t.pos land t.mask in
-  t.ts.(i) <- t_us;
+  t.ts.(i) <- ts;
+  t.tracks.(i) <- track;
   t.codes.(i) <- code;
   t.args.(i) <- arg;
   t.pos <- t.pos + 1;
   (* exact-time events keep the amortized cache fresh and monotone *)
-  if t_us > t.last_us then t.last_us <- t_us
+  if ts > t.last_us then t.last_us <- ts
 
 (* One real clock read per [refresh_every] events: gettimeofday allocates
    a boxed float, which at extern-dispatch frequency costs several percent
@@ -57,59 +75,115 @@ let[@inline] record_now t ~code ~arg =
      if u > t.last_us then t.last_us <- u
    end
    else t.refresh <- t.refresh - 1);
-  record t ~code ~arg ~t_us:t.last_us
+  record t ~track:0 ~code ~arg ~ts:t.last_us
+
+(* A request span around [f], on track 0 of a [Wall] ring; [name] is
+   an interned name. *)
+let span t ~name f =
+  let edge kind =
+    record t ~track:0 ~code:(Ev.code kind) ~arg:name ~ts:(Clock.now_us ())
+  in
+  edge Ev.Req_begin;
+  let x = f () in
+  edge Ev.Req_end;
+  x
 
 let capacity t = t.cap
 let id t = t.id
 let label t = t.label
+let clock t = t.clock
 let total t = t.pos
 let length t = min t.pos t.cap
 let dropped t = max 0 (t.pos - t.cap)
 
-(* Codes below Phase.count are phase entries; these are point events. *)
-let code_extern = 16
-let code_chunk = 17
+let track t name =
+  let k = List.length t.track_names in
+  t.track_names <-
+    (if t.label = "" then name else t.label ^ "/" ^ name) :: t.track_names;
+  k
 
-let code_name c =
-  if c >= 0 && c < Phase.count then "phase:" ^ Phase.name (Phase.of_index c)
-  else if c = code_extern then "extern"
-  else if c = code_chunk then "chunk"
-  else "code:" ^ string_of_int c
+let intern t name =
+  match Hashtbl.find_opt t.names name with
+  | Some k -> k
+  | None ->
+    let k = Hashtbl.length t.names in
+    Hashtbl.add t.names name k;
+    k
+
+(* ---------------- readers ---------------- *)
 
 type event = {
-  ev_t_us : int;
+  ev_at : float;
+  ev_clock : clock;
   ev_ring : int;
   ev_seq : int;
-  ev_code : int;
+  ev_track : int;
+  ev_kind : Ev.t;
   ev_arg : int;
+  ev_name : string;
 }
 
-let to_events t =
-  let n = length t in
-  let first = t.pos - n in
+(* Rings in id order, each with the first global track it owns: a ring
+   that registered no track still owns one (its track 0, named by its
+   label). *)
+let layout rings =
+  let off = ref 0 in
+  List.map
+    (fun r ->
+      let o = !off in
+      off := o + max 1 (List.length r.track_names);
+      (r, o))
+    (List.sort (fun a b -> compare a.id b.id) rings)
+
+let ring_events (r, off) =
+  let names = Array.make (Hashtbl.length r.names) "" in
+  Hashtbl.iter (fun s k -> names.(k) <- s) r.names;
+  let n = length r in
+  let first = r.pos - n in
   Array.init n (fun k ->
       let seq = first + k in
-      let i = seq land t.mask in
+      let i = seq land r.mask in
+      let kind = Ev.of_code r.codes.(i) in
+      let arg = r.args.(i) in
       {
-        ev_t_us = t.ts.(i);
-        ev_ring = t.id;
+        ev_at =
+          (if r.clock = Virtual then to_cycles r.ts.(i)
+           else float_of_int r.ts.(i));
+        ev_clock = r.clock;
+        ev_ring = r.id;
         ev_seq = seq;
-        ev_code = t.codes.(i);
-        ev_arg = t.args.(i);
+        ev_track = off + r.tracks.(i);
+        ev_kind = kind;
+        ev_arg =
+          (match kind with
+          | Ev.Fiber_spawn when arg >= 0 -> off + arg
+          | _ -> arg);
+        ev_name =
+          (match kind with
+          | Ev.Chunk_begin | Ev.Chunk_end | Ev.Req_begin | Ev.Req_end
+            when arg >= 0 && arg < Array.length names ->
+            names.(arg)
+          | _ -> "");
       })
 
-(* Total order: timestamp, then ring id, then per-ring sequence. Two
-   events never compare equal across distinct rings (ids differ) or
-   within one ring (seqs differ), so the sort is a permutation-free
-   total order — merge output is independent of the input list order. *)
-let compare_ev a b =
-  if a.ev_t_us <> b.ev_t_us then compare a.ev_t_us b.ev_t_us
-  else if a.ev_ring <> b.ev_ring then compare a.ev_ring b.ev_ring
-  else compare a.ev_seq b.ev_seq
+let events rings = Array.concat (List.map ring_events (layout rings))
 
+let tracks rings =
+  Array.concat
+    (List.map
+       (fun (r, _) ->
+         let names =
+           if r.track_names = [] then [ r.label ] else r.track_names
+         in
+         Array.of_list (List.rev_map (fun n -> (n, r.clock)) names))
+       (layout rings))
+
+(* Total order: clock domain, timestamp, ring id, per-ring sequence. Two
+   events never compare equal across distinct rings (ids differ) or
+   within one ring (seqs differ), so the merge output is independent of
+   the input list order. *)
 let merge rings =
-  let arr =
-    Array.concat (List.map to_events (List.sort (fun a b -> compare a.id b.id) rings))
-  in
-  Array.sort compare_ev arr;
+  let key e = (e.ev_clock, e.ev_at, e.ev_ring, e.ev_seq) in
+  let arr = events rings in
+  Array.sort (fun a b -> compare (key a) (key b)) arr;
   arr

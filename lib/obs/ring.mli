@@ -1,69 +1,94 @@
-(** Per-domain lock-free event ring.
+(** Per-writer lock-free event ring: the one event store of the runtime.
 
-    Fixed capacity (rounded up to a power of two), overwrite-oldest, and —
-    the property the whole layer leans on — {b zero allocation on the
-    record path}: the three backing stores are plain [int array]s, so
-    [record] is three unboxed stores and an increment. Timestamps are
-    integer microseconds since the process obs epoch (see
-    {!Privagic_obs.now_us}); keeping them out of float-land is what keeps
-    the path allocation-free in native code.
+    Fixed capacity (rounded up to a power of two), overwrite-oldest, and
+    {b zero allocation on the record path}: the four stores (timestamp,
+    track, code, arg) are plain [int array]s, so [record] is four
+    unboxed stores and an increment. Everything else is interned when it
+    is registered: track names by {!track}, chunk and request names by
+    {!intern}; a message's tag is part of its code ({!Ev.t}).
 
-    Each ring has exactly one writer (the owning domain). Readers merge
-    rings {e after} quiescence — [Domain.join] or pool shutdown provides
-    the happens-before — so no fences are needed on the hot path. *)
+    A ring has one clock: [Wall] stamps integer microseconds since the
+    process obs epoch ({!Privagic_obs.now_us}), [Virtual] stamps
+    simulated cycles, exactly ({!of_cycles}).
+
+    A ring has one writer at a time — the domain that owns it (a lane, a
+    shard loop, a replication sender), or whoever runs the VM it belongs
+    to. Readers merge rings {e after} quiescence ([Domain.join], a thread
+    join or a drain gives the happens-before), so the hot path needs no
+    fence. *)
+
+type clock = Virtual | Wall
 
 type t
 
-(** [create ~id ~label ()] makes a ring. [cap] (default 4096) is rounded
-    up to a power of two. [id] must be unique among rings that will be
-    merged together; it is the tiebreak that makes merge deterministic. *)
-val create : ?cap:int -> id:int -> label:string -> unit -> t
+(** [cap] (default 4096) is rounded up to a power of two; [clock]
+    defaults to [Wall]. [id] orders rings in a merge and must be unique
+    among the rings merged together. *)
+val create : ?cap:int -> ?clock:clock -> id:int -> label:string -> unit -> t
 
-(** Append one event. Single-writer; never allocates, never blocks.
-    Overwrites the oldest event once the ring is full. *)
-val record : t -> code:int -> arg:int -> t_us:int -> unit
+(** Append one event, [ts] in the ring's clock. Never allocates, never
+    blocks; overwrites the oldest event once the ring is full. *)
+val record : t -> track:int -> code:int -> arg:int -> ts:int -> unit
 
-(** [record] stamped with an amortized clock: the real clock is read once
-    every 32 calls (a gettimeofday per event costs several percent of
-    steps/s at extern-dispatch frequency) and cached in between, never
-    going behind the last exact-time [record]. For high-frequency point
-    events where a ~32-event-granular timestamp is acceptable. *)
+(** [record] on track 0 of a [Wall] ring, stamped with an amortized
+    clock: one real read every 32 calls (a gettimeofday per event costs
+    several percent of steps/s at extern-dispatch frequency), never
+    behind the last exact-time [record]. *)
 val record_now : t -> code:int -> arg:int -> unit
+
+(** [f ()] as a request span ([Req_begin]/[Req_end] on track 0 of a
+    [Wall] ring); [name] is an interned name. *)
+val span : t -> name:int -> (unit -> 'a) -> 'a
+
+(** A virtual timestamp (non-negative cycles) as a ring timestamp, and
+    back; exact. *)
+val of_cycles : float -> int
+
+val to_cycles : int -> float
+
+(** Register a track; numbers are dense from 0. It displays as
+    [label/name] ([name] alone under an empty label). A ring that
+    registers none records on track 0, named by its label. *)
+val track : t -> string -> int
+
+(** The id of an interned name, dense from 0 in interning order: the arg
+    of a chunk or request event. Intern when registering, not per
+    event. *)
+val intern : t -> string -> int
 
 val capacity : t -> int
 val id : t -> int
 val label : t -> string
+val clock : t -> clock
 
-(** Events ever written (monotone, not capped). *)
+(** Events ever written; held now ([min total capacity]); lost to
+    overwrite-oldest. *)
 val total : t -> int
 
-(** Events currently held, [min (total t) (capacity t)]. *)
 val length : t -> int
-
-(** Events lost to overwrite-oldest, [max 0 (total - capacity)]. *)
 val dropped : t -> int
 
-(** Event codes [0 .. Phase.count-1] are phase-entry events (the code is
-    the {!Phase.index}); codes at and above {!code_extern} are point
-    events. *)
-val code_extern : int
-
-val code_chunk : int
-val code_name : int -> string
+(** {2 Readers} *)
 
 type event = {
-  ev_t_us : int;  (** microseconds since the obs epoch *)
+  ev_at : float;  (** cycles or microseconds, per the ring's clock *)
+  ev_clock : clock;
   ev_ring : int;  (** originating ring id *)
-  ev_seq : int;  (** per-ring sequence number, monotone from ring start *)
-  ev_code : int;
-  ev_arg : int;
+  ev_seq : int;  (** per-ring sequence number *)
+  ev_track : int;  (** global track (see {!tracks}) *)
+  ev_kind : Ev.t;
+  ev_arg : int;  (** a [Fiber_spawn]'s track arg is global too *)
+  ev_name : string;  (** a chunk or request event's name, else [""] *)
 }
 
-(** Surviving events, oldest first. *)
-val to_events : t -> event array
+(** Surviving events in record order: ring by ring in id order, oldest
+    first within a ring. *)
+val events : t list -> event array
 
-(** Merge several quiesced rings into one timeline, sorted by
-    [(t_us, ring, seq)]. The order is deterministic: it does not depend
-    on the order of the input list, and merging the same rings twice
-    yields identical arrays. *)
+(** The same events as one timeline sorted by [(clock, at, ring, seq)]: a
+    total order, so the result does not depend on the input order. *)
 val merge : t list -> event array
+
+(** Name and clock of each global track: rings in id order, each owning
+    a contiguous block of numbers. *)
+val tracks : t list -> (string * clock) array

@@ -34,8 +34,8 @@ open Privagic_partition
 open Privagic_vm
 module Sgx = Privagic_sgx
 module Msq = Privagic_runtime.Msqueue
-module Tel = Privagic_telemetry
 module Obs = Privagic_obs
+module Ev = Privagic_obs.Ev
 
 exception Error of string
 
@@ -88,11 +88,12 @@ type worker = {
   w_color : Color.t;
   w_queue : msg Msq.t;
   w_exec : Exec.t;                 (* per-domain executor, shared tables *)
-  w_track : int;                   (* telemetry track *)
   mutable w_mail : (int * Rvalue.t) list; (* conts, own domain only *)
   mutable w_frame : frame option;  (* the chunk running now *)
   mutable w_domain : unit Domain.t option;
-  w_obs : Obs.Lane.t option; (* phase accounting + event ring; None = obs off *)
+  w_obs : Obs.Lane.t option;
+      (* phase accounting + the worker's event ring; None = obs off and
+         untraced *)
 }
 
 type t = {
@@ -109,9 +110,7 @@ type t = {
   mutable guard : bool;            (* §8 valid-spawn-sequence guard *)
   tr_mu : Mutex.t;
   mutable traps : string list;
-  tel_mu : Mutex.t;                (* the recorder is not thread-safe *)
-  mutable tel : Tel.Recorder.t;
-  mutable t0 : float;              (* wall-clock epoch for telemetry *)
+  trace : bool;                    (* lanes also record messages/barriers *)
   mutable domains : int;
   entries_served : int Atomic.t;   (* completed call_entry requests *)
 }
@@ -124,17 +123,6 @@ let dummy_hooks : Exec.hooks =
     h_pre_instr = (fun _ _ -> ());
     h_alloca_zone = (fun _ _ -> Heap.Unsafe);
   }
-
-(* Telemetry: same event vocabulary and sinks as the simulator, but
-   timestamps are wall-clock microseconds since [set_telemetry]. *)
-let now_us t = (Unix.gettimeofday () -. t.t0) *. 1e6
-
-let tel_record t ~track ?name ?arg kind =
-  if Tel.Recorder.enabled t.tel then begin
-    Mutex.lock t.tel_mu;
-    Tel.Recorder.record t.tel ~at:(now_us t) ~track ?name ?arg kind;
-    Mutex.unlock t.tel_mu
-  end
 
 let add_trap t msg =
   Mutex.lock t.tr_mu;
@@ -175,6 +163,32 @@ let[@inline] obs_enter_index w p =
   match w.w_obs with
   | None -> ()
   | Some l -> Obs.Lane.enter_index l p ~now_us:(Obs.now_us ())
+
+let code_begin = Ev.(code Chunk_begin)
+let code_end = Ev.(code Chunk_end)
+
+(* A chunk edge on the worker's own ring, sharing its clock read with
+   the phase transition that goes with it (into Run at a begin, back to
+   the saved phase at an end). *)
+let chunk_edge w code (ch : Dispatch.chunk) phase =
+  match w.w_obs with
+  | None -> ()
+  | Some l ->
+    let now = Obs.now_us () in
+    Obs.Lane.enter_index l phase ~now_us:now;
+    Obs.Ring.record (Obs.Lane.ring l) ~track:0 ~code ~arg:ch.Dispatch.ch_name
+      ~ts:now
+
+(* Messages and barriers, traced runs only: each worker records its own
+   sends and receives into its own ring, so no record takes a lock.
+   Flows carry no id across domains. *)
+let trace_note t w kind =
+  if t.trace then
+    match w.w_obs with
+    | Some l ->
+      Obs.Ring.record (Obs.Lane.ring l) ~track:0 ~code:(Ev.code kind) ~arg:0
+        ~ts:(Obs.now_us ())
+    | None -> ()
 
 let act_name (act : activation) =
   Infer.instance_name act.act_rf.Dispatch.rf_pf.Plan.pf_key
@@ -228,36 +242,32 @@ let rec worker t thread color : worker =
     w
   | None ->
     let machine = Sgx.Machine.create ?cost:t.cost t.config in
-    let track =
-      if Tel.Recorder.enabled t.tel then begin
-        Mutex.lock t.tel_mu;
-        let tr =
-          Tel.Recorder.fresh_track t.tel
-            (Printf.sprintf "d%d/%s" lane (Color.to_string color))
-        in
-        Mutex.unlock t.tel_mu;
-        tr
-      end
-      else 0
-    in
     let w =
       {
         w_lane = lane;
         w_color = color;
         w_queue = Msq.create ();
         w_exec = Exec.clone_shared t.base ~machine ~hooks:dummy_hooks;
-        w_track = track;
         w_mail = [];
         w_frame = None;
         w_domain = None;
         w_obs =
-          (if Obs.enabled () then
+          (if t.trace || Obs.enabled () then begin
              (* ring id = worker creation index: unique within the pool,
                 which is the unit rings get merged over *)
-             Some
-               (Obs.Lane.create ~id:t.domains
-                  ~label:(Printf.sprintf "d%d/%s" lane (Color.to_string color))
-                  ~now_us:(Obs.now_us ()) ())
+             let l =
+               Obs.Lane.create ~id:t.domains
+                 ?ring_cap:(if t.trace then Some (1 lsl 16) else None)
+                 ~label:(Printf.sprintf "d%d/%s" lane (Color.to_string color))
+                 ~now_us:(Obs.now_us ()) ()
+             in
+             (* a fresh ring interns the chunk names at their Dispatch
+                indices, so a chunk event's arg is its [ch_name] *)
+             Array.iter
+               (fun n -> ignore (Obs.Ring.intern (Obs.Lane.ring l) n))
+               (Dispatch.chunk_names t.disp);
+             Some l
+           end
            else None);
       }
     in
@@ -343,12 +353,12 @@ and wait_cont t w ~seq : Rvalue.t =
   in
   let v, rest = take [] w.w_mail in
   w.w_mail <- rest;
-  tel_record t ~track:w.w_track ~name:"retval" Tel.Event.Msg_recv;
+  trace_note t w (Ev.Recv Ev.Retval);
   v
 
 and send_cont t (from : worker) ~thread ~color ~seq v =
   let target = worker t thread color in
-  tel_record t ~track:from.w_track ~name:"retval" Tel.Event.Msg_send;
+  trace_note t from (Ev.Send Ev.Retval);
   Msq.push target.w_queue (Cont { c_seq = seq; c_value = v })
 
 (* The in-flight count covers every created chunk/entry; [call_entry] and
@@ -359,9 +369,7 @@ and send_spawn t (from : worker option) ~thread (act : activation)
   Atomic.incr t.inflight;
   Atomic.incr act.act_pending;
   let target = worker t thread d in
-  (match from with
-  | Some fw -> tel_record t ~track:fw.w_track ~name:"spawn" Tel.Event.Msg_send
-  | None -> ());
+  (match from with Some fw -> trace_note t fw (Ev.Send Ev.Spawn) | None -> ());
   Msq.push target.w_queue
     (Spawn { sp_act = act; sp_args = args; sp_reply_to = reply_to; sp_forged = forged })
 
@@ -393,7 +401,7 @@ and exec_spawn t w (s : msg) =
       Atomic.decr t.inflight
     end
     else begin
-      tel_record t ~track:w.w_track ~name:"spawn" Tel.Event.Msg_recv;
+      trace_note t w (Ev.Recv Ev.Spawn);
       (* host order: spawned siblings of one activation serialize in color
          order, so declassifications flow forward deterministically *)
       let earlier =
@@ -405,7 +413,7 @@ and exec_spawn t w (s : msg) =
             List.for_all
               (fun d -> List.exists (Color.equal d) done_)
               earlier);
-      (match run_chunk t w act sp_args with
+      (match run_chunk w act sp_args with
       | r ->
         List.iter
           (fun (th, color) ->
@@ -418,29 +426,21 @@ and exec_spawn t w (s : msg) =
     end
   | _ -> ()
 
-and run_chunk t w (act : activation) (args : Rvalue.t array) : Rvalue.t =
+and run_chunk w (act : activation) (args : Rvalue.t array) : Rvalue.t =
   let ch = chunk_exn act w.w_color in
-  let f = ch.Dispatch.ch_func in
   let saved = w.w_frame in
   w.w_frame <-
     Some
       { f_act = act; f_calls = Dispatch.counts ();
         f_barriers = Dispatch.counts () };
-  tel_record t ~track:w.w_track ~name:f.Func.name Tel.Event.Chunk_begin;
   let obs_saved = obs_current w in
-  obs_enter w Obs.Phase.Run;
-  (match w.w_obs with
-  | Some l ->
-    Obs.Ring.record (Obs.Lane.ring l) ~code:Obs.Ring.code_chunk
-      ~arg:act.act_seq ~t_us:(Obs.now_us ())
-  | None -> ());
+  chunk_edge w code_begin ch (Obs.Phase.index Obs.Phase.Run);
   let finish () =
     w.w_frame <- saved;
-    obs_enter_index w obs_saved
+    chunk_edge w code_end ch obs_saved
   in
   match Dispatch.run_chunk w.w_exec ch args with
   | r ->
-    tel_record t ~track:w.w_track ~name:f.Func.name Tel.Event.Chunk_end;
     finish ();
     r
   | exception e ->
@@ -506,10 +506,10 @@ and dispatch_local_call t w (i : Instr.t) (site : Dispatch.rsite)
   let result =
     if callee.Dispatch.rf_pure then
       (* pure-F callee: replicated, executes inline everywhere *)
-      run_chunk t w child_act args
+      run_chunk w child_act args
     else if List.exists (Color.equal c) callee.Dispatch.rf_participants then begin
       (* direct call (§7.3.2): inline execution in this worker *)
-      let r = run_chunk t w child_act args in
+      let r = run_chunk w child_act args in
       (if is_sender && inter <> [] then
          List.iter
            (fun d -> send_cont t w ~thread ~color:d ~seq r)
@@ -544,7 +544,7 @@ and dispatch_indirect t w (i : Instr.t) name (args : Rvalue.t array) :
   let spawned_cs = List.filter (fun d -> not (Color.equal d c)) cs in
   let parent = cur_act w in
   let act = fresh_act t ~root:parent.act_root rf ~spawned:spawned_cs in
-  if rf.Dispatch.rf_pure then run_chunk t w act args
+  if rf.Dispatch.rf_pure then run_chunk w act args
   else begin
     let in_cs = List.exists (Color.equal c) cs in
     let i_need =
@@ -568,7 +568,7 @@ and dispatch_indirect t w (i : Instr.t) name (args : Rvalue.t array) :
         in
         send_spawn t (Some w) ~thread act d ~reply_to ~forged:false args)
       spawned_cs;
-    if in_cs then run_chunk t w act args
+    if in_cs then run_chunk w act args
     else if i_need then wait_cont t w ~seq:act.act_seq
     else Rvalue.zero
   end
@@ -606,7 +606,7 @@ and barrier t w (fr : frame) (instr : int) =
   let same i d = i = instr && Color.equal d c in
   atomic_update act.act_arrived (fun l ->
       (instr, c, occ) :: List.filter (fun (i, d, _) -> not (same i d)) l);
-  tel_record t ~track:w.w_track ~name:(Color.to_string c) Tel.Event.Barrier;
+  trace_note t w Ev.Barrier;
   let present = Dispatch.presence act.act_rf instr in
   let spawned d = List.exists (Color.equal d) act.act_spawned in
   let preds =
@@ -669,7 +669,7 @@ and exec_entry t w (e : msg) =
         (* host order: enclave chunks complete before the U body *)
         wait_pending t w act;
         match e_entry.Dispatch.en_direct with
-        | Some _ -> run_chunk t w act e_args
+        | Some _ -> run_chunk w act e_args
         | None -> wait_cont t w ~seq:act.act_seq)
      with
     | r -> fill_slot e_slot (Ok r)
@@ -681,7 +681,7 @@ and exec_entry t w (e : msg) =
 (* ------------------------------------------------------------------ *)
 
 let create ?(config = Sgx.Config.machine_b) ?cost ?(lanes = 2) ?engine
-    (plan : Plan.t) : t =
+    ?(trace = false) (plan : Plan.t) : t =
   let engine =
     match engine with Some e -> e | None -> Exec.default_engine ()
   in
@@ -721,9 +721,7 @@ let create ?(config = Sgx.Config.machine_b) ?cost ?(lanes = 2) ?engine
     guard = true;
     tr_mu = Mutex.create ();
     traps = [];
-    tel_mu = Mutex.create ();
-    tel = Tel.Recorder.null;
-    t0 = Unix.gettimeofday ();
+    trace;
     domains = 0;
     entries_served = Atomic.make 0;
   }
@@ -818,10 +816,6 @@ let inject_spawn t ?(thread = 0) ~(color : Color.t) ~(chunk : string)
 
 let set_spawn_guard t enabled = t.guard <- enabled
 
-let set_telemetry t r =
-  t.tel <- r;
-  t.t0 <- Unix.gettimeofday ()
-
 (* Quiesce, close every queue, join the domains. Returns [false] when the
    pool failed to quiesce in time — queues are closed anyway, but the
    domains are not joined (they may be stuck in a chunk). *)
@@ -899,8 +893,6 @@ let obs_lanes t = List.filter_map (fun w -> w.w_obs) (sorted_workers t)
 let lane_breakdowns t =
   let now = Obs.now_us () in
   List.map (fun l -> Obs.Lane.snapshot l ~now_us:now) (obs_lanes t)
-
-let obs_events t = Obs.Ring.merge (List.map Obs.Lane.ring (obs_lanes t))
 
 let total_externs t =
   List.fold_left

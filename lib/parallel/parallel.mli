@@ -12,7 +12,6 @@
 open Privagic_pir
 open Privagic_vm
 module Sgx = Privagic_sgx
-module Tel = Privagic_telemetry
 
 exception Error of string
 
@@ -25,12 +24,17 @@ type t
     [engine] selects the execution engine (default
     [Exec.default_engine ()]): [Image] builds the flattened linked image
     once before the first domain starts and every worker shares it
-    read-only; [Walk] keeps the tree-walking oracle. *)
+    read-only; [Walk] keeps the tree-walking oracle. [trace] (default
+    off) gives every worker a lane with a large ring, whatever
+    [PRIVAGIC_OBS] says, and records chunk spans, messages and barriers
+    into it (wall-clock microseconds): take {!obs_lanes} before
+    {!shutdown}, read their rings after it, once the domains joined. *)
 val create :
   ?config:Sgx.Config.t ->
   ?cost:Sgx.Cost.t ->
   ?lanes:int ->
   ?engine:Exec.engine ->
+  ?trace:bool ->
   Privagic_partition.Plan.t ->
   t
 
@@ -83,11 +87,6 @@ val inject_spawn :
 
 val set_spawn_guard : t -> bool -> unit
 
-(** Attach a telemetry recorder; events carry wall-clock microseconds
-    since this call. Attach before the first entry call — workers
-    created earlier recorded nothing. *)
-val set_telemetry : t -> Tel.Recorder.t -> unit
-
 (** {2 Observability (lib/obs)}
 
     Always-on unless [PRIVAGIC_OBS=off]: each worker owns a
@@ -98,15 +97,12 @@ val set_telemetry : t -> Tel.Recorder.t -> unit
     joins the domains they are exact. *)
 
 (** Per-worker lanes in deterministic (lane, color) order; empty with
-    obs off or before the first worker starts. *)
+    obs off and untraced, before the first worker starts, or after
+    {!shutdown}. *)
 val obs_lanes : t -> Privagic_obs.Lane.t list
 
 (** Phase decomposition of each lane's wall time, snapshotted now. *)
 val lane_breakdowns : t -> Privagic_obs.Lane.breakdown list
-
-(** All worker rings merged into one deterministic timeline. Call on a
-    quiescent pool (see {!Privagic_obs.Ring.merge}). *)
-val obs_events : t -> Privagic_obs.Ring.event array
 
 (** Extern dispatches summed over the base executor and all workers. *)
 val total_externs : t -> int

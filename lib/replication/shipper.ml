@@ -22,7 +22,8 @@
    stalled socket write, every retry), so a waiter re-checks its deadline
    at least that often without being woken by every commit. *)
 
-module Tel = Privagic_telemetry
+module Metrics = Privagic_obs.Metrics
+module Ring = Privagic_obs.Ring
 module Wakeup = Privagic_runtime.Wakeup
 
 type conn = {
@@ -42,7 +43,6 @@ type t = {
   window : int;
   keys : (string, Seal.key) Hashtbl.t;  (* per-color, derived lazily *)
   cluster : string;
-  span : string -> (unit -> unit) -> unit;
   mu : Mutex.t;
   ack_cv : Condition.t;  (* an ack arrived, a link died, or a tick *)
   mutable conns : conn list;
@@ -50,7 +50,7 @@ type t = {
   mutable draining : bool;
   mutable drain_deadline : float;
   (* metrics (hub mutex) *)
-  h_lag : Tel.Metrics.histogram;
+  h_lag : Metrics.histogram;
   mutable m_last_lag_us : float;
   mutable m_shipped : int;
   mutable m_sealed : int;
@@ -61,23 +61,20 @@ type t = {
    waiter notices its deadline. Commits and acks wake the thread sooner. *)
 let tick_s = 0.1
 
-let create ?(window = 1024) ?(cluster = "privagic") ?(span = fun _ f -> f ())
-    ~log () =
+let create ?(window = 1024) ?(cluster = "privagic") ~log () =
   if window < 1 then invalid_arg "Shipper.create: window must be positive";
-  let metrics = Tel.Metrics.create () in
   {
     log;
     window;
     keys = Hashtbl.create 4;
     cluster;
-    span;
     mu = Mutex.create ();
     ack_cv = Condition.create ();
     conns = [];
     threads = [];
     draining = false;
     drain_deadline = infinity;
-    h_lag = Tel.Metrics.histogram metrics "replication lag (us)";
+    h_lag = Metrics.histogram "replication lag (us)";
     m_last_lag_us = 0.0;
     m_shipped = 0;
     m_sealed = 0;
@@ -142,7 +139,7 @@ let note_acked t c seq =
         | Some (s, sent_at) when s <= seq ->
           ignore (Queue.pop c.inflight);
           let lag = (now -. sent_at) *. 1e6 in
-          Tel.Metrics.observe t.h_lag lag;
+          Metrics.observe t.h_lag lag;
           t.m_last_lag_us <- lag
         | _ -> continue := false
       done;
@@ -160,8 +157,15 @@ let pump_acks t c buf =
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> true
   | exception Unix.Unix_error _ -> false
 
-let ship_thread t c =
+let ship_thread t c ring =
   let buf = Bytes.create 4096 in
+  (* traced: each write of a run of frames is a span on this thread's own
+     ring, so recording takes no lock *)
+  let span =
+    match ring with
+    | None -> fun f -> f ()
+    | Some r -> Ring.span r ~name:(Ring.intern r "repl_ship")
+  in
   let sealer ~color ~nonce payload =
     locked t (fun () ->
         let k = key_for t color in
@@ -203,7 +207,7 @@ let ship_thread t c =
             (List.rev !sent);
           c.cursor <- stop + 1;
           t.m_shipped <- t.m_shipped + List.length !sent);
-      t.span "repl_ship" (fun () ->
+      span (fun () ->
           ok := write_all t c.fd (Buffer.contents frames));
       if !ok then ok := pump_acks t c buf
     end
@@ -243,7 +247,7 @@ let ship_thread t c =
       (try Unix.close c.fd with Unix.Unix_error _ -> ());
       Wakeup.close c.wake)
 
-let register t fd ~sync ~from_seq =
+let register t ?ring fd ~sync ~from_seq =
   let refuse = locked t (fun () -> t.draining) in
   if refuse then (try Unix.close fd with Unix.Unix_error _ -> ())
   else begin
@@ -260,7 +264,7 @@ let register t fd ~sync ~from_seq =
         alive = true;
       }
     in
-    let th = Thread.create (fun () -> ship_thread t c) () in
+    let th = Thread.create (fun () -> ship_thread t c ring) () in
     locked t (fun () ->
         t.conns <- c :: t.conns;
         t.threads <- th :: t.threads)
@@ -290,7 +294,7 @@ let wait_synced t ~seq ~timeout_s =
       go ())
 
 let last_lag_us t = locked t (fun () -> t.m_last_lag_us)
-let lag_pctiles t = locked t (fun () -> Tel.Metrics.pctiles t.h_lag)
+let lag_pctiles t = locked t (fun () -> Metrics.pctiles t.h_lag)
 let shipped t = locked t (fun () -> t.m_shipped)
 let sealed_count t = locked t (fun () -> t.m_sealed)
 let seal_cycles t = locked t (fun () -> t.m_seal_cycles)

@@ -20,19 +20,17 @@ type t
 
 (** [create ~log ()] — [window] bounds unacknowledged in-flight deltas
     per replica (default 1024); [cluster] is the shared secret sealing
-    keys derive from; [span name f] wraps shipping work in a telemetry
-    span (default: call [f] directly). *)
-val create :
-  ?window:int ->
-  ?cluster:string ->
-  ?span:(string -> (unit -> unit) -> unit) ->
-  log:Log.t ->
-  unit ->
-  t
+    keys derive from. *)
+val create : ?window:int -> ?cluster:string -> log:Log.t -> unit -> t
 
 (** Adopt a replica connection (fd already non-blocking) and start its
-    shipping thread. Refused (fd closed) when the shipper is draining. *)
-val register : t -> Unix.file_descr -> sync:bool -> from_seq:int -> unit
+    shipping thread. Refused (fd closed) when the shipper is draining.
+    With a [ring] (wall clock), the thread records each write of a run
+    of frames there as a ["repl_ship"] request span; the ring is the
+    thread's alone until {!drain} joins it. *)
+val register :
+  t -> ?ring:Privagic_obs.Ring.t -> Unix.file_descr -> sync:bool ->
+  from_seq:int -> unit
 
 (** Live replica connections. *)
 val connected : t -> int
@@ -49,7 +47,7 @@ val wait_synced : t -> seq:int -> timeout_s:float -> bool
 (** Most recent send→ack lag sample, microseconds (0.0 before any). *)
 val last_lag_us : t -> float
 
-val lag_pctiles : t -> Privagic_telemetry.Metrics.pctiles
+val lag_pctiles : t -> Privagic_obs.Metrics.pctiles
 
 (** Deltas written to the wire / payloads sealed, over all replicas. *)
 val shipped : t -> int

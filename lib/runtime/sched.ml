@@ -10,14 +10,15 @@
    deterministic discrete-event execution: no wall clock, no races,
    reproducible benchmark numbers.
 
-   Telemetry: when a recorder is attached, every fiber lifecycle edge
-   (spawn, start, block, resume, finish) is recorded on the fiber's track
-   — the happens-before skeleton the critical-path analyzer walks. The
-   spawner controls track identity ([spawn ~track]) so several fibers of
-   one logical worker share a track; a disabled recorder costs one boolean
-   read per edge. *)
+   Tracing: when a ring is attached, every fiber lifecycle edge (spawn,
+   start, block, resume, finish) is recorded on the fiber's track — the
+   happens-before skeleton the critical-path analyzer walks. The spawner
+   controls track identity ([spawn ~track]) so several fibers of one
+   logical worker share a track; without a ring each edge costs one
+   match on [None]. *)
 
-module Tel = Privagic_telemetry
+module Ring = Privagic_obs.Ring
+module Ev = Privagic_obs.Ev
 
 type _ Effect.t +=
   | Block : (unit -> bool) * (unit -> float) -> unit Effect.t
@@ -31,7 +32,7 @@ type worker_state =
 
 type worker = {
   wid : int;
-  name : string Lazy.t; (* formatted only when telemetry or a report reads it *)
+  name : string Lazy.t; (* formatted only when a trace or a report reads it *)
   track : int;
   clock : Vclock.t;
   mutable state : worker_state;
@@ -40,7 +41,7 @@ type worker = {
 type t = { mutable workers : worker list; mutable next_id : int;
            mutable steps : int;
            mutable high_water : float;      (* clocks of pruned fibers *)
-           mutable tel : Tel.Recorder.t;
+           mutable ring : Ring.t option;    (* the VM's trace ring *)
            mutable running : worker option }
 
 (* How a [run] ended. [Blocked_workers] names the workers still waiting
@@ -56,9 +57,12 @@ exception Deadlock of string list
 
 let create () =
   { workers = []; next_id = 0; steps = 0; high_water = 0.0;
-    tel = Tel.Recorder.null; running = None }
+    ring = None; running = None }
 
-let set_telemetry t r = t.tel <- r
+let set_ring t r = t.ring <- Some r
+
+let[@inline] record r ~track kind ~arg clock =
+  Ring.record r ~track ~code:(Ev.code kind) ~arg ~ts:(Ring.of_cycles clock)
 
 (* [parent] overrides the spawning track recorded with the fiber's
    Fiber_spawn event (default: the currently running worker, -1 when the
@@ -69,22 +73,23 @@ let spawn t ~name ?track ?parent ~at body =
   let track =
     match track with
     | Some k -> k
-    | None -> Tel.Recorder.fresh_track t.tel (Lazy.force name)
+    | None -> (
+      match t.ring with Some r -> Ring.track r (Lazy.force name) | None -> 0)
   in
   let w =
     { wid = t.next_id; name; track; clock = Vclock.make at; state = Not_started body }
   in
   t.next_id <- t.next_id + 1;
   t.workers <- t.workers @ [ w ];
-  if Tel.Recorder.enabled t.tel then begin
+  (match t.ring with
+  | None -> ()
+  | Some r ->
     let arg =
       match parent with
       | Some p -> p
       | None -> ( match t.running with Some p -> p.track | None -> -1)
     in
-    Tel.Recorder.record t.tel ~at ~track ~name:(Lazy.force name) ~arg
-      Tel.Event.Fiber_spawn
-  end;
+    record r ~track Ev.Fiber_spawn ~arg at);
   w
 
 (* Called from inside a worker fiber: wait until [cond] holds; the clock
@@ -107,35 +112,35 @@ let handler (w : worker) =
   }
 
 let step_worker t w =
-  let tel_on = Tel.Recorder.enabled t.tel in
   t.running <- Some w;
   (match w.state with
   | Not_started body ->
     w.state <- Running;
-    if tel_on then
-      Tel.Recorder.record t.tel ~at:(Vclock.get w.clock) ~track:w.track
-        ~name:(Lazy.force w.name)
-        Tel.Event.Fiber_start;
+    (match t.ring with
+    | Some r ->
+      record r ~track:w.track Ev.Fiber_start ~arg:0 (Vclock.get w.clock)
+    | None -> ());
     Effect.Deep.match_with (fun () -> body w.clock) () (handler w)
   | Blocked (_, arrival, k) ->
     let arr = arrival () in
     Vclock.set w.clock (Float.max (Vclock.get w.clock) arr);
     w.state <- Running;
-    if tel_on then
-      Tel.Recorder.record t.tel ~at:(Vclock.get w.clock) ~track:w.track ~farg:arr
-        Tel.Event.Fiber_resume;
+    (match t.ring with
+    | Some r ->
+      record r ~track:w.track Ev.Fiber_resume ~arg:(Ring.of_cycles arr)
+        (Vclock.get w.clock)
+    | None -> ());
     Effect.Deep.continue k ()
   | Running | Finished -> invalid_arg "Sched.step_worker");
   t.running <- None;
-  if tel_on then (
+  match t.ring with
+  | None -> ()
+  | Some r -> (
     match w.state with
     | Blocked _ ->
-      Tel.Recorder.record t.tel ~at:(Vclock.get w.clock) ~track:w.track
-        Tel.Event.Fiber_block
+      record r ~track:w.track Ev.Fiber_block ~arg:0 (Vclock.get w.clock)
     | Finished ->
-      Tel.Recorder.record t.tel ~at:(Vclock.get w.clock) ~track:w.track
-        ~name:(Lazy.force w.name)
-        Tel.Event.Fiber_finish
+      record r ~track:w.track Ev.Fiber_finish ~arg:0 (Vclock.get w.clock)
     | Not_started _ | Running -> ())
 
 let runnable w =

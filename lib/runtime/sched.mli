@@ -9,13 +9,10 @@
     resumes the runnable worker with the smallest clock, which makes the
     simulation a deterministic discrete-event execution.
 
-    With a telemetry recorder attached ({!set_telemetry}), every fiber
-    lifecycle edge — spawn, start, block, resume, finish — is recorded on
-    the fiber's track, giving the critical-path analyzer its
-    happens-before skeleton. Disabled telemetry costs one boolean read
-    per edge. *)
-
-module Tel = Privagic_telemetry
+    With a ring attached ({!set_ring}), every fiber lifecycle edge —
+    spawn, start, block, resume, finish — is recorded on the fiber's
+    track, giving the critical-path analyzer its happens-before
+    skeleton. Without one, each edge costs a match on [None]. *)
 
 type worker_state =
   | Not_started of (Vclock.t -> unit)
@@ -27,7 +24,7 @@ type worker_state =
 type worker = {
   wid : int;
   name : string Lazy.t;  (** formatted only when read *)
-  track : int;       (** telemetry track the fiber's events land on *)
+  track : int;       (** ring track the fiber's events land on *)
   clock : Vclock.t;
   mutable state : worker_state;
 }
@@ -37,7 +34,7 @@ type t = {
   mutable next_id : int;
   mutable steps : int;
   mutable high_water : float;
-  mutable tel : Tel.Recorder.t;
+  mutable ring : Privagic_obs.Ring.t option;
   mutable running : worker option;
 }
 
@@ -55,18 +52,20 @@ exception Deadlock of string list
 
 val create : unit -> t
 
-(** Attach a telemetry recorder (default: the shared disabled one). *)
-val set_telemetry : t -> Tel.Recorder.t -> unit
+(** Attach the ring fiber lifecycle edges are recorded into (virtual
+    clock; default: none). *)
+val set_ring : t -> Privagic_obs.Ring.t -> unit
 
 (** [spawn t ~name ~at body] registers a fiber whose clock starts at [at];
     it runs when the scheduler first picks it. May be called from inside a
-    running fiber. [track] assigns the fiber's telemetry track (several
-    fibers of one logical worker may share one); fresh by default.
+    running fiber. [track] assigns the fiber's ring track (several
+    fibers of one logical worker may share one); by default a fresh track
+    of the attached ring, or 0 without one.
     [parent] overrides the spawning track recorded with the Fiber_spawn
     event (default: the running worker, or -1 for an external spawn); a
     parent equal to [track] marks the fiber as serialized after earlier
-    work on its own track. [name] is forced only when telemetry records
-    the fiber or a run reports it blocked, so a hot spawner need not
+    work on its own track. [name] is forced only when a ring registers
+    the fiber's track or a run reports it blocked, so a hot spawner need not
     format it. *)
 val spawn :
   t -> name:string Lazy.t -> ?track:int -> ?parent:int -> at:float ->

@@ -42,11 +42,12 @@
    apply the merged stream in order, routing each delta to its shard;
    per-shard subsequences replay bit-exact against per-shard oracles. *)
 
-module Tel = Privagic_telemetry
 module Msq = Privagic_runtime.Msqueue
 module Wakeup = Privagic_runtime.Wakeup
 module Repl = Privagic_replication
 module Obs = Privagic_obs
+module Metrics = Privagic_obs.Metrics
+module Ring = Privagic_obs.Ring
 module Txn = Privagic_txn.Txn
 module Index = Privagic_txn.Index
 open Privagic_vm
@@ -60,6 +61,7 @@ type store = {
   st_register_obs : Obs.Registry.t -> unit;
       (* backend gauges (steps, externs, declassify counts)
          onto the server's registry *)
+  st_attach_ring : Ring.t -> unit;  (* trace the backend into a ring *)
 }
 
 let store_of_heap heap =
@@ -102,6 +104,7 @@ let store_of_pinterp (p : Pinterp.t) =
               (fun color r acc -> ([ ("color", color) ], float_of_int !r) :: acc)
               ex.Exec.declass []
             |> List.sort compare));
+    st_attach_ring = Pinterp.attach_ring p;
   }
 
 type bindings = {
@@ -163,7 +166,7 @@ type config = {
   policy : policy;
   max_batch : int;
   vsize : int;
-  telemetry : Tel.Recorder.t;
+  trace : bool;
   repl_window : int;
   repl_cluster : string;
 }
@@ -177,7 +180,7 @@ let default_config =
     policy = Block;
     max_batch = 8;
     vsize = 32;
-    telemetry = Tel.Recorder.null;
+    trace = false;
     repl_window = 1024;
     repl_cluster = "privagic";
   }
@@ -240,12 +243,15 @@ type shard = {
   sh_in_mu : Mutex.t;
   sh_incoming : conn Queue.t;       (* acceptor -> loop handoff *)
   mutable sh_conns : conn list;     (* owner loop only *)
-  sh_track : int;
+  (* traced servers only: the shard's VM records into a virtual-clock
+     ring, its loop into a wall-clock one (request spans) *)
+  sh_vm_ring : Ring.t option;
+  sh_ring : Ring.t option;
   (* the requests this shard executes, written only by its loop and
      merged when `stats` is read: no lock on the response path *)
-  sh_latency : Tel.Metrics.histogram;
-  sh_qwait : Tel.Metrics.histogram;
-  sh_scan_len : Tel.Metrics.histogram;  (* items returned per scan *)
+  sh_latency : Metrics.histogram;
+  sh_qwait : Metrics.histogram;
+  sh_scan_len : Metrics.histogram;  (* items returned per scan *)
 }
 
 type role = Primary | Replica_of of string
@@ -263,7 +269,6 @@ type t = {
   t_role : role Atomic.t;  (* read on every write request *)
   n_applied : int Atomic.t;        (* deltas applied while a replica *)
   n_fence_timeouts : int Atomic.t; (* sync acks that timed out *)
-  tel_mu : Mutex.t;                (* the recorder is not thread-safe *)
   a_wake : Wakeup.t;               (* wakes the acceptor *)
   (* counters (Atomic: each is read/bumped from several domains) *)
   conns_accepted : int Atomic.t;
@@ -306,6 +311,7 @@ type t = {
   reg_cv : Condition.t;
   mutable reg_q : (Unix.file_descr * bool * int) list; (* reg_mu *)
   mutable reg_stop : bool;                             (* reg_mu *)
+  mutable repl_rings : Ring.t list;  (* reg_mu; one per sender, traced *)
   mutable registrar : Thread.t option;
   mutable acceptor : Thread.t option;
   mutable supervisor : Thread.t option;
@@ -316,7 +322,7 @@ let now_us t = (Unix.gettimeofday () -. t.started_at) *. 1e6
 
 (* One per-shard histogram, summed over the shards at read time. *)
 let merged t field =
-  Tel.Metrics.merge (Array.to_list (Array.map field t.sh))
+  Metrics.merge (Array.to_list (Array.map field t.sh))
 
 let wake s = Wakeup.wake s.sh_wake
 
@@ -518,7 +524,7 @@ let fill t s c p resp =
   p.p_resp <- Some resp;
   c.c_inflight <- c.c_inflight - 1;
   Mutex.unlock c.c_mu;
-  Tel.Metrics.observe s.sh_latency (now_us t -. p.p_enq_at)
+  Metrics.observe s.sh_latency (now_us t -. p.p_enq_at)
 
 let inflight c =
   Mutex.lock c.c_mu;
@@ -538,20 +544,16 @@ let maybe_fence t max_seq =
 (* ------------------------------------------------------------------ *)
 (* execution: one chunk of same-shard requests, under the shard latch *)
 
-let tel_span t track name f =
-  if t.cfg.telemetry == Tel.Recorder.null then f ()
-  else begin
-    Mutex.lock t.tel_mu;
-    Tel.Recorder.record t.cfg.telemetry ~at:(now_us t) ~track ~name
-      Tel.Event.Req_begin;
-    Mutex.unlock t.tel_mu;
-    let r = f () in
-    Mutex.lock t.tel_mu;
-    Tel.Recorder.record t.cfg.telemetry ~at:(now_us t) ~track ~name
-      Tel.Event.Req_end;
-    Mutex.unlock t.tel_mu;
-    r
-  end
+(* Request spans, on the executing shard loop's own ring. The names are
+   interned in this order when the ring is made, so a span's name id is
+   its index here. *)
+let span_names =
+  [| "get"; "set"; "del"; "getv"; "cas"; "txn"; "txn2pc"; "scan" |]
+let sp_get = 0 and sp_set = 1 and sp_del = 2 and sp_getv = 3 and sp_cas = 4
+and sp_txn = 5 and sp_txn2pc = 6 and sp_scan = 7
+
+let span s name f =
+  match s.sh_ring with None -> f () | Some r -> Ring.span r ~name f
 
 (* Execute one chunk (all requests keyed to [sh]) under its latch, then
    fence, then fill the slots. Duplicate gets inside the chunk are
@@ -561,7 +563,6 @@ let tel_span t track name f =
    are signaled by the caller (it knows which owners to wake). *)
 let exec_chunk t sh (chunk : (conn * pending * Protocol.request) list) =
   let cache : (int, Protocol.response) Hashtbl.t = Hashtbl.create 8 in
-  let track = sh.sh_track in
   Atomic.incr t.n_batches;
   (* highest delta seq committed by this chunk; 0 when it wrote nothing *)
   let max_seq = ref 0 in
@@ -588,7 +589,7 @@ let exec_chunk t sh (chunk : (conn * pending * Protocol.request) list) =
   let responses =
     List.map
       (fun (c, p, req) ->
-        Tel.Metrics.observe sh.sh_qwait (now_us t -. p.p_enq_at);
+        Metrics.observe sh.sh_qwait (now_us t -. p.p_enq_at);
         let resp =
           match req with
           | Protocol.Get k -> (
@@ -601,7 +602,7 @@ let exec_chunk t sh (chunk : (conn * pending * Protocol.request) list) =
               | _ -> ());
               r
             | None ->
-              let r = tel_span t track "get" (fun () -> exec_get t sh k) in
+              let r = span sh sp_get (fun () -> exec_get t sh k) in
               (match r with
               | Protocol.Value _ -> Atomic.incr t.n_hits
               | _ -> ());
@@ -609,7 +610,7 @@ let exec_chunk t sh (chunk : (conn * pending * Protocol.request) list) =
               r)
           | Protocol.Set (k, v) ->
             Atomic.incr t.n_sets;
-            let r = tel_span t track "set" (fun () -> commit_set t sh k v) in
+            let r = span sh sp_set (fun () -> commit_set t sh k v) in
             (match r with
             | Protocol.Stored ->
               committed
@@ -620,7 +621,7 @@ let exec_chunk t sh (chunk : (conn * pending * Protocol.request) list) =
             r
           | Protocol.Del k ->
             Atomic.incr t.n_dels;
-            let r = tel_span t track "del" (fun () -> commit_del t sh k) in
+            let r = span sh sp_del (fun () -> commit_del t sh k) in
             (match r with
             | Protocol.Deleted ->
               (* Not_found has no visible effect, so it ships no delta *)
@@ -633,7 +634,7 @@ let exec_chunk t sh (chunk : (conn * pending * Protocol.request) list) =
             Atomic.incr t.n_getv;
             (* version first: both are read under the same latch hold *)
             let ver = Txn.version sh.sh_txn k in
-            match tel_span t track "getv" (fun () -> exec_get t sh k) with
+            match span sh sp_getv (fun () -> exec_get t sh k) with
             | Protocol.Value (_, v) ->
               Atomic.incr t.n_hits;
               Protocol.Version { v_key = k; v_ver = ver; v_val = Some v }
@@ -643,7 +644,7 @@ let exec_chunk t sh (chunk : (conn * pending * Protocol.request) list) =
           | Protocol.Cas { c_key; c_ver; c_val } -> (
             Atomic.incr t.n_cas;
             let r =
-              tel_span t track "cas" (fun () ->
+              span sh sp_cas (fun () ->
                   Txn.execute sh.sh_txn (txn_store_ops t sh)
                     [ Txn.T_cas (c_key, c_ver, c_val) ])
             in
@@ -672,7 +673,7 @@ let exec_chunk t sh (chunk : (conn * pending * Protocol.request) list) =
                inline at the owner (the 2PC barrier path) *)
             Atomic.incr t.n_txns;
             let r =
-              tel_span t track "txn" (fun () ->
+              span sh sp_txn (fun () ->
                   Txn.execute sh.sh_txn (txn_store_ops t sh) ops)
             in
             match r with
@@ -761,7 +762,7 @@ let exec_txn_2pc t s ops =
   let resp =
     with_latches t ids (fun () ->
         match
-          tel_span t s.sh_track "txn2pc" (fun () ->
+          span s sp_txn2pc (fun () ->
               Txn.execute_routed ~route ~coord ops)
         with
         | Txn.Committed (results, writes) ->
@@ -785,7 +786,7 @@ let exec_txn_2pc t s ops =
 let exec_scan t s ~start ~stop ~limit =
   Atomic.incr t.n_scans;
   let items =
-    tel_span t s.sh_track "scan" (fun () ->
+    span s sp_scan (fun () ->
         let per =
           Array.fold_left
             (fun acc sh ->
@@ -805,7 +806,7 @@ let exec_scan t s ~start ~stop ~limit =
         List.filteri (fun i _ -> i < limit) sorted)
   in
   ignore (Atomic.fetch_and_add t.n_scan_items (List.length items));
-  Tel.Metrics.observe s.sh_scan_len (float_of_int (List.length items));
+  Metrics.observe s.sh_scan_len (float_of_int (List.length items));
   Protocol.Scan_reply
     (List.map
        (fun (e : Index.entry) ->
@@ -1338,7 +1339,22 @@ let registrar_loop t =
     stop := t.reg_stop;
     Mutex.unlock t.reg_mu;
     List.iter
-      (fun (fd, sync, from_seq) -> Repl.Shipper.register t.hub fd ~sync ~from_seq)
+      (fun (fd, sync, from_seq) ->
+        let ring =
+          if t.cfg.trace then begin
+            Mutex.lock t.reg_mu;
+            let k = List.length t.repl_rings in
+            let r =
+              Ring.create ~cap:(1 lsl 14) ~id:((2 * t.cfg.shards) + k)
+                ~label:(Printf.sprintf "repl%d" k) ()
+            in
+            t.repl_rings <- r :: t.repl_rings;
+            Mutex.unlock t.reg_mu;
+            Some r
+          end
+          else None
+        in
+        Repl.Shipper.register t.hub ?ring fd ~sync ~from_seq)
       q
   done
 
@@ -1369,30 +1385,12 @@ let start ?replica_of cfg bnd (stores : store array) =
     | _ -> cfg.port
   in
   let started_at = Unix.gettimeofday () in
-  let tel_mu = Mutex.create () in
-  (* the shipper threads record their sends on a track of their own *)
-  let repl_span =
-    if cfg.telemetry == Tel.Recorder.null then fun _ f -> f ()
-    else begin
-      let track = Tel.Recorder.fresh_track cfg.telemetry "srv/repl" in
-      let record name ev =
-        Mutex.lock tel_mu;
-        Tel.Recorder.record cfg.telemetry
-          ~at:((Unix.gettimeofday () -. started_at) *. 1e6)
-          ~track ~name ev;
-        Mutex.unlock tel_mu
-      in
-      fun name f ->
-        record name Tel.Event.Req_begin;
-        f ();
-        record name Tel.Event.Req_end
-    end
-  in
   let repl_log = Repl.Log.create () in
   let hub =
     Repl.Shipper.create ~window:cfg.repl_window ~cluster:cfg.repl_cluster
-      ~span:repl_span ~log:repl_log ()
+      ~log:repl_log ()
   in
+  let traced f = if cfg.trace then Some (f ()) else None in
   let sh =
     Array.init cfg.shards (fun i ->
         let store = stores.(i) in
@@ -1414,14 +1412,26 @@ let start ?replica_of cfg bnd (stores : store array) =
           sh_in_mu = Mutex.create ();
           sh_incoming = Queue.create ();
           sh_conns = [];
-          sh_track =
-            (if cfg.telemetry == Tel.Recorder.null then 0
-             else
-               Tel.Recorder.fresh_track cfg.telemetry
-                 (Printf.sprintf "srv/shard%d" i));
-          sh_latency = Tel.Metrics.fresh_histogram "server latency (us)";
-          sh_qwait = Tel.Metrics.fresh_histogram "queue wait (us)";
-          sh_scan_len = Tel.Metrics.fresh_histogram "scan length (items)";
+          (* traced, ring ids: VMs 0..n-1, loops n..2n-1, senders 2n.. *)
+          sh_vm_ring =
+            traced (fun () ->
+                let r =
+                  Ring.create ~cap:(1 lsl 18) ~clock:Ring.Virtual ~id:i
+                    ~label:(Printf.sprintf "s%d" i) ()
+                in
+                store.st_attach_ring r;
+                r);
+          sh_ring =
+            traced (fun () ->
+                let r =
+                  Ring.create ~cap:(1 lsl 16) ~id:(cfg.shards + i)
+                    ~label:(Printf.sprintf "s%d/srv" i) ()
+                in
+                Array.iter (fun n -> ignore (Ring.intern r n)) span_names;
+                r);
+          sh_latency = Metrics.histogram "server latency (us)";
+          sh_qwait = Metrics.histogram "queue wait (us)";
+          sh_scan_len = Metrics.histogram "scan length (items)";
         })
   in
   let t =
@@ -1441,7 +1451,6 @@ let start ?replica_of cfg bnd (stores : store array) =
           | None -> Primary);
       n_applied = Atomic.make 0;
       n_fence_timeouts = Atomic.make 0;
-      tel_mu;
       a_wake = Wakeup.create ();
       conns_accepted = Atomic.make 0;
       conns_open = Atomic.make 0;
@@ -1474,6 +1483,7 @@ let start ?replica_of cfg bnd (stores : store array) =
       reg_cv = Condition.create ();
       reg_q = [];
       reg_stop = false;
+      repl_rings = [];
       registrar = None;
       acceptor = None;
       supervisor = None;
@@ -1533,7 +1543,7 @@ let start ?replica_of cfg bnd (stores : store array) =
          (Array.fold_left (fun acc s -> acc + Txn.aborts s.sh_txn) 0 t.sh));
    Obs.Registry.summary reg ~help:"items returned per range scan"
      "privagic_scan_items" (fun () ->
-       Tel.Metrics.pctiles (merged t (fun s -> s.sh_scan_len)));
+       Metrics.pctiles (merged t (fun s -> s.sh_scan_len)));
    Obs.Registry.multi_gauge reg ~help:"pending cross-shard requests per shard"
      "privagic_server_queue_depth" (fun () ->
        Array.to_list
@@ -1546,10 +1556,10 @@ let start ?replica_of cfg bnd (stores : store array) =
      "privagic_repl_seq" (fun () -> float_of_int (Repl.Log.head t.repl_log));
    Obs.Registry.summary reg ~help:"request latency (microseconds)"
      "privagic_server_latency_us" (fun () ->
-       Tel.Metrics.pctiles (merged t (fun s -> s.sh_latency)));
+       Metrics.pctiles (merged t (fun s -> s.sh_latency)));
    Obs.Registry.summary reg ~help:"queue wait (microseconds)"
      "privagic_server_queue_wait_us" (fun () ->
-       Tel.Metrics.pctiles (merged t (fun s -> s.sh_qwait)));
+       Metrics.pctiles (merged t (fun s -> s.sh_qwait)));
    Repl.Shipper.register_obs t.hub reg;
    (* one store registers its fixed-name gauges; with several shards the
       other backends' counters are visible through `stats` instead
@@ -1564,6 +1574,14 @@ let start ?replica_of cfg bnd (stores : store array) =
   t
 
 let port t = t.t_port
+
+let rings t =
+  let own = Array.to_list t.sh |> List.concat_map (fun s ->
+      Option.to_list s.sh_vm_ring @ Option.to_list s.sh_ring) in
+  Mutex.lock t.reg_mu;
+  let repl = List.rev t.repl_rings in
+  Mutex.unlock t.reg_mu;
+  own @ repl
 let metrics_registry t = t.obs
 let is_draining t = Atomic.get t.draining
 
@@ -1640,8 +1658,8 @@ type stats = {
   s_batches : int;
   s_coalesced : int;
   s_depth : int array;
-  s_latency : Tel.Metrics.pctiles;
-  s_queue_wait : Tel.Metrics.pctiles;
+  s_latency : Metrics.pctiles;
+  s_queue_wait : Metrics.pctiles;
   s_role : string;
   s_replicas : int;
   s_repl_lag_us : float;
@@ -1664,8 +1682,8 @@ type stats = {
 
 let stats t =
   let g = Atomic.get in
-  let lat = Tel.Metrics.pctiles (merged t (fun s -> s.sh_latency)) in
-  let qw = Tel.Metrics.pctiles (merged t (fun s -> s.sh_qwait)) in
+  let lat = Metrics.pctiles (merged t (fun s -> s.sh_latency)) in
+  let qw = Metrics.pctiles (merged t (fun s -> s.sh_qwait)) in
   {
     s_uptime = Unix.gettimeofday () -. t.started_at;
     s_conns_accepted = g t.conns_accepted;
@@ -1726,10 +1744,10 @@ let stats_fields t =
     ("coalesced_gets", string_of_int s.s_coalesced);
     ("queue_depth",
      String.concat "," (Array.to_list (Array.map string_of_int s.s_depth)));
-    ("latency_us_p50", f s.s_latency.Tel.Metrics.p50);
-    ("latency_us_p95", f s.s_latency.Tel.Metrics.p95);
-    ("latency_us_p99", f s.s_latency.Tel.Metrics.p99);
-    ("queue_wait_us_p50", f s.s_queue_wait.Tel.Metrics.p50);
+    ("latency_us_p50", f s.s_latency.Metrics.p50);
+    ("latency_us_p95", f s.s_latency.Metrics.p95);
+    ("latency_us_p99", f s.s_latency.Metrics.p99);
+    ("queue_wait_us_p50", f s.s_queue_wait.Metrics.p50);
     (* replication fields append after the historical ones so existing
        parsers that read positionally keep working *)
     ("role", s.s_role);
@@ -1738,8 +1756,8 @@ let stats_fields t =
     ("repl_seq", string_of_int s.s_repl_seq);
     ("repl_applied", string_of_int s.s_applied);
     ("repl_fence_timeouts", string_of_int s.s_fence_timeouts);
-    ("latency_us_p999", f s.s_latency.Tel.Metrics.p999);
-    ("latency_us_max", f s.s_latency.Tel.Metrics.p_max);
+    ("latency_us_p999", f s.s_latency.Metrics.p999);
+    ("latency_us_max", f s.s_latency.Metrics.p_max);
     (* txn/index fields append after everything historical, same
        positional-compatibility rule as above *)
     ("getv", string_of_int s.s_getv);

@@ -26,7 +26,8 @@
     barrier). All shards append commit deltas to one shared log, so
     replication keeps a single merged monotone sequence. *)
 
-module Tel = Privagic_telemetry
+
+module Metrics = Privagic_obs.Metrics
 
 (** What the server needs from an execution backend. Each shard owns
     one store; [st_call] is only invoked under that shard's latch. The
@@ -41,6 +42,9 @@ type store = {
   st_register_obs : Privagic_obs.Registry.t -> unit;
       (** register the backend's gauges (steps, externs, declassify
           counts) on the server's obs registry *)
+  st_attach_ring : Privagic_obs.Ring.t -> unit;
+      (** trace the backend into a virtual-clock ring (a traced
+          server calls it once, at {!start}) *)
 }
 
 val store_of_pinterp : Privagic_vm.Pinterp.t -> store
@@ -77,7 +81,8 @@ type config = {
   policy : policy;
   max_batch : int;          (** requests executed per latch hold *)
   vsize : int;              (** value-buffer size of the program *)
-  telemetry : Tel.Recorder.t;
+  trace : bool;
+      (** record into per-writer rings (see {!rings}); default off *)
   repl_window : int;        (** in-flight deltas per replica (default 1024) *)
   repl_cluster : string;    (** sealing-key derivation secret *)
 }
@@ -112,6 +117,13 @@ val start : ?replica_of:string -> config -> bindings -> store array -> t
 
 val port : t -> int
 
+(** A traced server's rings (empty untraced): per shard, its VM's
+    virtual-clock ring (tracks labelled [s<i>/...]) and its loop's
+    wall-clock ring of request spans ([s<i>/srv]); then one wall-clock
+    ring per replication sender ([repl<k>]). Read them after {!wait}:
+    the drain joins every writer. *)
+val rings : t -> Privagic_obs.Ring.t list
+
 (** Graceful drain: stop accepting, let every shard loop dispatch and
     flush every parsed request (a two-stage barrier guarantees no
     cross-shard handoff races the inbox close), close the inboxes
@@ -142,8 +154,8 @@ type stats = {
   s_batches : int;          (** latch holds (execution chunks) *)
   s_coalesced : int;        (** duplicate gets served from a chunk *)
   s_depth : int array;      (** current per-shard cross-shard inbox depth *)
-  s_latency : Tel.Metrics.pctiles;  (** dispatch->response, microseconds *)
-  s_queue_wait : Tel.Metrics.pctiles;  (** dispatch->execution, microseconds *)
+  s_latency : Metrics.pctiles;  (** dispatch->response, microseconds *)
+  s_queue_wait : Metrics.pctiles;  (** dispatch->execution, microseconds *)
   s_role : string;          (** ["primary"] or ["replica:<addr>"] *)
   s_replicas : int;         (** live replica connections (as a primary) *)
   s_repl_lag_us : float;    (** most recent send->ack lag sample *)

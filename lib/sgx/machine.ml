@@ -36,7 +36,13 @@ let fresh_counters () =
     threads_spawned = 0;
   }
 
-module Tel = Privagic_telemetry
+module Ring = Privagic_obs.Ring
+module Ev = Privagic_obs.Ev
+
+(* A VM's ring while it is traced: the machine knows neither the clock
+   nor the worker, so the VM keeps [track] on the running worker and
+   [now] reads that worker's clock as a ring timestamp. *)
+type tap = { ring : Ring.t; mutable track : int; now : unit -> int }
 
 type t = {
   config : Config.t;
@@ -45,13 +51,7 @@ type t = {
   llc : Cache.t;
   epc : Cache.t;                (* page-granular enclave working set *)
   c : counters;
-  mutable trace : (int * int -> unit) option;
-      (* per-machine access trace for debugging cache behaviour; a field
-         (not a global) so two machines in one harness run cannot clobber
-         each other's hooks *)
-  mutable tel : Tel.Recorder.t;
-      (* transition/fault events; timestamps and tracks come from the
-         recorder's context, maintained by the VM *)
+  mutable tap : tap option; (* transition/fault events *)
 }
 
 let create ?(cost = Cost.default) (config : Config.t) =
@@ -68,13 +68,17 @@ let create ?(cost = Cost.default) (config : Config.t) =
       Cache.create ~size_bytes:(config.epc_mib * 1024 * 1024) ~line_bytes:4096
         ~assoc:16;
     c = fresh_counters ();
-    trace = None;
-    tel = Tel.Recorder.null;
+    tap = None;
   }
 
-let set_trace m f = m.trace <- f
+let set_tap m tap = m.tap <- Some tap
 
-let set_telemetry m r = m.tel <- r
+let note m kind ~arg =
+  match m.tap with
+  | None -> ()
+  | Some tp ->
+    Ring.record tp.ring ~track:tp.track ~code:(Ev.code kind) ~arg
+      ~ts:(tp.now ())
 
 (* Cost of executing [n] plain instructions. *)
 let instr_cost m n =
@@ -86,7 +90,6 @@ let instr_cost m n =
    is where the memory lives (enclave pages occupy EPC and may fault).
    The hierarchy is L1 -> LLC -> DRAM. *)
 let mem_cost m ~cpu ~data addr size =
-  (match m.trace with Some f -> f (addr, size) | None -> ());
   m.c.mem_accesses <- m.c.mem_accesses + 1;
   let l1_misses = Cache.access_misses m.l1 addr size in
   let lines = Cache.lines_touched m.l1 addr size in
@@ -123,8 +126,7 @@ let mem_cost m ~cpu ~data addr size =
     let faults = Cache.access_misses m.epc addr size in
     if faults > 0 then begin
       m.c.epc_faults <- m.c.epc_faults + faults;
-      if Tel.Recorder.enabled m.tel then
-        Tel.Recorder.here m.tel ~arg:faults Tel.Event.Epc_fault;
+      note m Ev.Epc_fault ~arg:faults;
       cost +. (m.cost.Cost.epc_fault *. float_of_int faults)
     end
     else cost
@@ -133,38 +135,33 @@ let mem_cost m ~cpu ~data addr size =
 
 let ecall_cost m =
   m.c.ecalls <- m.c.ecalls + 1;
-  if Tel.Recorder.enabled m.tel then Tel.Recorder.here m.tel Tel.Event.Ecall;
+  note m Ev.Ecall ~arg:0;
   m.cost.Cost.ecall
 
 let switchless_cost m =
   m.c.switchless_calls <- m.c.switchless_calls + 1;
-  if Tel.Recorder.enabled m.tel then
-    Tel.Recorder.here m.tel Tel.Event.Switchless;
+  note m Ev.Switchless ~arg:0;
   m.cost.Cost.switchless_lock
 
 let queue_msg_cost m =
   m.c.queue_msgs <- m.c.queue_msgs + 1;
-  if Tel.Recorder.enabled m.tel then
-    Tel.Recorder.here m.tel Tel.Event.Queue_msg;
+  note m Ev.Queue_msg ~arg:0;
   m.cost.Cost.queue_msg
 
 let syscall_cost m ~zone =
   match zone with
   | Normal ->
     m.c.syscalls <- m.c.syscalls + 1;
-    if Tel.Recorder.enabled m.tel then
-      Tel.Recorder.here m.tel Tel.Event.Syscall;
+    note m Ev.Syscall ~arg:0;
     m.cost.Cost.syscall
   | Enclave _ ->
     m.c.enclave_syscalls <- m.c.enclave_syscalls + 1;
-    if Tel.Recorder.enabled m.tel then
-      Tel.Recorder.here m.tel Tel.Event.Ocall;
+    note m Ev.Ocall ~arg:0;
     m.cost.Cost.enclave_syscall
 
 let thread_spawn_cost m =
   m.c.threads_spawned <- m.c.threads_spawned + 1;
-  if Tel.Recorder.enabled m.tel then
-    Tel.Recorder.here m.tel Tel.Event.Thread_spawn;
+  note m Ev.Thread_spawn ~arg:0;
   m.cost.Cost.thread_spawn
 
 let counters m = m.c

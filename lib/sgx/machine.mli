@@ -22,7 +22,13 @@ type counters = {
 
 val fresh_counters : unit -> counters
 
-module Tel = Privagic_telemetry
+(** A traced VM's ring: events land on [track], the worker the VM runs,
+    at [now ()], that worker's clock as a ring timestamp. *)
+type tap = {
+  ring : Privagic_obs.Ring.t;
+  mutable track : int;
+  now : unit -> int;
+}
 
 type t = {
   config : Config.t;
@@ -31,22 +37,15 @@ type t = {
   llc : Cache.t;
   epc : Cache.t;
   c : counters;
-  mutable trace : (int * int -> unit) option;
-  mutable tel : Tel.Recorder.t;
+  mutable tap : tap option;
 }
 
 val create : ?cost:Cost.t -> Config.t -> t
 
-(** Optional per-machine access trace for debugging cache behaviour:
-    receives [(addr, size)] before each access. A field rather than a
-    global so two machines in one harness run (e.g. baseline vs.
-    partitioned) cannot clobber each other's hooks. *)
-val set_trace : t -> (int * int -> unit) option -> unit
-
-(** Attach a telemetry recorder; transition and fault events (ecalls,
-    ocalls, switchless calls, queue messages, EPC faults, thread spawns)
-    are recorded with the recorder's current clock/track context. *)
-val set_telemetry : t -> Tel.Recorder.t -> unit
+(** Attach a ring tap: transition and fault events (ecalls, ocalls,
+    switchless calls, queue messages, EPC faults, thread spawns) are
+    recorded at the tap's track and clock. *)
+val set_tap : t -> tap -> unit
 
 val instr_cost : t -> int -> float
 

@@ -67,6 +67,7 @@ type chunk = {
   ch_color : Color.t;
   ch_func : Func.t;
   ch_code : Image.code option; (* None: walk engine, or not lowered *)
+  ch_name : int; (* index of the function's name in [chunk_names] *)
 }
 
 (* A partitioned function resolved for one participant set. Every array
@@ -104,9 +105,13 @@ type entry = {
   en_replier : Color.t option;
 }
 
+(* What resolution links chunks against: the image's code, and the
+   index of every chunk function name. *)
+and link = { l_image : Image.t option; l_names : (string, int) Hashtbl.t }
+
 type 'a t = {
   plan : Plan.t;
-  image : Image.t option;
+  link : link;
   sites : (string * int, Ty.t) Hashtbl.t; (* multicolor alloc sites *)
   shapes : (Infer.instance_key * Color.t list, rfunc) Hashtbl.t;
       (* every record built at create, by (function, participants) *)
@@ -270,13 +275,14 @@ let own_participants (pf : Plan.pfunc) =
 
 (* An unfilled record: chunks, barriers and presence, with every site
    still [Unplanned]. *)
-let shell (image : Image.t option) (pf : Plan.pfunc) parts : rfunc =
+let shell (link : link) (pf : Plan.pfunc) parts : rfunc =
   let chunks =
     List.map
       (fun (ci : Plan.chunk_info) ->
         let f = ci.Plan.ci_func in
         { ch_color = ci.Plan.ci_color; ch_func = f;
-          ch_code = Option.bind image (fun img -> Image.find_code img f) })
+          ch_code = Option.bind link.l_image (fun img -> Image.find_code img f);
+          ch_name = Hashtbl.find link.l_names f.Func.name })
       pf.Plan.pf_chunks
   in
   let top = ref (-1) in
@@ -301,12 +307,12 @@ let shell (image : Image.t option) (pf : Plan.pfunc) parts : rfunc =
 (* Resolve [pf] for participants [parts] into [memo], together with every
    record its sites reach. A record enters [memo] before its sites are
    filled, so recursion through recursive functions ends. *)
-let rec resolve_into (plan : Plan.t) image memo (pf : Plan.pfunc) parts :
+let rec resolve_into (plan : Plan.t) link memo (pf : Plan.pfunc) parts :
     rfunc =
   match Hashtbl.find_opt memo (pf.Plan.pf_key, parts) with
   | Some rf -> rf
   | None ->
-    let rf = shell image pf parts in
+    let rf = shell link pf parts in
     Hashtbl.replace memo (pf.Plan.pf_key, parts) rf;
     (* a call instruction is the same record in every chunk holding it *)
     List.iter
@@ -314,14 +320,14 @@ let rec resolve_into (plan : Plan.t) image memo (pf : Plan.pfunc) parts :
         Func.iter_instrs ch.ch_func (fun _ i ->
             match rf.rf_sites.(i.Instr.id) with
             | Unplanned ->
-              rf.rf_sites.(i.Instr.id) <- resolve_site plan image memo rf i
+              rf.rf_sites.(i.Instr.id) <- resolve_site plan link memo rf i
             | _ -> ()))
       rf.rf_chunks;
     rf
 
-and resolve_site plan image memo (rf : rfunc) (i : Instr.t) : resolved =
+and resolve_site plan link memo (rf : rfunc) (i : Instr.t) : resolved =
   let pf = rf.rf_pf in
-  let resolve pf' parts = resolve_into plan image memo pf' parts in
+  let resolve pf' parts = resolve_into plan link memo pf' parts in
   match i.Instr.op with
   | Instr.Call (callee, _) -> (
     match Hashtbl.find_opt pf.Plan.pf_calls i.Instr.id with
@@ -375,9 +381,16 @@ let worker_colors (plan : Plan.t) : Color.t list =
         acc pf.Plan.pf_colorset)
     plan.Plan.pfuncs [ Color.Free; Color.Unsafe ]
 
+let chunk_name_list (plan : Plan.t) =
+  List.sort_uniq compare
+    (List.map (fun (f : Func.t) -> f.Func.name) (chunk_funcs plan))
+
 let create ?sites ?image (plan : Plan.t) : 'a t =
   let shapes = Hashtbl.create 64 in
-  let resolve pf parts = resolve_into plan image shapes pf parts in
+  let names = Hashtbl.create 64 in
+  List.iteri (fun i n -> Hashtbl.replace names n i) (chunk_name_list plan);
+  let link = { l_image = image; l_names = names } in
+  let resolve pf parts = resolve_into plan link shapes pf parts in
   Hashtbl.iter (fun _ pf -> ignore (resolve pf (own_participants pf))) plan.Plan.pfuncs;
   let entries = Hashtbl.create 8 in
   List.iter
@@ -415,7 +428,7 @@ let create ?sites ?image (plan : Plan.t) : 'a t =
           List.iter (fun c -> ignore (resolve pf [ c ])) colors);
   {
     plan;
-    image;
+    link;
     sites =
       (match sites with
       | Some s -> s
@@ -429,6 +442,11 @@ let create ?sites ?image (plan : Plan.t) : 'a t =
   }
 
 let[@inline] locked t f = Mutex.protect t.mu f
+
+let chunk_names t =
+  let a = Array.make (Hashtbl.length t.link.l_names) "" in
+  Hashtbl.iter (fun n i -> a.(i) <- n) t.link.l_names;
+  a
 
 (* ------------------------------------------------------------------ *)
 (* resolved lookups (request path) *)
@@ -460,7 +478,7 @@ let entry t name = Hashtbl.find_opt t.entries name
 let shape t (pf : Plan.pfunc) (parts : Color.t list) : rfunc =
   match Hashtbl.find_opt t.shapes (pf.Plan.pf_key, parts) with
   | Some rf -> rf
-  | None -> resolve_into t.plan t.image (Hashtbl.copy t.shapes) pf parts
+  | None -> resolve_into t.plan t.link (Hashtbl.copy t.shapes) pf parts
 
 (* The record an indirect call into defined function [name] runs, when
    the calling worker has color [color]. *)
@@ -554,6 +572,8 @@ let pending t = locked t (fun () -> Site.length t.rendezvous)
    with their colored fields split by Layout; [alloc_node2]) and charges
    the syscall cost before delegating to {!Externals.dispatch}.
    @raise Exec.Trap on an unknown external. *)
+let code_extern = Privagic_obs.Ev.(code Extern)
+
 let dispatch_extern t (ex : Exec.t) ~(color : Color.t) ~(caller : string)
     (i : Instr.t) callee (args : Rvalue.t array) : Rvalue.t =
   ex.Exec.externs <- ex.Exec.externs + 1;
@@ -567,7 +587,7 @@ let dispatch_extern t (ex : Exec.t) ~(color : Color.t) ~(caller : string)
   (match ex.Exec.obs_ring with
   | None -> ()
   | Some r ->
-    Privagic_obs.Ring.record_now r ~code:Privagic_obs.Ring.code_extern
+    Privagic_obs.Ring.record_now r ~code:code_extern
       ~arg:(Externals.syscall_weight callee));
   let malloc_zone = zone_of_color color in
   let zone_for (sty : Ty.t) =

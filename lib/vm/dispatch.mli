@@ -54,6 +54,7 @@ type chunk = {
   ch_code : Image.code option;
       (** the image's code for [ch_func]; [None] under the walk engine or
           for a body the image could not lower *)
+  ch_name : int;  (** index of [ch_func]'s name in {!chunk_names} *)
 }
 
 (** A partitioned function resolved for one participant set P. A colored
@@ -109,6 +110,10 @@ type entry = {
     {!child} for its lifetime rule). *)
 val create :
   ?sites:(string * int, Ty.t) Hashtbl.t -> ?image:Image.t -> Plan.t -> 'a t
+
+(** Every chunk function name of the plan, sorted; a chunk's [ch_name]
+    indexes it. A traced backend interns these into its ring once. *)
+val chunk_names : 'a t -> string array
 
 (** The resolution of instruction [id] of a record ([Unplanned] outside
     the function). *)

@@ -24,7 +24,8 @@ open Privagic_partition
 module Sgx = Privagic_sgx
 module Sched = Privagic_runtime.Sched
 module Vclock = Privagic_runtime.Vclock
-module Tel = Privagic_telemetry
+module Ring = Privagic_obs.Ring
+module Ev = Privagic_obs.Ev
 
 exception Error of string
 
@@ -38,7 +39,7 @@ type mail = { sent_at : float; flow : int; payload : payload }
 type worker = {
   w_thread : int;
   w_color : Color.t;
-  w_track : int;                  (* telemetry track of this worker *)
+  mutable w_track : int;          (* ring track of this worker *)
   mutable w_mail : mail list;
 }
 
@@ -62,7 +63,7 @@ type activation = {
   act_rf : Dispatch.rfunc;           (* the function, resolved for its P *)
   mutable act_pending : int;         (* spawned fibers still running *)
   mutable act_done_max : float;      (* latest completion among spawned *)
-  mutable act_done_flow : int;       (* telemetry flow of that completion *)
+  mutable act_done_flow : int;       (* trace flow of that completion *)
   mutable act_colors_done : Color.t list; (* spawned chunks completed *)
 }
 
@@ -75,17 +76,6 @@ type fiber_ctx = {
   mutable calls : Dispatch.counts;
   clock : Vclock.t;
 }
-
-(* Execution trace: the message/chunk schedule of a request, in virtual
-   time — the runtime's own Figure 7. *)
-type event =
-  | Ev_spawn of { target : Color.t; chunk : string }
-  | Ev_cont of { target : Color.t; tag : string }
-  | Ev_chunk_start of { color : Color.t; chunk : string }
-  | Ev_chunk_end of { color : Color.t; chunk : string }
-  | Ev_barrier of { color : Color.t }
-
-type traced_event = { ev_at : float; ev : event }
 
 (* An application thread: its clock (requests on one thread serialize)
    and its workers, one per color, created on first use. *)
@@ -105,8 +95,8 @@ type t = {
   mutable next_thread : int;
   mutable traps : string list;
   mutable guard : bool;  (* §8 extension: valid-spawn-sequence guard *)
-  mutable trace : traced_event list option; (* newest first when tracing *)
-  mutable tel : Tel.Recorder.t;  (* structured telemetry (off by default) *)
+  mutable ring : Ring.t option;  (* the trace (off by default) *)
+  mutable next_flow : int;       (* flow ids of traced messages *)
 }
 
 let cpu_of_color = Dispatch.cpu_of_color
@@ -126,14 +116,16 @@ let rec find_worker color = function
   | w :: rest -> if Color.equal w.w_color color then Some w else find_worker color rest
   | [] -> None
 
+let worker_track r id color =
+  Ring.track r (Printf.sprintf "t%d/%s" id (Color.to_string color))
+
 let worker t id color =
   let th = thread t id in
   match find_worker color th.th_workers with
   | Some w -> w
   | None ->
     let track =
-      Tel.Recorder.fresh_track t.tel
-        (Printf.sprintf "t%d/%s" id (Color.to_string color))
+      match t.ring with Some r -> worker_track r id color | None -> 0
     in
     let w = { w_thread = id; w_color = color; w_track = track;
               w_mail = [] } in
@@ -148,19 +140,38 @@ let restore t (ctx : fiber_ctx) =
   t.current <- Some ctx;
   t.exec.Exec.clock <- ctx.clock;
   t.exec.Exec.cpu <- cpu_of_color ctx.worker.w_color;
-  (* keep the machine's telemetry context on the right worker track *)
-  if Tel.Recorder.enabled t.tel then
-    Tel.Recorder.set_track t.tel ctx.worker.w_track
+  (* keep the machine's trace events on the right worker track *)
+  match t.exec.Exec.machine.Sgx.Machine.tap with
+  | Some tp -> tp.Sgx.Machine.track <- ctx.worker.w_track
+  | None -> ()
 
 let ctx_exn t =
   match t.current with
   | Some c -> c
   | None -> raise (Error "no current fiber")
 
-let record t at ev =
-  match t.trace with
-  | Some evs -> t.trace <- Some ({ ev_at = at; ev } :: evs)
+(* Trace events: a no-op without a ring. Callers pass a constant [kind]
+   (no allocation) and a cheap int [arg]. *)
+let[@inline] note t ~track kind ~arg at =
+  match t.ring with
   | None -> ()
+  | Some r ->
+    Ring.record r ~track ~code:(Ev.code kind) ~arg ~ts:(Ring.of_cycles at)
+
+(* A flow id for a traced send; -1 (no flow) without a ring. *)
+let[@inline] send_flow t ~track kind at =
+  match t.ring with
+  | None -> -1
+  | Some _ ->
+    let f = t.next_flow in
+    t.next_flow <- f + 1;
+    note t ~track kind ~arg:f at;
+    f
+
+
+let[@inline] chunk_note t (ctx : fiber_ctx) kind (ch : Dispatch.chunk) =
+  note t ~track:ctx.worker.w_track kind ~arg:ch.Dispatch.ch_name
+    (Vclock.get ctx.clock)
 
 (* ------------------------------------------------------------------ *)
 (* messaging *)
@@ -168,16 +179,10 @@ let record t at ev =
 let send_cont t (ctx : fiber_ctx) (target : worker) ~seq ~tag ~value =
   let cost = t.crossing t.exec.Exec.machine in
   Vclock.add ctx.clock (cost);
-  let tag_name = match tag with Retval -> "retval" | Token -> "token" in
-  record t (Vclock.get ctx.clock) (Ev_cont { target = target.w_color; tag = tag_name });
   let flow =
-    if Tel.Recorder.enabled t.tel then begin
-      let f = Tel.Recorder.fresh_flow t.tel in
-      Tel.Recorder.record t.tel ~at:(Vclock.get ctx.clock) ~track:ctx.worker.w_track
-        ~name:tag_name ~arg:f Tel.Event.Msg_send;
-      f
-    end
-    else -1
+    send_flow t ~track:ctx.worker.w_track
+      (match tag with Retval -> Ev.Send Ev.Retval | Token -> Ev.Send Ev.Token)
+      (Vclock.get ctx.clock)
   in
   target.w_mail <-
     target.w_mail
@@ -204,9 +209,10 @@ let wait_cont t (ctx : fiber_ctx) ~seq ~tag : Rvalue.t =
   in
   w.w_mail <- List.filter (fun m -> not (m == msg)) w.w_mail;
   Vclock.set ctx.clock (Float.max (Vclock.get ctx.clock) msg.sent_at);
-  if Tel.Recorder.enabled t.tel && msg.flow >= 0 then
-    Tel.Recorder.record t.tel ~at:(Vclock.get ctx.clock) ~track:w.w_track ~arg:msg.flow
-      Tel.Event.Msg_recv;
+  if msg.flow >= 0 then
+    note t ~track:w.w_track
+      (match tag with Retval -> Ev.Recv Ev.Retval | Token -> Ev.Recv Ev.Token)
+      ~arg:msg.flow (Vclock.get ctx.clock);
   match msg.payload with Cont c -> c.value
 
 (* ------------------------------------------------------------------ *)
@@ -249,16 +255,9 @@ let rec exec_chunk t (ctx : fiber_ctx) (act : activation) (c : Color.t)
   ctx.act <- act;
   ctx.calls <- Dispatch.counts ();
   let ch = chunk_exn act c in
-  let f = ch.Dispatch.ch_func in
-  record t (Vclock.get ctx.clock) (Ev_chunk_start { color = c; chunk = f.Func.name });
-  if Tel.Recorder.enabled t.tel then
-    Tel.Recorder.record t.tel ~at:(Vclock.get ctx.clock) ~track:ctx.worker.w_track
-      ~name:f.Func.name Tel.Event.Chunk_begin;
+  chunk_note t ctx Ev.Chunk_begin ch;
   let r = Dispatch.run_chunk t.exec ch args in
-  record t (Vclock.get ctx.clock) (Ev_chunk_end { color = c; chunk = f.Func.name });
-  if Tel.Recorder.enabled t.tel then
-    Tel.Recorder.record t.tel ~at:(Vclock.get ctx.clock) ~track:ctx.worker.w_track
-      ~name:f.Func.name Tel.Event.Chunk_end;
+  chunk_note t ctx Ev.Chunk_end ch;
   ctx.act <- saved;
   ctx.calls <- saved_calls;
   r
@@ -281,25 +280,18 @@ and spawn_chunk_fiber t ?(forged = false) ~thread (act : activation)
     && not (Plan.spawn_allowed t.plan c chunk_name)
   then raise (Error (Printf.sprintf "spawn guard: %s rejected in %s"
                        chunk_name (Color.to_string c)));
-  (* formatted only when telemetry, a trap or a deadlock report reads it *)
+  (* formatted only when a trace, a trap or a deadlock report reads it *)
   let name =
     lazy (Printf.sprintf "t%d/%s:%s" thread (Color.to_string c) (act_name act))
   in
   act.act_pending <- act.act_pending + 1;
-  record t at (Ev_spawn { target = c; chunk = chunk_name });
   (* spawn message: sender is whatever worker is currently running (the
      spawner), receiver is the fresh fiber on [w] *)
   let spawn_flow =
-    if Tel.Recorder.enabled t.tel then begin
-      let f = Tel.Recorder.fresh_flow t.tel in
-      let from_track =
-        match t.current with Some ctx -> ctx.worker.w_track | None -> w.w_track
-      in
-      Tel.Recorder.record t.tel ~at ~track:from_track ~name:"spawn" ~arg:f
-        Tel.Event.Msg_send;
-      f
-    end
-    else -1
+    let from_track =
+      match t.current with Some ctx -> ctx.worker.w_track | None -> w.w_track
+    in
+    send_flow t ~track:from_track (Ev.Send Ev.Spawn) at
   in
   let earlier = List.filter (fun d -> Color.compare d c < 0) siblings in
   ignore
@@ -307,8 +299,8 @@ and spawn_chunk_fiber t ?(forged = false) ~thread (act : activation)
          let ctx = { worker = w; act; calls = Dispatch.counts (); clock } in
          restore t ctx;
          if spawn_flow >= 0 then
-           Tel.Recorder.record t.tel ~at:(Vclock.get clock) ~track:w.w_track
-             ~name:"spawn" ~arg:spawn_flow Tel.Event.Msg_recv;
+           note t ~track:w.w_track (Ev.Recv Ev.Spawn) ~arg:spawn_flow
+             (Vclock.get clock);
          if earlier <> [] then begin
            Sched.block
              (fun () ->
@@ -319,13 +311,9 @@ and spawn_chunk_fiber t ?(forged = false) ~thread (act : activation)
            restore t ctx;
            let waited = (Vclock.get clock) < act.act_done_max in
            Vclock.set clock (Float.max (Vclock.get clock) act.act_done_max);
-           if
-             waited
-             && Tel.Recorder.enabled t.tel
-             && act.act_done_flow >= 0
-           then
-             Tel.Recorder.record t.tel ~at:(Vclock.get clock) ~track:w.w_track
-               ~name:"done" ~arg:act.act_done_flow Tel.Event.Msg_recv
+           if waited && act.act_done_flow >= 0 then
+             note t ~track:w.w_track (Ev.Recv Ev.Done) ~arg:act.act_done_flow
+               (Vclock.get clock)
          end;
          (match exec_chunk t ctx act c args with
          | r ->
@@ -341,13 +329,10 @@ and spawn_chunk_fiber t ?(forged = false) ~thread (act : activation)
          (* completion signal back to the spawner (one crossing) *)
          Vclock.add ctx.clock (t.crossing t.exec.Exec.machine);
          act.act_pending <- act.act_pending - 1;
-         if (Vclock.get ctx.clock) >= act.act_done_max && Tel.Recorder.enabled t.tel
-         then begin
-           let f = Tel.Recorder.fresh_flow t.tel in
-           Tel.Recorder.record t.tel ~at:(Vclock.get ctx.clock) ~track:w.w_track
-             ~name:"done" ~arg:f Tel.Event.Msg_send;
-           act.act_done_flow <- f
-         end;
+         let now = Vclock.get ctx.clock in
+         if now >= act.act_done_max && Option.is_some t.ring then
+           act.act_done_flow <-
+             send_flow t ~track:w.w_track (Ev.Send Ev.Done) now;
          act.act_done_max <- Float.max act.act_done_max (Vclock.get ctx.clock);
          act.act_colors_done <- c :: act.act_colors_done))
 
@@ -363,10 +348,9 @@ and host_wait_spawned ?(bump = true) t (ctx : fiber_ctx) (act : activation) =
     if bump && Color.is_enclave ctx.worker.w_color then begin
       let waited = (Vclock.get ctx.clock) < act.act_done_max in
       Vclock.set ctx.clock (Float.max (Vclock.get ctx.clock) act.act_done_max);
-      if waited && Tel.Recorder.enabled t.tel && act.act_done_flow >= 0 then
-        Tel.Recorder.record t.tel ~at:(Vclock.get ctx.clock)
-          ~track:ctx.worker.w_track ~name:"done" ~arg:act.act_done_flow
-          Tel.Event.Msg_recv
+      if waited && act.act_done_flow >= 0 then
+        note t ~track:ctx.worker.w_track (Ev.Recv Ev.Done)
+          ~arg:act.act_done_flow (Vclock.get ctx.clock)
     end
   end
 
@@ -549,11 +533,8 @@ let make_hooks t : Exec.hooks =
         match t.current with
         | Some ctx when Dispatch.barrier ctx.act.act_rf i.Instr.id ->
           Exec.charge ex (t.crossing ex.Exec.machine);
-          record t (Vclock.get ctx.clock) (Ev_barrier { color = ctx.worker.w_color });
-          if Tel.Recorder.enabled t.tel then
-            Tel.Recorder.record t.tel ~at:(Vclock.get ctx.clock)
-              ~track:ctx.worker.w_track
-              ~name:(Color.to_string ctx.worker.w_color) Tel.Event.Barrier
+          note t ~track:ctx.worker.w_track Ev.Barrier ~arg:0
+            (Vclock.get ctx.clock)
         | _ -> ());
     h_alloca_zone =
       (fun _ ty ->
@@ -609,21 +590,36 @@ let create ?(config = Sgx.Config.machine_b) ?cost
       next_thread = 1;
       traps = [];
       guard = true;
-      trace = None;
-      tel = Tel.Recorder.null;
+      ring = None;
+      next_flow = 0;
     }
   in
   ex.Exec.hooks <- make_hooks t;
   t
 
-(* Attach a telemetry recorder to every layer: the scheduler records
-   fiber lifecycle events, the machine records transition/fault events,
-   and the recorder's clock follows the currently running worker. *)
-let set_telemetry t (r : Tel.Recorder.t) =
-  t.tel <- r;
-  Sched.set_telemetry t.sched r;
-  Sgx.Machine.set_telemetry t.exec.Exec.machine r;
-  Tel.Recorder.set_now r (fun () -> (Vclock.get t.exec.Exec.clock))
+(* Trace every layer into [r]: the scheduler records fiber lifecycle
+   events, the message layer chunk spans, flows and barriers, and the
+   machine transition/fault events at the running worker's clock. *)
+let attach_ring t (r : Ring.t) =
+  t.ring <- Some r;
+  (* workers an earlier (untraced) request created get their tracks now *)
+  Array.iteri
+    (fun id th ->
+      List.iter
+        (fun w -> w.w_track <- worker_track r id w.w_color)
+        (List.rev th.th_workers))
+    t.threads;
+  (* a chunk event's arg is its Dispatch name index: the names must
+     intern at those indices *)
+  Array.iteri
+    (fun i n ->
+      if Ring.intern r n <> i then
+        invalid_arg "Pinterp.attach_ring: ring in use")
+    (Dispatch.chunk_names t.disp);
+  Sched.set_ring t.sched r;
+  Sgx.Machine.set_tap t.exec.Exec.machine
+    { Sgx.Machine.ring = r; track = 0;
+      now = (fun () -> Ring.of_cycles (Vclock.get t.exec.Exec.clock)) }
 
 (* ------------------------------------------------------------------ *)
 (* entry points *)
@@ -681,13 +677,10 @@ let call_entry t ?(thread = 0) ?max_steps name (args : Rvalue.t list) :
             enclave finished last, its completion signal gates the
             response — a binding happens-before edge *)
          let finish = Float.max (Vclock.get ctx.clock) act.act_done_max in
-         if
-           Tel.Recorder.enabled t.tel
-           && act.act_done_max > (Vclock.get ctx.clock)
-           && act.act_done_flow >= 0
+         if act.act_done_max > Vclock.get ctx.clock && act.act_done_flow >= 0
          then
-           Tel.Recorder.record t.tel ~at:finish ~track:uw.w_track
-             ~name:"done" ~arg:act.act_done_flow Tel.Event.Msg_recv;
+           note t ~track:uw.w_track (Ev.Recv Ev.Done) ~arg:act.act_done_flow
+             finish;
          slot := Some (r, finish);
          let tc = thread_clock t thread in
          Vclock.set tc (Float.max (Vclock.get tc) finish)));
@@ -760,37 +753,3 @@ let inject_spawn t ?(thread = 0) ~(color : Color.t) ~(chunk : string)
 
 (* Enable/disable the spawn guard (for the attack demonstrations). *)
 let set_spawn_guard t enabled = t.guard <- enabled
-
-(* ------------------------------------------------------------------ *)
-(* execution tracing *)
-
-let start_trace t = t.trace <- Some []
-
-let stop_trace t : traced_event list =
-  let evs = match t.trace with Some evs -> List.rev evs | None -> [] in
-  t.trace <- None;
-  evs
-
-let pp_event fmt (te : traced_event) =
-  let open Format in
-  match te.ev with
-  | Ev_spawn { target; chunk } ->
-    fprintf fmt "%10.0f  spawn  -> %-6s %s" te.ev_at (Color.to_string target)
-      chunk
-  | Ev_cont { target; tag } ->
-    fprintf fmt "%10.0f  cont   -> %-6s (%s)" te.ev_at
-      (Color.to_string target) tag
-  | Ev_chunk_start { color; chunk } ->
-    fprintf fmt "%10.0f  start  in %-6s %s" te.ev_at (Color.to_string color)
-      chunk
-  | Ev_chunk_end { color; chunk } ->
-    fprintf fmt "%10.0f  end    in %-6s %s" te.ev_at (Color.to_string color)
-      chunk
-  | Ev_barrier { color } ->
-    fprintf fmt "%10.0f  barrier in %-6s (visible effect)" te.ev_at
-      (Color.to_string color)
-
-let pp_trace fmt (evs : traced_event list) =
-  Format.fprintf fmt "%10s  %s@." "cycles" "event";
-  List.iter (fun te -> Format.fprintf fmt "%a@." pp_event te)
-    (List.sort (fun a b -> Float.compare a.ev_at b.ev_at) evs)

@@ -13,7 +13,6 @@ open Privagic_pir
 open Privagic_partition
 module Sgx = Privagic_sgx
 module Sched = Privagic_runtime.Sched
-module Tel = Privagic_telemetry
 
 exception Error of string
 
@@ -25,7 +24,7 @@ type mail = { sent_at : float; flow : int; payload : payload }
 type worker = {
   w_thread : int;
   w_color : Color.t;
-  w_track : int;  (** telemetry track of this worker *)
+  mutable w_track : int;  (** ring track of this worker *)
   mutable w_mail : mail list;
 }
 
@@ -48,16 +47,6 @@ type fiber_ctx = {
   clock : Privagic_runtime.Vclock.t;
 }
 
-(** Execution trace events (the runtime's own Figure 7). *)
-type event =
-  | Ev_spawn of { target : Color.t; chunk : string }
-  | Ev_cont of { target : Color.t; tag : string }
-  | Ev_chunk_start of { color : Color.t; chunk : string }
-  | Ev_chunk_end of { color : Color.t; chunk : string }
-  | Ev_barrier of { color : Color.t }
-
-type traced_event = { ev_at : float; ev : event }
-
 (** An application thread: its clock and its workers, one per color. *)
 type thread = {
   th_clock : Privagic_runtime.Vclock.t;
@@ -76,8 +65,8 @@ type t = {
   mutable next_thread : int;
   mutable traps : string list;
   mutable guard : bool;
-  mutable trace : traced_event list option;
-  mutable tel : Tel.Recorder.t;
+  mutable ring : Privagic_obs.Ring.t option;
+  mutable next_flow : int;
 }
 
 (** Build the VM for a plan; [crossing] prices one boundary message
@@ -93,11 +82,14 @@ val create :
   Plan.t ->
   t
 
-(** Attach a telemetry recorder across every layer of the VM: the
-    scheduler (fiber lifecycle), the message layer (send/recv flows), the
-    machine (transition and fault events), and the recorder's clock
-    context. Pass {!Tel.Recorder.null} to detach. *)
-val set_telemetry : t -> Tel.Recorder.t -> unit
+(** Trace the VM into a fresh ring (give it the [Virtual] clock; a ring
+    that already interned names is refused) across every
+    layer: the scheduler (fiber lifecycle), the message layer (chunk
+    spans, send/receive flows, barriers) and the machine (transition and
+    fault events). Existing workers get their tracks here; fibers
+    already spawned keep theirs. The ring has one writer at a time:
+    whoever runs the VM. *)
+val attach_ring : t -> Privagic_obs.Ring.t -> unit
 
 type entry_result = {
   value : Rvalue.t;
@@ -130,11 +122,3 @@ val inject_spawn :
   (unit, string) result
 
 val set_spawn_guard : t -> bool -> unit
-
-(** Tracing: [start_trace] begins recording; [stop_trace] returns the
-    events in emission order and stops recording. *)
-val start_trace : t -> unit
-
-val stop_trace : t -> traced_event list
-val pp_event : Format.formatter -> traced_event -> unit
-val pp_trace : Format.formatter -> traced_event list -> unit

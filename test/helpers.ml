@@ -93,4 +93,5 @@ let store_of_parallel p =
         String.init n (fun i ->
             Char.chr (Int64.to_int (Heap.load heap (addr + i) 1) land 0xff)));
     st_register_obs = Par.register_obs p;
+    st_attach_ring = ignore;
   }

@@ -36,7 +36,6 @@ let () =
       ("exec", Test_exec.suite);
       ("exec2", Test_exec2.suite);
       ("runtime", Test_runtime.suite);
-      ("telemetry", Test_telemetry.suite);
       ("sgx", Test_sgx.suite);
       ("partition", Test_partition.suite);
       ("pinterp", Test_pinterp.suite);

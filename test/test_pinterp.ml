@@ -259,37 +259,33 @@ let test_concurrent_client_threads () =
   Alcotest.(check bool) "thread 1 blue worker" true
     (Pinterp.has_worker pt ~thread:1 (Privagic_pir.Color.Named "blue"))
 
+(* run --schedule: the text schedule read off the VM's ring *)
 let test_trace () =
   let pt = Helpers.pinterp ~mode:Mode.Relaxed P.fig6 in
-  Pinterp.start_trace pt;
+  let module Ring = Privagic_obs.Ring in
+  let ring = Ring.create ~clock:Ring.Virtual ~id:0 ~label:"" () in
+  Pinterp.attach_ring pt ring;
   ignore (Pinterp.call_entry pt "main" []);
-  let evs = Pinterp.stop_trace pt in
-  let has pred = List.exists pred evs in
-  Alcotest.(check bool) "spawned main#blue" true
-    (has (fun (te : Pinterp.traced_event) ->
-         match te.Pinterp.ev with
-         | Pinterp.Ev_spawn { chunk; _ } -> chunk = "main#blue"
-         | _ -> false));
-  Alcotest.(check bool) "retval cont to U" true
-    (has (fun te ->
-         match te.Pinterp.ev with
-         | Pinterp.Ev_cont { target = Privagic_pir.Color.Unsafe; tag } ->
-           tag = "retval"
-         | _ -> false));
-  Alcotest.(check bool) "g executed in red" true
-    (has (fun te ->
-         match te.Pinterp.ev with
-         | Pinterp.Ev_chunk_end { chunk; _ } -> chunk = "g#red"
-         | _ -> false));
-  (* timestamps are monotone within each worker's chunk execution *)
-  List.iter
-    (fun (te : Pinterp.traced_event) ->
-      Alcotest.(check bool) "non-negative time" true (te.Pinterp.ev_at >= 0.0))
-    evs;
-  (* tracing off by default: a fresh request records nothing *)
-  ignore (Pinterp.call_entry pt "main" []);
-  Alcotest.(check int) "no trace once stopped" 0
-    (List.length (Pinterp.stop_trace pt))
+  let text = Format.asprintf "%a" Privagic_obs.Schedule.pp [ ring ] in
+  let lines =
+    List.filter (fun l -> l <> "") (List.tl (String.split_on_char '\n' text))
+  in
+  let has what track event =
+    Alcotest.(check bool) what true
+      (List.exists
+         (fun l -> Helpers.contains l track && Helpers.contains l event)
+         lines)
+  in
+  has "U spawns the blue chunk" "t0/U" "spawn   -> t0/blue";
+  has "main#blue starts in blue" "t0/blue" "start   main#blue";
+  has "retval cont to U" "t0/" "retval  -> t0/U";
+  has "g executed in red" "t0/red" "end     g#red";
+  (* the schedule is in virtual-time order, from 0 *)
+  let times =
+    List.map (fun l -> float_of_string (String.trim (String.sub l 0 10))) lines
+  in
+  Alcotest.(check bool) "non-negative, ordered times" true
+    (List.for_all (fun t -> t >= 0.0) times && List.sort compare times = times)
 
 (* ------------------------------------------------------------------ *)
 (* resolution differential: Dispatch.create resolves every partitioned

@@ -439,7 +439,7 @@ let test_pipelined_burst () =
   (* each shard times what it executes; the merged histogram counts every
      request exactly once *)
   Alcotest.(check int) "every request timed once" (List.length want)
-    s.Server.s_latency.Privagic_telemetry.Metrics.n
+    s.Server.s_latency.Privagic_obs.Metrics.n
 
 (* An idle server drains at once. The self-pipe wakeup that announces the
    drain must not be spent on a loop iteration that read the flag before
@@ -458,6 +458,74 @@ let test_idle_drain () =
   Alcotest.(check bool)
     (Printf.sprintf "idle drain took %.2f s (< 1 s)" dt)
     true (dt < 1.0)
+
+(* A traced 2-shard server under pipelined clients on both shards, its
+   rings merged after the drain. Every writer owns its ring, so slices
+   balance on every track, request spans stay on the loop tracks, each
+   shard's VM tracks carry the shard, and virtual and wall-clock events
+   fall in separate clock domains. *)
+let test_traced_shards () =
+  let module Ring = Privagic_obs.Ring in
+  let shards = 2 in
+  let bnd = Option.get (Server.bindings_of_plan (plan ())) in
+  let cfg =
+    { Server.default_config with Server.port = 0; shards; vsize; trace = true }
+  in
+  let srv = Server.start cfg bnd (stores_of (plan ()) ~shards) in
+  let r =
+    Loadgen.run
+      { Loadgen.default_config with
+        Loadgen.port = Server.port srv; clients = 4; depth = 16; ops = 2000;
+        record_count = 64; vsize = 8 }
+  in
+  Server.drain srv;
+  Alcotest.(check (pair int int)) "every op answered, no error" (2000, 0)
+    (r.Loadgen.r_ops_ok, r.Loadgen.r_errors);
+  let rings = Server.rings srv in
+  List.iter
+    (fun r ->
+      Alcotest.(check int) (Ring.label r ^ " dropped") 0 (Ring.dropped r))
+    rings;
+  let tracks = Ring.tracks rings in
+  let stacks = Array.make (Array.length tracks) [] in
+  let bad = ref 0 and reqs = ref 0 in
+  Array.iter
+    (fun (e : Ring.event) ->
+      let k = e.Ring.ev_track and name, clock = tracks.(e.Ring.ev_track) in
+      if e.Ring.ev_clock <> clock then Alcotest.fail "event off its clock";
+      match e.Ring.ev_kind with
+      | Privagic_obs.Ev.Req_begin
+        when clock <> Ring.Wall || not (String.ends_with ~suffix:"/srv" name) ->
+        Alcotest.failf "request span on track %s" name
+      | Chunk_begin | Req_begin ->
+        if e.Ring.ev_kind = Req_begin then incr reqs;
+        stacks.(k) <- e.Ring.ev_name :: stacks.(k)
+      | Chunk_end | Req_end -> (
+        (* slices pair up, by name, on their own track *)
+        match stacks.(k) with
+        | n :: rest when n = e.Ring.ev_name -> stacks.(k) <- rest
+        | _ -> incr bad)
+      | _ -> ())
+    (Ring.events rings);
+  Alcotest.(check int) "ends matching their begin" 0 !bad;
+  Alcotest.(check (list (list string))) "begins left open" []
+    (List.filter (( <> ) []) (Array.to_list stacks));
+  Alcotest.(check bool) "request spans recorded" true (!reqs > 0);
+  let vm =
+    List.filter_map
+      (fun (n, c) -> if c = Ring.Virtual then Some n else None)
+      (Array.to_list tracks)
+  in
+  let shard_of n =
+    List.find_opt (fun s -> String.starts_with ~prefix:s n) [ "s0/t"; "s1/t" ]
+  in
+  Alcotest.(check (list string)) "VM tracks carry their shard" []
+    (List.filter (fun n -> shard_of n = None) vm);
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " has VM tracks") true
+        (List.exists (String.starts_with ~prefix:s) vm))
+    [ "s0/"; "s1/" ]
 
 let suite =
   [
@@ -483,4 +551,6 @@ let suite =
     Alcotest.test_case "shedding at queue bound 1" `Quick test_shedding;
     Alcotest.test_case "idle sharded server drains in under 1 s" `Quick
       test_idle_drain;
+    Alcotest.test_case "traced 2-shard server: per-writer rings balance"
+      `Quick test_traced_shards;
   ]
