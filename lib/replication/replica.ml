@@ -3,7 +3,11 @@
    that feeds the incremental stream reader, unseals, applies in seq
    order and sends one coalesced ack per feed batch. The loop polls a
    stop flag through a short select timeout instead of blocking reads,
-   so [stop] never has to interrupt a syscall. *)
+   so [stop] never has to interrupt a syscall. The move to [Lost] or
+   [Stopped] is final and writes [ended], which is never drained, so
+   every [wait_lost] sleeping in select on it wakes at once. *)
+
+module Wakeup = Privagic_runtime.Wakeup
 
 type status = Connecting | Streaming | Lost | Stopped
 
@@ -14,6 +18,8 @@ type t = {
   mutable err : string;
   mutable stopping : bool;
   mutable thread : Thread.t option;
+  ended : Wakeup.t;
+  mutable ended_closed : bool;  (* [stop] may run twice *)
 }
 
 let locked t f =
@@ -146,15 +152,10 @@ let run t ~sync ~cluster ~from_seq ~connect_timeout_s ~on_lost ~host ~port
   let fire =
     locked t (fun () ->
         t.err <- !fail;
-        if t.stopping then begin
-          t.st <- Stopped;
-          false
-        end
-        else begin
-          t.st <- Lost;
-          true
-        end)
+        t.st <- (if t.stopping then Stopped else Lost);
+        not t.stopping)
   in
+  Wakeup.wake t.ended;
   if fire then on_lost ()
 
 let start ?(sync = false) ?(cluster = "privagic") ?(from_seq = 1)
@@ -168,6 +169,8 @@ let start ?(sync = false) ?(cluster = "privagic") ?(from_seq = 1)
       err = "";
       stopping = false;
       thread = None;
+      ended = Wakeup.create ();
+      ended_closed = false;
     }
   in
   let th =
@@ -191,7 +194,15 @@ let stop t =
         t.thread)
   in
   (match th with Some th -> Thread.join th | None -> ());
-  locked t (fun () -> if t.st <> Lost then t.st <- Stopped)
+  let close =
+    locked t (fun () ->
+        if t.st <> Lost then t.st <- Stopped;
+        let first = not t.ended_closed in
+        t.ended_closed <- true;
+        first)
+  in
+  (* once only: a second close could hit a reused fd number *)
+  if close then Wakeup.close t.ended
 
 let wait_lost t ~timeout_s =
   let deadline = Unix.gettimeofday () +. timeout_s in
@@ -199,9 +210,12 @@ let wait_lost t ~timeout_s =
     match locked t (fun () -> t.st) with
     | Lost | Stopped -> true
     | Connecting | Streaming ->
-      if Unix.gettimeofday () > deadline then false
-      else begin
-        Unix.sleepf 0.002;
+      let left = deadline -. Unix.gettimeofday () in
+      left > 0.0
+      && begin
+        (* a [stop] racing us closes the fd: re-check the status *)
+        (try ignore (Unix.select [ Wakeup.fd t.ended ] [] [] left)
+         with Unix.Unix_error _ -> ());
         go ()
       end
   in

@@ -11,12 +11,14 @@
     [Unix.select] readiness with self-pipe wakeups (no timeout
     polling), incremental parsing, and fully pipelined connections
     (many requests in flight per connection; responses flush strictly
-    in arrival order).
+    in arrival order). A shard's logic is a sans-IO [Core.t] that the
+    loop feeds events and whose effects it carries out.
 
     There is no global store mutex. Gets, sets and single-shard
     transactions execute entirely inside one shard, under a per-shard
     latch that only the owner loop takes on the hot path. Cross-shard
-    requests hop to the owning shard over a bounded inbox; multi-shard
+    requests hop to the owning shard over a bounded inbox, and their
+    responses come home through the connection owner's inbox; multi-shard
     transactions commit via two-phase commit under the participant
     latches (taken in ascending shard order), and scans merge per-shard
     index cursors without any global lock. Same-key requests of one
@@ -32,7 +34,7 @@ module Metrics = Privagic_obs.Metrics
 (** What the server needs from an execution backend. Each shard owns
     one store; [st_call] is only invoked under that shard's latch. The
     buffer helpers address the backend's simulated unsafe memory. *)
-type store = {
+type store = Core.store = {
   st_name : string;
   st_call :
     string -> Privagic_vm.Rvalue.t list -> (Privagic_vm.Rvalue.t, string) result;
@@ -50,7 +52,7 @@ type store = {
 val store_of_pinterp : Privagic_vm.Pinterp.t -> store
 
 (** Entry points a key-value protocol maps onto. *)
-type bindings = {
+type bindings = Core.bindings = {
   b_family : string;
   b_set : string;
   b_get : string;
@@ -70,9 +72,9 @@ val bindings_of_plan : Privagic_partition.Plan.t -> bindings option
 (** The replication value color of a plan (see {!bindings.b_vcolor}). *)
 val value_color : Privagic_partition.Plan.t -> string
 
-type policy = Block | Shed
+type policy = Core.policy = Block | Shed
 
-type config = {
+type config = Core.config = {
   host : string;            (** default 127.0.0.1 *)
   port : int;               (** 0 picks an ephemeral port; see {!port} *)
   shards : int;             (** single-writer keyspace shards (event loops) *)
@@ -181,12 +183,6 @@ val stats : t -> stats
 (** The [STAT k v] pairs of the protocol's [stats] verb. The historical
     fields keep their names and order; new fields append. *)
 val stats_fields : t -> (string * string) list
-
-(** The server's live metrics registry (lib/obs) — what the
-    [stats metrics] verb exposes. Populated at {!start} with server
-    counters/summaries, per-shard inbox depths, replication shipper
-    gauges, and the shard-0 store's backend contribution. *)
-val metrics_registry : t -> Privagic_obs.Registry.t
 
 (** {1 Replication}
 

@@ -3,7 +3,8 @@
      dune exec test/main.exe -- [alcotest args] --seed N
 
    [--seed N] re-bases every seeded random harness (the image-engine
-   differential corpus and the robust-safety fuzz smoke) on N — the
+   differential corpus, the robust-safety fuzz smoke and the shard-core
+   simulation) on N — the
    flag a failing run prints in its one-line reproducer. The default
    base (1) keeps the pinned corpora. *)
 
@@ -20,7 +21,8 @@ let () =
     match int_of_string_opt n with
     | Some n ->
       Test_image.base_seed := n;
-      Test_robust.base_seed := n
+      Test_robust.base_seed := n;
+      Test_sim.base_seed := n
     | None ->
       prerr_endline ("main: --seed expects an integer, got '" ^ n ^ "'");
       exit 2)
@@ -53,4 +55,5 @@ let () =
       ("wire_fuzz", Test_wire_fuzz.suite);
       ("robust", Test_robust.suite);
       ("obs", Test_obs.suite);
+      ("sim", Test_sim.suite);
     ]
