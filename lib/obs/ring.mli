@@ -12,8 +12,8 @@
     simulated cycles, exactly ({!of_cycles}).
 
     A ring has one writer at a time — the domain that owns it (a lane, a
-    shard loop, a replication sender), or whoever runs the VM it belongs
-    to. Readers merge rings {e after} quiescence ([Domain.join], a thread
+    shard loop and the replication links it hosts), or whoever runs the
+    VM it belongs to. Readers merge rings {e after} quiescence ([Domain.join], a thread
     join or a drain gives the happens-before), so the hot path needs no
     fence. *)
 

@@ -39,18 +39,3 @@ let def_block t r = Hashtbl.find_opt t.def_block r
 let uses_of t r = Option.value ~default:[] (Hashtbl.find_opt t.uses r)
 
 let is_param t r = r < t.param_count
-
-(* Transitive closure of registers feeding [r] (the backward slice through
-   registers only; memory is not followed). *)
-let backward_slice t r =
-  let seen = Hashtbl.create 16 in
-  let rec go r =
-    if not (Hashtbl.mem seen r) then begin
-      Hashtbl.replace seen r ();
-      match def t r with
-      | Some i -> List.iter go (Instr.uses i)
-      | None -> ()
-    end
-  in
-  go r;
-  Hashtbl.fold (fun r () acc -> r :: acc) seen []

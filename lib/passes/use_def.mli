@@ -13,7 +13,3 @@ val def : t -> int -> Instr.t option
 val def_block : t -> int -> string option
 val uses_of : t -> int -> Instr.t list
 val is_param : t -> int -> bool
-
-(** Registers transitively feeding [r] (backward slice through registers;
-    memory is not followed). *)
-val backward_slice : t -> int -> int list

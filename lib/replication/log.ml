@@ -2,35 +2,39 @@
 
    Entries are appended back to back into 1 MiB Bigarray chunks:
 
-     Del: 0, key (8 bytes LE)
-     Put: 1, key (8 bytes LE), color id (1), payload length (4 LE), payload
+     Del: 0xff, key
+     Put: color id (0..254), key, payload length, payload
 
-   and an index of 1 MiB Bigarray chunks maps [seq - 1] to the entry's
-   global byte offset ([chunk lsl chunk_bits + offset]; an entry never
-   straddles two chunks). A 32-byte put therefore keeps 14 + 32 + 8 bytes
-   resident, and nothing per delta lives on the OCaml heap, so the
-   collector neither scans the log nor sizes its headroom by it. Colors are
-   interned: a store has one value color per enclave. [get] decodes a
-   fresh [Delta.t] on every call.
+   with the key (zigzag-mapped, so a negative key stays short) and the
+   length as LEB128 varints. An index of 1 MiB Bigarray chunks maps
+   [seq - 1] to the entry's offset inside its data chunk, an int32, and
+   [starts] holds the first entry of each data chunk (an entry never
+   straddles two chunks). A 32-byte put with a key below 8192 therefore
+   keeps 4 + 32 + 4 bytes resident, and nothing per delta lives on the
+   OCaml heap, so the collector neither scans the log nor sizes its
+   headroom by it. Colors are interned: a store has one value color per
+   enclave. [get] decodes a fresh [Delta.t] on every call.
 
    Readers are woken, not polled: [subscribe] registers a callback that
    every append runs under the log mutex, after the new entries are
-   visible. The shipper's callback writes its thread's wake pipe only
-   while that thread is asleep, and appends with no subscriber run no
-   callback at all. *)
+   visible. A shard loop that hosts replication links writes its
+   self-pipe from that callback only while it is asleep, and appends
+   with no subscriber run no callback at all. *)
 
 module A1 = Bigarray.Array1
 
 type data_chunk = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) A1.t
-type index_chunk = (int, Bigarray.int_elt, Bigarray.c_layout) A1.t
+type index_chunk = (int32, Bigarray.int32_elt, Bigarray.c_layout) A1.t
 
 let chunk_bits = 20                    (* 1 MiB of entry bytes per chunk *)
 let chunk_size = 1 lsl chunk_bits
-let index_bits = 17                    (* 2^17 offsets: 1 MiB per chunk *)
+let index_bits = 18                    (* 2^18 offsets: 1 MiB per chunk *)
+let del_tag = 0xff
 
 type t = {
   mu : Mutex.t;
   mutable data : data_chunk array;
+  mutable starts : int array;          (* first entry of each data chunk *)
   mutable fill : int;                  (* bytes used in the last data chunk *)
   mutable index : index_chunk array;
   mutable len : int;
@@ -43,6 +47,7 @@ let create () =
   {
     mu = Mutex.create ();
     data = [||];
+    starts = [||];
     fill = chunk_size;
     index = [||];
     len = 0;
@@ -55,7 +60,7 @@ let color_id t color =
   let n = Array.length t.colors in
   let rec find i =
     if i = n then begin
-      if n = 256 then invalid_arg "Log: more than 256 value colors";
+      if n = del_tag then invalid_arg "Log: more than 255 value colors";
       t.colors <- Array.append t.colors [| color |];
       n
     end
@@ -66,67 +71,89 @@ let color_id t color =
 
 let put_u8 c pos v = A1.unsafe_set c pos (Char.unsafe_chr (v land 0xff))
 
-let put_le c pos nbytes v =
-  for i = 0 to nbytes - 1 do
-    put_u8 c (pos + i) (v lsr (8 * i))
-  done
+(* Varints read [v] as unsigned, so every int round-trips. *)
+let rec varint_size v = if v lsr 7 = 0 then 1 else 1 + varint_size (v lsr 7)
 
-let get_le c pos nbytes =
-  let v = ref 0 in
-  for i = nbytes - 1 downto 0 do
-    v := (!v lsl 8) lor Char.code (A1.unsafe_get c (pos + i))
-  done;
-  !v
+let rec put_varint c pos v =
+  if v lsr 7 = 0 then begin
+    put_u8 c pos v;
+    pos + 1
+  end
+  else begin
+    put_u8 c pos (v lor 0x80);
+    put_varint c (pos + 1) (v lsr 7)
+  end
+
+let get_varint c pos =
+  let rec go pos shift acc =
+    let b = Char.code (A1.unsafe_get c pos) in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then (acc, pos + 1) else go (pos + 1) (shift + 7) acc
+  in
+  go pos 0 0
+
+let zigzag k = (k lsl 1) lxor (k asr (Sys.int_size - 1))
+let unzigzag v = (v lsr 1) lxor -(v land 1)
 
 (* Mutex held. Encodes [op] as entry [t.len + 1]. *)
 let push t op =
-  let size =
+  let tag, key, payload =
     match op with
-    | Delta.Del _ -> 9
-    | Delta.Put { payload; _ } -> 14 + String.length payload
+    | Delta.Del { key } -> (del_tag, zigzag key, None)
+    | Delta.Put { key; color; payload } -> (color_id t color, zigzag key, Some payload)
+  in
+  let size =
+    1 + varint_size key
+    + Option.fold ~none:0 ~some:(fun p -> varint_size (String.length p) + String.length p) payload
   in
   if t.fill + size > chunk_size then begin
     let c = A1.create Bigarray.char Bigarray.c_layout (max chunk_size size) in
     t.data <- Array.append t.data [| c |];
+    t.starts <- Array.append t.starts [| t.len |];
     t.fill <- 0
   end;
-  let ci = Array.length t.data - 1 in
-  let c = t.data.(ci) and pos = t.fill in
-  (match op with
-  | Delta.Del { key } ->
-    put_u8 c pos 0;
-    put_le c (pos + 1) 8 key
-  | Delta.Put { key; color; payload } ->
-    put_u8 c pos 1;
-    put_le c (pos + 1) 8 key;
-    put_u8 c (pos + 9) (color_id t color);
-    put_le c (pos + 10) 4 (String.length payload);
-    String.iteri (fun i ch -> A1.unsafe_set c (pos + 14 + i) ch) payload);
+  let c = t.data.(Array.length t.data - 1) and pos = t.fill in
+  put_u8 c pos tag;
+  let at = put_varint c (pos + 1) key in
+  Option.iter
+    (fun p ->
+      let at = put_varint c at (String.length p) in
+      String.iteri (fun i ch -> A1.unsafe_set c (at + i) ch) p)
+    payload;
   let slot = t.len land ((1 lsl index_bits) - 1) in
   if slot = 0 then
     t.index <-
       Array.append t.index
-        [| A1.create Bigarray.int Bigarray.c_layout (1 lsl index_bits) |];
-  A1.unsafe_set t.index.(t.len lsr index_bits) slot ((ci lsl chunk_bits) lor pos);
+        [| A1.create Bigarray.int32 Bigarray.c_layout (1 lsl index_bits) |];
+  A1.unsafe_set t.index.(t.len lsr index_bits) slot (Int32.of_int pos);
   t.fill <- pos + size;
   t.len <- t.len + 1
+
+(* Mutex held. The data chunk of entry [i]: the last one starting at or
+   before it. *)
+let chunk_of t i =
+  let rec go lo hi =
+    if hi - lo <= 1 then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if t.starts.(mid) <= i then go mid hi else go lo mid
+  in
+  t.data.(go 0 (Array.length t.starts))
 
 (* Mutex held. *)
 let decode t seq =
   let i = seq - 1 in
-  let off = A1.unsafe_get t.index.(i lsr index_bits) (i land ((1 lsl index_bits) - 1)) in
-  let c = t.data.(off lsr chunk_bits) and pos = off land (chunk_size - 1) in
-  let key = get_le c (pos + 1) 8 in
+  let c = chunk_of t i in
+  let pos = Int32.to_int (A1.unsafe_get t.index.(i lsr index_bits) (i land ((1 lsl index_bits) - 1))) in
+  let tag = Char.code (A1.unsafe_get c pos) in
+  let key, at = get_varint c (pos + 1) in
+  let key = unzigzag key in
   let op =
-    if A1.unsafe_get c pos = '\000' then Delta.Del { key }
+    if tag = del_tag then Delta.Del { key }
     else
-      let n = get_le c (pos + 10) 4 in
+      let n, at = get_varint c at in
       Delta.Put
-        {
-          key;
-          color = t.colors.(Char.code (A1.unsafe_get c (pos + 9)));
-          payload = String.init n (fun j -> A1.unsafe_get c (pos + 14 + j));
-        }
+        { key; color = t.colors.(tag); payload = String.init n (fun j -> A1.unsafe_get c (at + j)) }
   in
   Delta.{ seq; op }
 

@@ -1,6 +1,6 @@
 (** The in-memory commit log: the ordered sequence of deltas a store has
     committed, shared between the committing executors (writers) and the
-    shipper threads (readers).
+    shard loops that host replication links (readers).
 
     Sequence numbers are 1-based and dense. On a primary, {!append}
     assigns them — it is called under the committing shard's latch, so
@@ -11,10 +11,11 @@
 
     The log retains every delta (no truncation): a replica may join at
     any time with [from_seq = 1] and replay history. Entries are encoded
-    compactly outside the OCaml heap — a put keeps its 14-byte header,
-    its payload and an 8-byte index slot resident, a delete 17 bytes —
-    so the collector never scans the log and memory grows by that much
-    per delta, not by a boxed {!Delta.t}.
+    compactly outside the OCaml heap — a put with a key below 8192
+    keeps a 4-byte header, its payload and a 4-byte index slot
+    resident, such a delete 7 bytes — so the collector never scans the
+    log and memory grows by that much per delta, not by a boxed
+    {!Delta.t}.
 
     Readers that wait for new entries {!subscribe} instead of polling:
     every append calls the subscribers once the entries are readable. *)

@@ -1,11 +1,11 @@
 (* See the .mli. One thread owns the socket end to end: connect (with
    retry while the primary is still binding), hello, then a read loop
    that feeds the incremental stream reader, unseals, applies in seq
-   order and sends one coalesced ack per feed batch. The loop polls a
-   stop flag through a short select timeout instead of blocking reads,
-   so [stop] never has to interrupt a syscall. The move to [Lost] or
-   [Stopped] is final and writes [ended], which is never drained, so
-   every [wait_lost] sleeping in select on it wakes at once. *)
+   order and sends one coalesced ack per feed batch. The read loop
+   selects on the socket and on [stop_w], which [stop] writes, so [stop]
+   never has to interrupt a syscall and nothing polls. The move to
+   [Lost] or [Stopped] is final and writes [ended]. Neither pipe is
+   ever drained, so every select sleeping on one wakes at once. *)
 
 module Wakeup = Privagic_runtime.Wakeup
 
@@ -19,6 +19,7 @@ type t = {
   mutable stopping : bool;
   mutable thread : Thread.t option;
   ended : Wakeup.t;
+  stop_w : Wakeup.t;
   mutable ended_closed : bool;  (* [stop] may run twice *)
 }
 
@@ -131,10 +132,10 @@ let run t ~sync ~cluster ~from_seq ~connect_timeout_s ~on_lost ~host ~port
     if not (write_all fd (Delta.render_hello ~sync ~from_seq)) then
       fail := "handshake write failed";
     while !fail = "" && not (locked t (fun () -> t.stopping)) do
-      match Unix.select [ fd ] [] [] 0.05 with
+      match Unix.select [ fd; Wakeup.fd t.stop_w ] [] [] (-1.0) with
       | exception Unix.Unix_error (EINTR, _, _) -> ()
       | exception Unix.Unix_error _ -> fail := "socket error"
-      | [], _, _ -> ()
+      | rd, _, _ when not (List.mem fd rd) -> ()
       | _ -> (
         match Unix.read fd buf 0 (Bytes.length buf) with
         | exception Unix.Unix_error (EINTR, _, _) -> ()
@@ -170,6 +171,7 @@ let start ?(sync = false) ?(cluster = "privagic") ?(from_seq = 1)
       stopping = false;
       thread = None;
       ended = Wakeup.create ();
+      stop_w = Wakeup.create ();
       ended_closed = false;
     }
   in
@@ -191,18 +193,18 @@ let stop t =
   let th =
     locked t (fun () ->
         t.stopping <- true;
+        if not t.ended_closed then Wakeup.wake t.stop_w;
         t.thread)
   in
   (match th with Some th -> Thread.join th | None -> ());
-  let close =
-    locked t (fun () ->
-        if t.st <> Lost then t.st <- Stopped;
-        let first = not t.ended_closed in
+  locked t (fun () ->
+      if t.st <> Lost then t.st <- Stopped;
+      (* once only: a second close could hit a reused fd number *)
+      if not t.ended_closed then begin
         t.ended_closed <- true;
-        first)
-  in
-  (* once only: a second close could hit a reused fd number *)
-  if close then Wakeup.close t.ended
+        Wakeup.close t.ended;
+        Wakeup.close t.stop_w
+      end)
 
 let wait_lost t ~timeout_s =
   let deadline = Unix.gettimeofday () +. timeout_s in

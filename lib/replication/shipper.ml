@@ -1,306 +1,178 @@
-(* See the .mli. One thread per replica connection; shared state (the
-   connection list and each connection's cursor/ack marks) is guarded by
-   one hub mutex — updates are a few machine words, contention is
-   per-delta, and the store's own per-op cost dwarfs it.
+(* See the .mli. No IO here: the shard loop that hosts a link owns its
+   socket, reads the ack bytes into [feed] and writes what [output]
+   hands back. A link is owner-written: only its host calls [fill],
+   [feed], [output] and [detach]. Everyone else reads [acked] and
+   [alive] (atomics) through [synced], and the counters, which readers
+   merge the way the server merges its per-shard counters.
 
-   The wire discipline per thread: send frames while the log has entries
-   beyond the cursor and the in-flight window has room, otherwise sleep
-   in a select on the socket (acks) and the thread's own wake pipe (new
-   commits). Sealing happens at render time, so the log itself stays
-   plaintext (it never leaves the process; the wire never sees a
-   secret-colored payload unsealed).
-
-   Wakeups are events, not timed polls:
-   - a log append writes the wake pipe of every ship thread that is
-     asleep ([asleep] is raised before the thread re-reads the head, so
-     an append either is seen by that read or finds the flag up);
-   - an ack, and a connection's death, broadcast [ack_cv] to the shards
-     blocked in [wait_synced].
-   OCaml's [Condition] has no timed wait, so the fence timeout rides on
-   the ship threads: their select is bounded by [tick_s], and a thread
-   that has not broadcast [ack_cv] for [tick_s] does so when it wakes (a
-   stalled socket write, every retry), so a waiter re-checks its deadline
-   at least that often without being woken by every commit. *)
+   Sealing happens at render time, so the log itself stays plaintext
+   (it never leaves the process; the wire never sees a secret-colored
+   payload unsealed). *)
 
 module Metrics = Privagic_obs.Metrics
-module Ring = Privagic_obs.Ring
-module Wakeup = Privagic_runtime.Wakeup
 
-type conn = {
-  fd : Unix.file_descr;
+type link = {
   sync : bool;
   acks : Delta.ack_reader;
-  inflight : (int * float) Queue.t;  (* seq, sent_at (hub mutex) *)
-  wake : Wakeup.t;                   (* this thread's own *)
-  asleep : bool Atomic.t;            (* in select, wants a commit wakeup *)
-  mutable cursor : int;              (* next seq to send *)
-  mutable acked : int;
-  mutable alive : bool;
+  inflight : (int * float) Queue.t;  (* seq, rendered at (µs) *)
+  out : Buffer.t;                    (* rendered, not yet handed out *)
+  keys : (string, Seal.key) Hashtbl.t;  (* per color, derived lazily *)
+  mutable cursor : int;              (* next seq to render *)
+  acked : int Atomic.t;
+  alive : bool Atomic.t;
+  (* owner-written metrics *)
+  h_lag : Metrics.histogram;
+  mutable last_lag_us : float;
+  mutable last_ack_at : float;
+  mutable shipped : int;
+  mutable sealed : int;
+  mutable seal_cycles : float;
 }
 
 type t = {
   log : Log.t;
   window : int;
-  keys : (string, Seal.key) Hashtbl.t;  (* per-color, derived lazily *)
   cluster : string;
-  mu : Mutex.t;
-  ack_cv : Condition.t;  (* an ack arrived, a link died, or a tick *)
-  mutable conns : conn list;
-  mutable threads : Thread.t list;
-  mutable draining : bool;
-  mutable drain_deadline : float;
-  (* metrics (hub mutex) *)
-  h_lag : Metrics.histogram;
-  mutable m_last_lag_us : float;
-  mutable m_shipped : int;
-  mutable m_sealed : int;
-  mutable m_seal_cycles : float;
+  (* every link ever attached, newest first; changes only on attach. A
+     dead link stays as the record of its counters. *)
+  links : link list Atomic.t;
 }
-
-(* Upper bound on a ship thread's sleep, and so on how late a fence
-   waiter notices its deadline. Commits and acks wake the thread sooner. *)
-let tick_s = 0.1
 
 let create ?(window = 1024) ?(cluster = "privagic") ~log () =
   if window < 1 then invalid_arg "Shipper.create: window must be positive";
-  {
-    log;
-    window;
-    keys = Hashtbl.create 4;
-    cluster;
-    mu = Mutex.create ();
-    ack_cv = Condition.create ();
-    conns = [];
-    threads = [];
-    draining = false;
-    drain_deadline = infinity;
-    h_lag = Metrics.histogram "replication lag (us)";
-    m_last_lag_us = 0.0;
-    m_shipped = 0;
-    m_sealed = 0;
-    m_seal_cycles = 0.0;
-  }
+  { log; window; cluster; links = Atomic.make [] }
 
-let locked t f =
-  Mutex.lock t.mu;
-  let r = f () in
-  Mutex.unlock t.mu;
-  r
-
-let tick t = locked t (fun () -> Condition.broadcast t.ack_cv)
-
-let key_for t color =
-  (* hub mutex held: the table is tiny and shared across threads *)
-  match Hashtbl.find_opt t.keys color with
-  | Some k -> k
-  | None ->
-    let k = Seal.derive ~cluster:t.cluster color in
-    Hashtbl.replace t.keys color k;
-    k
-
-(* Wire-capture tap for the robust-safety monitor: every byte the shipper
-   puts on a replication link also goes here. Process-wide — the monitor
-   captures whatever wire traffic the process produces. *)
+(* Wire-capture tap for the robust-safety monitor: every byte rendered
+   for a link also goes here, before [output] can hand it to a socket.
+   Process-wide — the monitor captures whatever wire traffic the
+   process produces. *)
 let wire_tap : (string -> unit) option ref = ref None
 
 let set_wire_tap f = wire_tap := f
 
-(* Full write on a non-blocking socket; false when the peer is gone or
-   stalled past 30 s (a wedged replica must not wedge the primary).
-   Every stalled retry ticks the fence waiters. *)
-let write_all t fd s =
+let emit l s =
   (match !wire_tap with None -> () | Some f -> f s);
-  let b = Bytes.unsafe_of_string s in
-  let deadline = Unix.gettimeofday () +. 30.0 in
-  let rec go off =
-    if off >= Bytes.length b then true
-    else
-      match Unix.write fd b off (Bytes.length b - off) with
-      | n -> go (off + n)
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-        if Unix.gettimeofday () > deadline then false
-        else begin
-          (try ignore (Unix.select [] [ fd ] [] 0.25)
-           with Unix.Unix_error _ -> ());
-          tick t;
-          go off
-        end
-      | exception Unix.Unix_error _ -> false
-  in
-  go 0
+  Buffer.add_string l.out s
 
-let note_acked t c seq =
-  locked t (fun () ->
-      if seq > c.acked then c.acked <- seq;
-      let now = Unix.gettimeofday () in
-      let continue = ref true in
-      while !continue do
-        match Queue.peek_opt c.inflight with
-        | Some (s, sent_at) when s <= seq ->
-          ignore (Queue.pop c.inflight);
-          let lag = (now -. sent_at) *. 1e6 in
-          Metrics.observe t.h_lag lag;
-          t.m_last_lag_us <- lag
-        | _ -> continue := false
-      done;
-      Condition.broadcast t.ack_cv)
-
-(* Read whatever acks arrived; false on EOF/error. *)
-let pump_acks t c buf =
-  match Unix.read c.fd buf 0 (Bytes.length buf) with
-  | 0 -> false
-  | n ->
-    List.for_all
-      (fun r ->
-        match r with Ok seq -> note_acked t c seq; true | Error _ -> false)
-      (Delta.feed_acks c.acks buf n)
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> true
-  | exception Unix.Unix_error _ -> false
-
-let ship_thread t c ring =
-  let buf = Bytes.create 4096 in
-  (* traced: each write of a run of frames is a span on this thread's own
-     ring, so recording takes no lock *)
-  let span =
-    match ring with
-    | None -> fun f -> f ()
-    | Some r -> Ring.span r ~name:(Ring.intern r "repl_ship")
+let attach t ~sync ~from_seq =
+  let l =
+    {
+      sync;
+      acks = Delta.ack_reader ();
+      inflight = Queue.create ();
+      out = Buffer.create 256;
+      keys = Hashtbl.create 4;
+      cursor = max 1 from_seq;
+      acked = Atomic.make (max 0 (from_seq - 1));
+      alive = Atomic.make true;
+      h_lag = Metrics.histogram "replication lag (us)";
+      last_lag_us = 0.0;
+      last_ack_at = neg_infinity;
+      shipped = 0;
+      sealed = 0;
+      seal_cycles = 0.0;
+    }
   in
-  let sealer ~color ~nonce payload =
-    locked t (fun () ->
-        let k = key_for t color in
-        t.m_sealed <- t.m_sealed + 1;
-        t.m_seal_cycles <-
-          t.m_seal_cycles +. Seal.cost_cycles (String.length payload);
-        Seal.seal ~key:k ~nonce payload)
+  emit l (Delta.render_ok l.cursor);
+  let rec push () =
+    let cur = Atomic.get t.links in
+    if not (Atomic.compare_and_set t.links cur (l :: cur)) then push ()
   in
-  (* called under the log mutex on every append: one pipe write per
-     sleep, none while the thread is awake *)
-  let unsubscribe =
-    Log.subscribe t.log (fun () ->
-        if Atomic.get c.asleep && Atomic.compare_and_set c.asleep true false
-        then Wakeup.wake c.wake)
-  in
-  let last_tick = ref (Unix.gettimeofday ()) in
-  let ok = ref (write_all t c.fd (Delta.render_ok c.cursor)) in
-  while !ok && c.alive do
-    let head = Log.head t.log in
-    let in_flight = locked t (fun () -> c.cursor - 1 - c.acked) in
-    if c.cursor <= head && in_flight < t.window then begin
-      (* a run of frames in one write, bounded by the window *)
-      let stop = min head (c.cursor + (t.window - in_flight) - 1) in
-      let frames = Buffer.create 1024 in
-      let sent = ref [] in
-      let cur = ref c.cursor in
-      while !cur <= stop do
-        (match Log.get t.log !cur with
-        | Some d ->
-          Buffer.add_string frames (Delta.render ~sealer:(Some sealer) d);
-          sent := d.Delta.seq :: !sent
-        | None -> ());
-        incr cur
-      done;
-      let now = Unix.gettimeofday () in
-      locked t (fun () ->
-          List.iter
-            (fun s -> Queue.push (s, now) c.inflight)
-            (List.rev !sent);
-          c.cursor <- stop + 1;
-          t.m_shipped <- t.m_shipped + List.length !sent);
-      span (fun () ->
-          ok := write_all t c.fd (Buffer.contents frames));
-      if !ok then ok := pump_acks t c buf
-    end
-    else begin
-      (* nothing to send (or window full): sleep until an ack, a commit,
-         a drain, or the tick. The flag goes up before the head is read
-         again, so a commit in between is never missed. *)
-      Atomic.set c.asleep true;
-      if c.cursor > Log.head t.log || in_flight >= t.window then begin
-        match Unix.select [ c.fd; Wakeup.fd c.wake ] [] [] tick_s with
-        | rd, _, _ ->
-          if List.mem (Wakeup.fd c.wake) rd then Wakeup.drain c.wake;
-          if List.mem c.fd rd then ok := pump_acks t c buf
-        | exception Unix.Unix_error (EINTR, _, _) -> ()
-        | exception Unix.Unix_error _ -> ok := false
-      end;
-      Atomic.set c.asleep false;
-      let now = Unix.gettimeofday () in
-      if now -. !last_tick >= tick_s then begin
-        last_tick := now;
-        tick t
-      end;
-      (* drain: once the tail is flushed, linger only for pending acks *)
-      if
-        t.draining
-        && c.cursor > Log.head t.log
-        && (c.acked >= Log.head t.log
-           || Unix.gettimeofday () > t.drain_deadline)
-      then ok := false
-    end
-  done;
-  (* unsubscribe first: once it returns no append can write the pipe *)
-  unsubscribe ();
-  locked t (fun () ->
-      c.alive <- false;
-      Condition.broadcast t.ack_cv;
-      (try Unix.close c.fd with Unix.Unix_error _ -> ());
-      Wakeup.close c.wake)
+  push ();
+  l
 
-let register t ?ring fd ~sync ~from_seq =
-  let refuse = locked t (fun () -> t.draining) in
-  if refuse then (try Unix.close fd with Unix.Unix_error _ -> ())
-  else begin
-    let c =
-      {
-        fd;
-        sync;
-        acks = Delta.ack_reader ();
-        inflight = Queue.create ();
-        wake = Wakeup.create ();
-        asleep = Atomic.make false;
-        cursor = max 1 from_seq;
-        acked = max 0 (from_seq - 1);
-        alive = true;
-      }
-    in
-    let th = Thread.create (fun () -> ship_thread t c ring) () in
-    locked t (fun () ->
-        t.conns <- c :: t.conns;
-        t.threads <- th :: t.threads)
+let sealer t l ~color ~nonce payload =
+  let key =
+    match Hashtbl.find_opt l.keys color with
+    | Some k -> k
+    | None ->
+      let k = Seal.derive ~cluster:t.cluster color in
+      Hashtbl.replace l.keys color k;
+      k
+  in
+  l.sealed <- l.sealed + 1;
+  l.seal_cycles <- l.seal_cycles +. Seal.cost_cycles (String.length payload);
+  Seal.seal ~key ~nonce payload
+
+let fill t l ~now =
+  let head = Log.head t.log in
+  let room = t.window - Queue.length l.inflight in
+  if Atomic.get l.alive && l.cursor <= head && room > 0 then begin
+    (* a run of frames in one render, bounded by the window *)
+    let stop = min head (l.cursor + room - 1) in
+    let frames = Buffer.create 1024 in
+    for seq = l.cursor to stop do
+      match Log.get t.log seq with
+      | Some d ->
+        Buffer.add_string frames (Delta.render ~sealer:(Some (sealer t l)) d);
+        Queue.push (seq, now) l.inflight;
+        l.shipped <- l.shipped + 1
+      | None -> ()
+    done;
+    l.cursor <- stop + 1;
+    emit l (Buffer.contents frames)
   end
 
-let connected t =
-  locked t (fun () -> List.length (List.filter (fun c -> c.alive) t.conns))
+let output l =
+  let s = Buffer.contents l.out in
+  Buffer.clear l.out;
+  s
 
-let sync_connected t =
-  locked t (fun () ->
-      List.length (List.filter (fun c -> c.alive && c.sync) t.conns))
+let detach l =
+  Atomic.set l.alive false;
+  Queue.clear l.inflight;
+  Buffer.reset l.out
 
-let wait_synced t ~seq ~timeout_s =
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  locked t (fun () ->
-      let pending () =
-        List.exists (fun c -> c.alive && c.sync && c.acked < seq) t.conns
-      in
-      let rec go () =
-        if not (pending ()) then true
-        else if Unix.gettimeofday () > deadline then false
-        else begin
-          Condition.wait t.ack_cv t.mu;
-          go ()
-        end
-      in
-      go ())
+let note_acked l seq ~now =
+  if seq > Atomic.get l.acked then Atomic.set l.acked seq;
+  let continue = ref true in
+  while !continue do
+    match Queue.peek_opt l.inflight with
+    | Some (s, sent_at) when s <= seq ->
+      ignore (Queue.pop l.inflight);
+      let lag = now -. sent_at in
+      Metrics.observe l.h_lag lag;
+      l.last_lag_us <- lag;
+      l.last_ack_at <- now
+    | _ -> continue := false
+  done
 
-let last_lag_us t = locked t (fun () -> t.m_last_lag_us)
-let lag_pctiles t = locked t (fun () -> Metrics.pctiles t.h_lag)
-let shipped t = locked t (fun () -> t.m_shipped)
-let sealed_count t = locked t (fun () -> t.m_sealed)
-let seal_cycles t = locked t (fun () -> t.m_seal_cycles)
+let feed l buf n ~now =
+  List.iter
+    (function
+      | Ok seq -> if Atomic.get l.alive then note_acked l seq ~now
+      | Error _ -> detach l)
+    (Delta.feed_acks l.acks buf n)
 
-(* Everything the shipper knows, as live gauges: the closures take the
-   hub mutex at exposition time, never on the delta path. *)
+let alive l = Atomic.get l.alive
+let is_sync l = l.sync
+let caught_up t l = Atomic.get l.acked >= Log.head t.log
+
+let synced t ~seq =
+  List.for_all
+    (fun l -> (not l.sync) || Atomic.get l.acked >= seq || not (Atomic.get l.alive))
+    (Atomic.get t.links)
+
+(* ------------------------------------------------------------------ *)
+(* merged reads *)
+
+let links t = Atomic.get t.links
+let count t p = List.length (List.filter (fun l -> alive l && p l) (links t))
+let connected t = count t (fun _ -> true)
+let sync_connected t = count t is_sync
+let sum t f = List.fold_left (fun acc l -> acc + f l) 0 (links t)
+let shipped t = sum t (fun l -> l.shipped)
+let sealed_count t = sum t (fun l -> l.sealed)
+let seal_cycles t = List.fold_left (fun acc l -> acc +. l.seal_cycles) 0.0 (links t)
+let lag_pctiles t = Metrics.pctiles (Metrics.merge (List.map (fun l -> l.h_lag) (links t)))
+
+let last_lag_us t =
+  match List.sort (fun a b -> compare b.last_ack_at a.last_ack_at) (links t) with
+  | l :: _ -> l.last_lag_us
+  | [] -> 0.0
+
+(* Everything the shipper knows, as live gauges: the closures merge the
+   links' counters at exposition time, never on the delta path. *)
 let register_obs t (reg : Privagic_obs.Registry.t) =
   let g = Privagic_obs.Registry.gauge reg in
   g ~help:"live replica connections" "privagic_repl_connected" (fun () ->
@@ -318,20 +190,3 @@ let register_obs t (reg : Privagic_obs.Registry.t) =
   Privagic_obs.Registry.summary reg
     ~help:"replication lag distribution (microseconds)"
     "privagic_repl_lag_summary_us" (fun () -> lag_pctiles t)
-
-let drain t ~timeout_s =
-  let already =
-    locked t (fun () ->
-        let a = t.draining in
-        if not a then begin
-          t.draining <- true;
-          t.drain_deadline <- Unix.gettimeofday () +. timeout_s;
-          (* wake every sleeping ship thread to flush and linger *)
-          List.iter (fun c -> if c.alive then Wakeup.wake c.wake) t.conns
-        end;
-        a)
-  in
-  if not already then begin
-    let threads = locked t (fun () -> t.threads) in
-    List.iter Thread.join threads
-  end

@@ -1,55 +1,78 @@
-(** Primary-side delta shipping: one thread per connected replica
-    streams the commit log ({!Log}) over the replica's own TCP
-    connection, seals secret-colored payloads ({!Seal}), enforces a
-    bounded in-flight window, and tracks acknowledgement lag.
+(** Primary-side delta shipping, as a state machine with no IO: per
+    replica link it streams the commit log ({!Log}) as frames, seals
+    secret-colored payloads ({!Seal}), bounds the in-flight window and
+    tracks acknowledgement lag. It reads no clock and touches no
+    socket, thread or lock; callers pass the time ([now], µs).
 
-    The serving layer hands a connection here when its protocol reader
-    sees the [repl <sync|async> <from_seq>] handshake; from then on the
-    shipper owns the socket (writes frames, reads [ack] lines). The
-    handshake guarantees the replica sends nothing after the hello until
-    it has received frames, so ownership transfers with an empty input
-    buffer.
+    The serving layer hosts each link in the shard loop that read the
+    replica's [repl <sync|async> <from_seq>] handshake: that loop owns
+    the socket, feeds it the bytes it reads ({!feed}), writes what
+    {!output} returns, and calls {!fill} after every round of its core.
+    The handshake guarantees the replica sends nothing after the hello
+    until it has received frames, so the link starts with an empty
+    input buffer.
 
-    Sync vs async is the replica's choice, per connection: a sync
-    replica participates in {!wait_synced} — the server delays a write's
-    response until every live sync replica acked the commit, which is
-    what gives clients read-your-writes on replica reads. An async
-    replica only bounds its in-flight window. *)
+    Sync vs async is the replica's choice, per link: a sync link gates
+    {!synced} — the server holds a write's response until every live
+    sync link acked the commit, which is what gives clients
+    read-your-writes on replica reads. An async link only bounds its
+    in-flight window.
+
+    Ownership: a link is written only by its host (the one caller of
+    {!fill}, {!feed}, {!output} and {!detach}). {!synced}, and the
+    merged counters below, may be read from anywhere. *)
 
 type t
 
+type link
+
 (** [create ~log ()] — [window] bounds unacknowledged in-flight deltas
-    per replica (default 1024); [cluster] is the shared secret sealing
+    per link (default 1024); [cluster] is the shared secret sealing
     keys derive from. *)
 val create : ?window:int -> ?cluster:string -> log:Log.t -> unit -> t
 
-(** Adopt a replica connection (fd already non-blocking) and start its
-    shipping thread. Refused (fd closed) when the shipper is draining.
-    With a [ring] (wall clock), the thread records each write of a run
-    of frames there as a ["repl_ship"] request span; the ring is the
-    thread's alone until {!drain} joins it. *)
-val register :
-  t -> ?ring:Privagic_obs.Ring.t -> Unix.file_descr -> sync:bool ->
-  from_seq:int -> unit
+(** A new live link streaming from [from_seq]; [REPLOK <start>] is its
+    first output. *)
+val attach : t -> sync:bool -> from_seq:int -> link
 
-(** Live replica connections. *)
+(** Render the log entries past the link's cursor, up to its window,
+    as frames into its output (a no-op on a dead link). *)
+val fill : t -> link -> now:float -> unit
+
+(** Take the bytes rendered so far; the host writes them in order. *)
+val output : link -> string
+
+(** Bytes read from the link: [ack <seq>] lines. A malformed line kills
+    the link. *)
+val feed : link -> bytes -> int -> now:float -> unit
+
+(** The link is dead (EOF, IO error, stall, drain): it stops gating
+    {!synced} and drops its queued state; its counters stay. *)
+val detach : link -> unit
+
+val alive : link -> bool
+
+val is_sync : link -> bool
+
+(** The link acked the log head. *)
+val caught_up : t -> link -> bool
+
+(** Every live sync link has acknowledged [seq] (true with none).
+    Non-blocking; safe from any domain. *)
+val synced : t -> seq:int -> bool
+
+(** Live links. *)
 val connected : t -> int
 
 val sync_connected : t -> int
-
-(** Block until every live sync replica has acknowledged [seq] (dead
-    replicas stop gating). [true] on success, [false] on timeout. The
-    caller sleeps on a condition that each ack and each dropped link
-    broadcasts; the ship threads also broadcast it every 0.1 s, which
-    bounds how late the timeout is noticed. *)
-val wait_synced : t -> seq:int -> timeout_s:float -> bool
 
 (** Most recent send→ack lag sample, microseconds (0.0 before any). *)
 val last_lag_us : t -> float
 
 val lag_pctiles : t -> Privagic_obs.Metrics.pctiles
 
-(** Deltas written to the wire / payloads sealed, over all replicas. *)
+(** Deltas rendered for the wire / payloads sealed, over all links
+    ever attached. *)
 val shipped : t -> int
 
 val sealed_count : t -> int
@@ -58,17 +81,13 @@ val sealed_count : t -> int
 val seal_cycles : t -> float
 
 (** Register the shipper's gauges (connections, lag, shipped/sealed
-    counts, lag summary) on an obs registry. Closures take the hub mutex
-    only at exposition time. *)
+    counts, lag summary) on an obs registry. The closures merge the
+    links' counters at exposition time. *)
 val register_obs : t -> Privagic_obs.Registry.t -> unit
 
-(** Flush the log tail to every live replica, wait (bounded) for their
-    acks, close the connections and join the threads. Idempotent. *)
-val drain : t -> timeout_s:float -> unit
-
 (** Wire-capture tap for the robust-safety monitor
-    ({!Privagic_robust}): observes every byte any shipper in the process
-    writes to a replication link, before the socket write. [None]
+    ({!Privagic_robust}): observes every byte rendered for any link in
+    the process, before {!output} can hand it to a socket. [None]
     detaches. The secrecy trace property asserts that no live
     secret-colored value appears in this stream unsealed. *)
 val set_wire_tap : (string -> unit) option -> unit

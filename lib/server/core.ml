@@ -20,7 +20,7 @@
    - the commit log, appended while the latch is held, so per key log
      order is commit order;
    - a peer's inbox [depth] (admission) and [blocked_by] flags (the
-     [Block] wait). *)
+     [Block] wait), and its [fenced] flag (an ack wakes it). *)
 
 module Repl = Privagic_replication
 module Metrics = Privagic_obs.Metrics
@@ -106,17 +106,15 @@ type event =
   | Inbox of item
   | Drain                           (* stage 1: stop reading *)
   | Closed                          (* stage 2: the inbox is closed+empty *)
-  | Fenced                          (* the oldest fence resolved *)
 
 type effect =
   | Write of int * string           (* response bytes for a connection *)
   | Close of int                    (* close it once its bytes are out *)
-  | Handoff of int * bool * int     (* hand it to the replication
-                                       registrar: id, sync, from_seq *)
+  | Handoff of int * bool * int     (* it becomes a replication link once
+                                       its bytes are out: id, sync,
+                                       from_seq *)
   | Send of int * item              (* push onto shard r's inbox *)
   | Wake of int                     (* wake shard k's loop *)
-  | Fence of int                    (* wait for sync replicas to ack seq,
-                                       then answer with [Fenced] *)
   | Dispatched                      (* drain: all parsed work dispatched *)
   | Shutdown                        (* the shutdown verb *)
 
@@ -138,6 +136,7 @@ type counters = {
   mutable scans : int;
   mutable scan_items : int;
   mutable xshard : int;             (* requests that crossed shards *)
+  mutable fence_timeouts : int;     (* fences released by their deadline *)
 }
 
 (* Request spans, when traced. The names are interned in this order,
@@ -160,13 +159,15 @@ type t = {
   latch : Mutex.t;
   depth : int Atomic.t;             (* admitted, unconsumed inbox work *)
   blocked_by : bool Atomic.t array; (* shards waiting on our depth *)
+  fenced : bool Atomic.t;           (* we hold a fence: an ack wakes us *)
   tracer : tracer;
   mutable owner : int;              (* domain that first stepped us *)
   mutable now : float;              (* µs, from the latest call *)
   mutable conns : conn list;
   by_id : (int, conn) Hashtbl.t;
   work : (conn * slot * Protocol.request) Queue.t;  (* ingested inbox work *)
-  fences : (conn * slot * Protocol.response) list Queue.t;  (* held fills *)
+  fences : ((conn * slot * Protocol.response) list * int * float) Queue.t;
+      (* held fills, with the seq they wait for and their deadline *)
   mutable executed : float list;
       (* enqueue times of requests answered since the last call: their
          latency closes at the next call's time, after the execution *)
@@ -187,7 +188,7 @@ and group = {
   bnd : bindings;
   log : Repl.Log.t;                 (* shared: one merged sequence *)
   role : role Atomic.t;
-  sync : unit -> bool;              (* a sync replica is attached *)
+  synced : int -> bool;             (* every sync replica acked seq *)
   info : Protocol.request -> Protocol.response;  (* stats verbs *)
   self : unit -> int;               (* the calling domain's id *)
   mutable cores : t array;
@@ -209,6 +210,7 @@ let create g i store tracer =
     latch = Mutex.create ();
     depth = Atomic.make 0;
     blocked_by = Array.init cfg.shards (fun _ -> Atomic.make false);
+    fenced = Atomic.make false;
     tracer;
     owner = -1;
     now = 0.0;
@@ -226,16 +228,16 @@ let create g i store tracer =
     n =
       { gets = 0; sets = 0; dels = 0; hits = 0; shed = 0; bad = 0; batches = 0;
         coalesced = 0; getv = 0; cas = 0; cas_conflicts = 0; txns = 0;
-        txn_aborts = 0; scans = 0; scan_items = 0; xshard = 0 };
+        txn_aborts = 0; scans = 0; scan_items = 0; xshard = 0; fence_timeouts = 0 };
     latency = Metrics.histogram "server latency (us)";
     qwait = Metrics.histogram "queue wait (us)";
     scan_len = Metrics.histogram "scan length (items)";
   }
 
 (* One core per store; shard [i] owns [stores.(i)]. *)
-let group ~cfg ~bnd ~log ~role ~sync ~info ~self ?(tracer = fun _ -> untraced)
+let group ~cfg ~bnd ~log ~role ~synced ~info ~self ?(tracer = fun _ -> untraced)
     stores =
-  let g = { cfg; bnd; log; role; sync; info; self; cores = [||] } in
+  let g = { cfg; bnd; log; role; synced; info; self; cores = [||] } in
   g.cores <- Array.mapi (fun i st -> create g i st (tracer i)) stores;
   g
 
@@ -555,19 +557,49 @@ let finish_all t ~emit fills =
   |> List.sort_uniq compare
   |> List.iter (fun o -> emit (Wake o))
 
+(* A sync fence waits this long (µs) for the acks before its fills are
+   released anyway and counted as a timeout: a wedged sync replica
+   degrades to async instead of wedging the primary. *)
+let fence_timeout_us = 5e6
+
 (* Sync replication: a run that committed writes is held until every
    live sync replica acknowledged them (read-your-writes on replica
-   reads); the shell resolves the fence outside all latches. *)
+   reads), behind any fence already held. The shard keeps executing
+   meanwhile; [release] lets the fills go. *)
 let complete t ~emit cx fills =
-  if cx.max_seq > 0 && t.g.sync () then begin
-    Queue.push fills t.fences;
-    emit (Fence cx.max_seq)
-  end
+  if cx.max_seq > 0 && not (Queue.is_empty t.fences && t.g.synced cx.max_seq) then
+    Queue.push (fills, cx.max_seq, t.now +. fence_timeout_us) t.fences
   else begin
     (* their latency closes at the next call, after the execution *)
     List.iter (fun (_, p, _) -> t.executed <- p.s_enq_at :: t.executed) fills;
     finish_all t ~emit fills
   end
+
+(* Release held fences, oldest first, while the head one is acked or
+   past its deadline. A fence still held raises [fenced], then
+   re-checks: either the re-check sees the ack, or the host of the link
+   that acked sees the flag and wakes us ([wake_fenced]). *)
+let rec release t ~emit =
+  match Queue.peek_opt t.fences with
+  | None -> ()
+  | Some (fills, seq, deadline) ->
+    let synced = t.g.synced seq in
+    if synced || t.now >= deadline then begin
+      ignore (Queue.pop t.fences);
+      if not synced then t.n.fence_timeouts <- t.n.fence_timeouts + 1;
+      List.iter (observe t) fills;
+      finish_all t ~emit fills;
+      release t ~emit
+    end
+    else if not (Atomic.get t.fenced) then begin
+      Atomic.set t.fenced true;
+      release t ~emit
+    end
+
+(* A sync link's ack advanced, or it died: wake every shard that holds
+   a fence. Called by the link's host. *)
+let wake_fenced t ~emit =
+  Array.iter (fun c -> if Atomic.exchange c.fenced false then emit (Wake c.id)) t.g.cores
 
 let fresh_cx () = { cache = Hashtbl.create 8; max_seq = 0 }
 
@@ -641,6 +673,7 @@ let with_conn t id f = Option.iter f (Hashtbl.find_opt t.by_id id)
 let handle t ~now ~emit ev =
   own t;
   t.now <- now;
+  release t ~emit;
   match ev with
   | Adopt id ->
     let c =
@@ -667,10 +700,6 @@ let handle t ~now ~emit ev =
     c.c_inflight <- c.c_inflight - 1
   | Drain -> t.draining <- true
   | Closed -> t.closed <- true
-  | Fenced ->
-    let fills = Queue.pop t.fences in
-    List.iter (observe t) fills;
-    finish_all t ~emit fills
 
 (* ------------------------------------------------------------------ *)
 (* dispatch: route a connection's jobs in arrival order *)
@@ -786,7 +815,7 @@ let rec flush ~emit c =
   | _ -> ()
 
 (* Drop finished connections: closed ones once every slot flushed,
-   replica handshakes handed to the registrar. *)
+   replica handshakes handed off to become replication links. *)
 let sweep t ~emit =
   t.conns <-
     List.filter
@@ -828,6 +857,7 @@ let run t ~now ~emit =
   t.now <- now;
   List.iter (fun e -> Metrics.observe t.latency (now -. e)) t.executed;
   t.executed <- [];
+  release t ~emit;
   let worked = not (Queue.is_empty t.work) in
   while not (Queue.is_empty t.work) do
     exec_chunk t ~emit (take_work t ~emit t.g.cfg.max_batch)
@@ -857,6 +887,11 @@ let wants_read t id =
     (not (c.c_eof || t.draining))
     && Queue.length c.c_pending < max_pipeline
   | None -> false
+
+(* The oldest held fence's deadline: the shell's select wakes by then. *)
+let deadline t =
+  own t;
+  Option.map (fun (_, _, d) -> d) (Queue.peek_opt t.fences)
 
 (* Drain stage 2 is over: the closed inbox is empty, no fence is held
    and every remaining connection is answered. *)

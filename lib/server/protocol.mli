@@ -76,8 +76,9 @@ type request =
   | Repl of { r_sync : bool; r_from : int }
       (** [repl <sync|async> <from_seq>] — replication handshake: the
           sender is a replica asking for the delta stream starting at
-          [r_from] (1-based). The server detaches the connection from the
-          request loop and hands it to the shipper; the replica must send
+          [r_from] (1-based). Once its earlier replies flush, the
+          connection leaves the request path and becomes a replication
+          link of the shard loop that read it; the replica must send
           nothing further until it has received frames. *)
 
 (** One range-scan result. [si_val] carries the value bytes only when

@@ -7,8 +7,8 @@
    around the cores: one [Unix.select] loop per shard on its own domain
    over nonblocking sockets and a self-pipe (no timeout polling on the
    serving path: every event that needs a loop writes its pipe), the
-   acceptor, the replication registrar, the supervisor, and the
-   two-stage drain.
+   replication links each loop hosts, the acceptor, the supervisor, and
+   the two-stage drain.
 
    Shards talk through one bounded Msqueue inbox each: requests routed
    to a key's shard, and their completions coming home to the
@@ -124,11 +124,23 @@ let default_config =
   }
 
 (* [Unix.select] is limited to fd values below FD_SETSIZE (1024). The
-   cap is on open client connections, counted process-fd-conservatively:
-   headroom is left for the listen socket, the per-shard self-pipes,
-   stdio, and replica stream fds. Beyond the cap the acceptor refuses
-   with a clear error instead of corrupting every loop's select. *)
+   cap is on open client connections plus replication links, counted
+   process-fd-conservatively: headroom is left for the listen socket,
+   the per-shard self-pipes and stdio. Beyond the cap the acceptor
+   refuses with a clear error instead of corrupting every loop's
+   select. *)
 let fd_cap = 960
+
+(* A replication link whose pending write made no progress for this
+   long (µs) is dropped, so a wedged sync replica stops gating; a
+   client that stalls mid-flush during the drain is dropped after
+   [drain_stall_us]. *)
+let link_stall_us = 30e6
+let drain_stall_us = 5e6
+
+(* How long (µs) a draining loop lingers for its links to ack the log
+   head once every core has finished. *)
+let linger_us = 5e6
 
 (* ------------------------------------------------------------------ *)
 
@@ -138,6 +150,7 @@ type sconn = {
   obuf : Buffer.t;                  (* rendered, not yet staged *)
   mutable wbuf : Bytes.t;           (* staged write chunk *)
   mutable woff : int;
+  mutable moved : float;            (* µs: the staged chunk last progressed *)
   mutable after : [ `Serve | `Close | `Handoff of bool * int ];
       (* what to do once the bytes are out *)
 }
@@ -162,7 +175,6 @@ type t = {
   (* replication *)
   hub : Repl.Shipper.t;
   n_applied : int Atomic.t;        (* deltas applied while a replica *)
-  n_fence_timeouts : int Atomic.t; (* sync acks that timed out *)
   a_wake : Wakeup.t;               (* wakes the acceptor *)
   (* counters written outside the shard cores *)
   conns_accepted : int Atomic.t;
@@ -177,20 +189,7 @@ type t = {
   mutable drain_started : bool;    (* d_mu *)
   mutable drained : bool;          (* d_mu *)
   mutable n_dispatched : int;      (* d_mu; shards past the drain barrier *)
-  (* replica-handshake handoff: shard loops must NOT call
-     [Shipper.register] themselves — the ship thread would be created on
-     the shard's domain, and that domain could then never terminate
-     while the replica link lives (Domain.join in [drain] would wait on
-     the ship thread, which only exits in [Shipper.drain], after the
-     join: deadlock). The shard queues the fd here; a registrar thread
-     created at [start] (on the starting domain) owns every ship
-     thread. *)
-  reg_mu : Mutex.t;
-  reg_cv : Condition.t;
-  mutable reg_q : (Unix.file_descr * bool * int) list; (* reg_mu *)
-  mutable reg_stop : bool;                             (* reg_mu *)
-  mutable repl_rings : Ring.t list;  (* reg_mu; one per sender, traced *)
-  mutable registrar : Thread.t option;
+  n_finished : int Atomic.t;       (* cores whose drain finished *)
   mutable acceptor : Thread.t option;
   mutable supervisor : Thread.t option;
   mutable domains : unit Domain.t list;
@@ -272,8 +271,9 @@ let note_dispatched t =
 let has_output c = c.woff < Bytes.length c.wbuf || Buffer.length c.obuf > 0
 
 (* Push bytes out nonblockingly; false when the peer is gone. A slow
-   client accumulates buffer and gets picked up by write-readiness. *)
-let write_out c =
+   peer accumulates buffer and gets picked up by write-readiness.
+   [moved] is when the staged chunk was staged or last progressed. *)
+let write_out c ~now =
   let rec go () =
     if c.woff >= Bytes.length c.wbuf then begin
       if Buffer.length c.obuf = 0 then true
@@ -281,6 +281,7 @@ let write_out c =
         c.wbuf <- Buffer.to_bytes c.obuf;
         Buffer.clear c.obuf;
         c.woff <- 0;
+        c.moved <- now;
         go ()
       end
     end
@@ -289,12 +290,15 @@ let write_out c =
       | 0 -> true
       | n ->
         c.woff <- c.woff + n;
+        c.moved <- now;
         go ()
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> true
       | exception Unix.Unix_error (EINTR, _, _) -> go ()
       | exception Unix.Unix_error _ -> false
   in
   go ()
+
+let stalled c ~now ~limit = has_output c && now -. c.moved > limit
 
 let rec pop_all q f =
   match Msq.pop q with
@@ -307,7 +311,6 @@ let shard_loop t s =
   let core = s.core in
   let conns : (int, sconn) Hashtbl.t = Hashtbl.create 16 in
   let rbuf = Bytes.create 65536 in
-  let fences = Queue.create () in
   let emit = function
     | Core.Write (id, b) -> (
       (match !wire_tap with None -> () | Some f -> f b);
@@ -321,8 +324,9 @@ let shard_loop t s =
         (fun c -> c.after <- `Handoff (sync, from_seq))
         (Hashtbl.find_opt conns id)
     | Core.Send (r, item) -> Msq.push t.sh.(r).inbox item
-    | Core.Wake k -> Wakeup.wake t.sh.(k).wake
-    | Core.Fence seq -> Queue.push seq fences
+    | Core.Wake k ->
+      (* never ourselves: the loop runs its core again before it sleeps *)
+      if k <> core.Core.id then Wakeup.wake t.sh.(k).wake
     | Core.Dispatched -> note_dispatched t
     | Core.Shutdown ->
       (* the supervisor thread (main domain) runs the drain: draining
@@ -332,23 +336,15 @@ let shard_loop t s =
   let step ev = Core.handle core ~now:(now_us t) ~emit ev in
   let rec run () = if Core.run core ~now:(now_us t) ~emit then run () in
   (* Feed the inbox to the core and run it, until the inbox stays empty
-     (a completion that arrives meanwhile is flushed in this pass), and
-     resolve the sync fences outside all latches: other shards keep
-     executing, and a wedged replica degrades to async after the
-     timeout. The Msqueue drain protocol: read the close flag, then pop
-     to empty — no item pushed before the close is missed. *)
+     (a completion that arrives meanwhile is flushed in this pass). The
+     Msqueue drain protocol: read the close flag, then pop to empty — no
+     item pushed before the close is missed. *)
   let rec settle () =
     let closed = Msq.is_closed s.inbox in
     pop_all s.inbox (fun item -> step (Core.Inbox item));
     if closed then step Core.Closed;
     run ();
-    if not (Queue.is_empty fences) then begin
-      if not (Repl.Shipper.wait_synced t.hub ~seq:(Queue.pop fences) ~timeout_s:5.0)
-      then Atomic.incr t.n_fence_timeouts;
-      step Core.Fenced;
-      settle ()
-    end
-    else if not (Msq.is_empty s.inbox) then settle ()
+    if not (Msq.is_empty s.inbox) then settle ()
   in
   let drop id c =
     (try Unix.close c.fd with Unix.Unix_error _ -> ());
@@ -359,22 +355,105 @@ let shard_loop t s =
     drop id c;
     step (Core.Dead id)
   in
-  let running = ref true in
+  (* Replication links hosted here. The log wakes this loop on an append
+     only while it sleeps with links to fill: [asleep] goes up before
+     the links are filled from the head, so an append is either seen by
+     that fill or finds the flag up. One subscription per loop, held
+     while it hosts links. *)
+  let links = ref [] and asleep = Atomic.make false and unsubscribe = ref None in
+  let ship_span =
+    match s.ring with
+    | None -> fun f -> f ()
+    | Some r -> Ring.span r ~name:(Ring.intern r "repl_ship")
+  in
+  (* a dead sync link stops gating: the shards it held may go on *)
+  let keep_links f =
+    links :=
+      List.filter
+        (fun (c, l) ->
+          f (c, l)
+          || begin
+            (try Unix.close c.fd with Unix.Unix_error _ -> ());
+            Repl.Shipper.detach l;
+            if Repl.Shipper.is_sync l then Core.wake_fenced core ~emit;
+            false
+          end)
+        !links;
+    if !links = [] then begin
+      Option.iter (fun u -> u ()) !unsubscribe;
+      unsubscribe := None
+    end
+  in
+  let host id c ~sync ~from_seq =
+    Atomic.decr t.conns_open;
+    Hashtbl.remove conns id;
+    if !unsubscribe = None then
+      unsubscribe :=
+        Some
+          (Repl.Log.subscribe t.g.Core.log (fun () ->
+               if Atomic.get asleep && Atomic.compare_and_set asleep true false
+               then Wakeup.wake s.wake));
+    links := (c, Repl.Shipper.attach t.hub ~sync ~from_seq) :: !links
+  in
+  (* fill every link from the log and write what it rendered: each
+     write of a run of frames is a [repl_ship] span on the loop's ring *)
+  let ship ~now =
+    keep_links (fun (c, l) ->
+        Repl.Shipper.fill t.hub l ~now;
+        Buffer.add_string c.obuf (Repl.Shipper.output l);
+        Repl.Shipper.alive l
+        && ((not (has_output c)) || ship_span (fun () -> write_out c ~now))
+        && not (stalled c ~now ~limit:link_stall_us))
+  in
+  (* acks; false on EOF or a dead link *)
+  let read_acks ~now (c, l) =
+    match Unix.read c.fd rbuf 0 (Bytes.length rbuf) with
+    | 0 -> false
+    | n ->
+      Repl.Shipper.feed l rbuf n ~now;
+      if Repl.Shipper.is_sync l then Core.wake_fenced core ~emit;
+      Repl.Shipper.alive l
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> true
+    | exception Unix.Unix_error _ -> false
+  in
+  let finished = ref false and linger = ref infinity and running = ref true in
   while !running do
+    let now = now_us t in
+    if !links <> [] then begin
+      Atomic.set asleep true;
+      ship ~now
+    end;
     let draining = Atomic.get t.draining in
+    (* no timeout on the serving path: every event that needs us writes
+       the self-pipe. The select wakes by the oldest held fence's
+       deadline, a stall deadline or the drain linger, whichever is
+       first. *)
     let rds = ref [ Wakeup.fd s.wake ] and wrs = ref [] in
+    let wake_by =
+      ref (Float.min !linger (Option.value (Core.deadline core) ~default:infinity))
+    in
+    let watch c ~limit =
+      if has_output c then begin
+        wrs := c.fd :: !wrs;
+        wake_by := Float.min !wake_by (c.moved +. limit)
+      end
+    in
     Hashtbl.iter
       (fun id c ->
         if Core.wants_read core id then rds := c.fd :: !rds;
-        if has_output c then wrs := c.fd :: !wrs)
+        watch c ~limit:(if draining then drain_stall_us else infinity))
       conns;
-    (* no timeout on the serving path: every event that needs us writes
-       the self-pipe. While draining, a bounded timeout catches peers
-       that stall mid-flush (they are dropped, so a wedged client cannot
-       hang the drain). *)
+    List.iter
+      (fun (c, _) ->
+        rds := c.fd :: !rds;
+        watch c ~limit:link_stall_us)
+      !links;
+    let timeout =
+      if !wake_by = infinity then -1.0
+      else Float.max 0.0 ((!wake_by -. now) /. 1e6)
+    in
     let each f = List.iter (fun (id, c) -> f id c) (List.of_seq (Hashtbl.to_seq conns)) in
-    (match Unix.select !rds !wrs [] (if draining then 5.0 else -1.0) with
-    | [], [], [] -> if draining then each (fun id c -> if has_output c then kill id c)
+    (match Unix.select !rds !wrs [] timeout with
     | rd, _, _ ->
       if List.mem (Wakeup.fd s.wake) rd then Wakeup.drain s.wake;
       each (fun id c ->
@@ -383,39 +462,54 @@ let shard_loop t s =
             | 0 -> step (Core.Eof id)
             | n -> step (Core.Read (id, rbuf, n))
             | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-            | exception Unix.Unix_error _ -> kill id c)
+            | exception Unix.Unix_error _ -> kill id c);
+      let now = now_us t in
+      keep_links (fun (c, l) -> (not (List.mem c.fd rd)) || read_acks ~now (c, l))
     | exception Unix.Unix_error (EINTR, _, _) -> ()
     | exception Unix.Unix_error (EBADF, _, _) ->
       (* a raced fd: drop connections that died under us *)
-      each (fun id c ->
-          match Unix.fstat c.fd with _ -> () | exception Unix.Unix_error _ -> kill id c));
+      let live fd = match Unix.fstat fd with _ -> true | exception Unix.Unix_error _ -> false in
+      each (fun id c -> if not (live c.fd) then kill id c);
+      keep_links (fun (c, _) -> live c.fd));
+    Atomic.set asleep false;
     pop_all s.incoming (fun (id, fd) ->
         Hashtbl.replace conns id
-          { fd; obuf = Buffer.create 256; wbuf = Bytes.empty; woff = 0; after = `Serve };
+          { fd; obuf = Buffer.create 256; wbuf = Bytes.empty; woff = 0; moved = now;
+            after = `Serve };
         step (Core.Adopt id));
     (* re-read: the wakeup that announced the drain may be the one this
        select consumed *)
     if Atomic.get t.draining then step Core.Drain;
     settle ();
+    let now = now_us t in
     each (fun id c ->
-        if not (write_out c) then kill id c
-        else if not (has_output c) then
+        if not (write_out c ~now) then kill id c
+        else if has_output c then begin
+          if draining && stalled c ~now ~limit:drain_stall_us then kill id c
+        end
+        else
           match c.after with
           | `Serve -> ()
           | `Close -> drop id c
           | `Handoff (sync, from_seq) ->
-            (* prior responses flushed: hand the fd to the registrar
-               thread, which owns every ship thread (see [reg_q]) *)
-            Mutex.lock t.reg_mu;
-            t.reg_q <- (c.fd, sync, from_seq) :: t.reg_q;
-            Condition.signal t.reg_cv;
-            Mutex.unlock t.reg_mu;
-            Atomic.decr t.conns_open;
-            Hashtbl.remove conns id);
+            (* prior responses flushed: the connection is a link now *)
+            host id c ~sync ~from_seq);
+    (* The drain: the loop exits once every core has finished (the last
+       to finish wakes the others) and each of its links has acked the
+       log head, or the linger has passed. *)
     if Core.finished core && not (Hashtbl.fold (fun _ c b -> b || has_output c) conns false)
     then begin
       each drop;
-      running := false
+      if not !finished then begin
+        finished := true;
+        if Atomic.fetch_and_add t.n_finished 1 = Array.length t.sh - 1 then
+          Array.iter (fun s -> Wakeup.wake s.wake) t.sh
+      end
+    end;
+    if !finished && Atomic.get t.n_finished = Array.length t.sh then begin
+      if !linger = infinity then linger := now +. linger_us;
+      keep_links (fun (_, l) -> now < !linger && not (Repl.Shipper.caught_up t.hub l));
+      running := !links <> []
     end
   done
 
@@ -431,7 +525,8 @@ let acceptor_loop t =
       if List.mem t.listen_fd rd then (
         match Unix.accept t.listen_fd with
         | fd, _ ->
-          if Atomic.get t.conns_open >= fd_cap then begin
+          if Atomic.get t.conns_open + Repl.Shipper.connected t.hub >= fd_cap
+          then begin
             (* select-based loops cannot take fds past FD_SETSIZE: refuse
                loudly instead of corrupting every shard's readiness set *)
             Atomic.incr t.conns_rejected;
@@ -462,55 +557,14 @@ let acceptor_loop t =
   done;
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ())
 
-(* Registers queued replica links with the shipper. Runs on the
-   starting domain so ship threads never pin a shard domain (see
-   [reg_q]). On stop it flushes the queue first: a handshake a shard
-   handed off just before exiting still gets its ship thread, and
-   [Shipper.drain] (called after this thread joins) then bounds its
-   lifetime. *)
-let registrar_loop t =
-  let stop = ref false in
-  while not !stop do
-    Mutex.lock t.reg_mu;
-    while t.reg_q = [] && not t.reg_stop do
-      Condition.wait t.reg_cv t.reg_mu
-    done;
-    let q = List.rev t.reg_q in
-    t.reg_q <- [];
-    stop := t.reg_stop;
-    Mutex.unlock t.reg_mu;
-    List.iter
-      (fun (fd, sync, from_seq) ->
-        let ring =
-          if t.g.Core.cfg.trace then begin
-            Mutex.lock t.reg_mu;
-            let k = List.length t.repl_rings in
-            let r =
-              Ring.create ~cap:(1 lsl 14) ~id:((2 * t.g.Core.cfg.shards) + k)
-                ~label:(Printf.sprintf "repl%d" k) ()
-            in
-            t.repl_rings <- r :: t.repl_rings;
-            Mutex.unlock t.reg_mu;
-            Some r
-          end
-          else None
-        in
-        Repl.Shipper.register t.hub ?ring fd ~sync ~from_seq)
-      q
-  done
-
 (* ------------------------------------------------------------------ *)
 (* lifecycle *)
 
 let port t = t.t_port
 
 let rings t =
-  let own = Array.to_list t.sh |> List.concat_map (fun s ->
-      Option.to_list s.vm_ring @ Option.to_list s.ring) in
-  Mutex.lock t.reg_mu;
-  let repl = List.rev t.repl_rings in
-  Mutex.unlock t.reg_mu;
-  own @ repl
+  Array.to_list t.sh
+  |> List.concat_map (fun s -> Option.to_list s.vm_ring @ Option.to_list s.ring)
 
 let is_draining t = Atomic.get t.draining
 
@@ -539,22 +593,13 @@ let drain t =
     Mutex.unlock t.d_mu;
     (* stage 2: close the inboxes; each loop drains to empty-after-close
        (the Msqueue drain protocol — no queued request is lost), waits
-       for its own connections' completions, flushes, and exits *)
+       for its own connections' completions, flushes, then flushes the
+       log's tail to the links it hosts and lingers (bounded) for their
+       acks before it exits *)
     Array.iter (fun s -> Msq.close s.inbox) t.sh;
     Array.iter (fun s -> Wakeup.wake s.wake) t.sh;
     List.iter Domain.join t.domains;
     t.domains <- [];
-    (* stop the registrar after the last shard exits: it flushes any
-       handshake still queued, so its ship thread exists before the
-       shipper's drain below bounds every link's lifetime *)
-    Mutex.lock t.reg_mu;
-    t.reg_stop <- true;
-    Condition.broadcast t.reg_cv;
-    Mutex.unlock t.reg_mu;
-    (match t.registrar with Some th -> Thread.join th | None -> ());
-    (* the log is final now: flush its tail to every replica and wait
-       (bounded) for their acks *)
-    Repl.Shipper.drain t.hub ~timeout_s:5.0;
     Array.iter (fun s -> Wakeup.close s.wake) t.sh;
     Wakeup.close t.a_wake;
     Mutex.lock t.d_mu;
@@ -652,7 +697,7 @@ let stats t =
     s_repl_lag_us = Repl.Shipper.last_lag_us t.hub;
     s_repl_seq = Repl.Log.head t.g.Core.log;
     s_applied = g t.n_applied;
-    s_fence_timeouts = g t.n_fence_timeouts;
+    s_fence_timeouts = n (fun n -> n.fence_timeouts);
     s_getv = n (fun n -> n.getv);
     s_cas = n (fun n -> n.cas);
     s_cas_conflicts = n (fun n -> n.cas_conflicts);
@@ -755,8 +800,8 @@ let register_metrics t (store : store) =
     "requests routed or committed across shards" (fun n -> n.xshard);
   atomic "privagic_server_repl_applied_total" "deltas applied while a replica"
     t.n_applied;
-  atomic "privagic_server_repl_fence_timeouts_total" "sync acks that timed out"
-    t.n_fence_timeouts;
+  counter "privagic_server_repl_fence_timeouts_total" "sync acks that timed out"
+    (fun n -> n.fence_timeouts);
   counter "privagic_server_cas_conflicts_total"
     "CAS guards that lost to an earlier writer" (fun n -> n.cas_conflicts);
   gauge "privagic_txn_commits_total"
@@ -823,7 +868,7 @@ let start ?replica_of cfg bnd (stores : store array) =
     Atomic.make (match replica_of with Some a -> Replica_of a | None -> Primary)
   in
   let traced f = if cfg.trace then Some (f ()) else None in
-  (* traced, ring ids: VMs 0..n-1, loops n..2n-1, senders 2n.. *)
+  (* traced, ring ids: VMs 0..n-1, loops n..2n-1 *)
   let vm_rings =
     Array.mapi
       (fun i (store : store) ->
@@ -844,6 +889,7 @@ let start ?replica_of cfg bnd (stores : store array) =
                 ~label:(Printf.sprintf "s%d/srv" i) ()
             in
             Array.iter (fun n -> ignore (Ring.intern r n)) Core.span_names;
+            ignore (Ring.intern r "repl_ship");
             r))
   in
   let tracer i =
@@ -855,7 +901,7 @@ let start ?replica_of cfg bnd (stores : store array) =
     lazy
       (let g =
          Core.group ~cfg ~bnd ~log:repl_log ~role:t_role
-           ~sync:(fun () -> Repl.Shipper.sync_connected hub > 0)
+           ~synced:(fun seq -> Repl.Shipper.synced hub ~seq)
            ~info:(fun req -> info (Lazy.force t) req)
            ~self:(fun () -> (Domain.self () :> int))
            ~tracer stores
@@ -872,7 +918,6 @@ let start ?replica_of cfg bnd (stores : store array) =
              g.Core.cores;
          started_at = Unix.gettimeofday ();
          n_applied = Atomic.make 0;
-         n_fence_timeouts = Atomic.make 0;
          a_wake = Wakeup.create ();
          conns_accepted = Atomic.make 0;
          conns_open = Atomic.make 0;
@@ -885,12 +930,7 @@ let start ?replica_of cfg bnd (stores : store array) =
          drain_started = false;
          drained = false;
          n_dispatched = 0;
-         reg_mu = Mutex.create ();
-         reg_cv = Condition.create ();
-         reg_q = [];
-         reg_stop = false;
-         repl_rings = [];
-         registrar = None;
+         n_finished = Atomic.make 0;
          acceptor = None;
          supervisor = None;
          domains = [];
@@ -903,7 +943,6 @@ let start ?replica_of cfg bnd (stores : store array) =
   t.domains <-
     Array.to_list
       (Array.map (fun s -> Domain.spawn (fun () -> shard_loop t s)) t.sh);
-  t.registrar <- Some (Thread.create (fun () -> registrar_loop t) ());
   t.supervisor <- Some (Thread.create (fun () -> supervisor_loop t) ());
   t.acceptor <- Some (Thread.create (fun () -> acceptor_loop t) ());
   t

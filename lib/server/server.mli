@@ -26,7 +26,8 @@
     order is preserved; a multi-shard transaction or scan waits for the
     connection's earlier requests before executing (connection
     barrier). All shards append commit deltas to one shared log, so
-    replication keeps a single merged monotone sequence. *)
+    replication keeps a single merged monotone sequence; each shard loop
+    hosts the replication links whose handshake it read. *)
 
 
 module Metrics = Privagic_obs.Metrics
@@ -91,10 +92,10 @@ type config = Core.config = {
 
 val default_config : config
 
-(** Open client connections the acceptor admits before refusing with a
-    clear error: [Unix.select] readiness breaks past FD_SETSIZE (1024),
-    so the cap — surfaced in [STATS] as [fd_cap] — keeps every loop's
-    fd set valid. *)
+(** Open client connections plus replication links the acceptor admits
+    before refusing with a clear error: [Unix.select] readiness breaks
+    past FD_SETSIZE (1024), so the cap — surfaced in [STATS] as
+    [fd_cap] — keeps every loop's fd set valid. *)
 val fd_cap : int
 
 type t
@@ -121,17 +122,18 @@ val port : t -> int
 
 (** A traced server's rings (empty untraced): per shard, its VM's
     virtual-clock ring (tracks labelled [s<i>/...]) and its loop's
-    wall-clock ring of request spans ([s<i>/srv]); then one wall-clock
-    ring per replication sender ([repl<k>]). Read them after {!wait}:
-    the drain joins every writer. *)
+    wall-clock ring of request spans ([s<i>/srv]), which also holds the
+    [repl_ship] spans of the replication links the loop hosts. Read
+    them after {!wait}: the drain joins every writer. *)
 val rings : t -> Privagic_obs.Ring.t list
 
 (** Graceful drain: stop accepting, let every shard loop dispatch and
     flush every parsed request (a two-stage barrier guarantees no
     cross-shard handoff races the inbox close), close the inboxes
-    (loops exit via the Msqueue drain protocol, so no queued request is
-    lost), then flush the replication log's tail to the replicas. The
-    stores stay with the caller. Idempotent; safe to call from any
+    (loops finish via the Msqueue drain protocol, so no queued request
+    is lost); once every loop has finished, each flushes the log's tail
+    to the replication links it hosts and exits when they acked it, or
+    after a 5 s linger. The stores stay with the caller. Idempotent; safe to call from any
     thread — a [shutdown] verb routes here through a supervisor thread
     on the main domain. *)
 val drain : t -> unit
@@ -163,7 +165,7 @@ type stats = {
   s_repl_lag_us : float;    (** most recent send->ack lag sample *)
   s_repl_seq : int;         (** commit-log head *)
   s_applied : int;          (** deltas applied (as a replica) *)
-  s_fence_timeouts : int;   (** sync fences that hit their timeout *)
+  s_fence_timeouts : int;   (** sync fences released by their 5 s timeout *)
   s_getv : int;
   s_cas : int;
   s_cas_conflicts : int;    (** CAS guards that lost to an earlier writer *)
@@ -186,9 +188,9 @@ val stats_fields : t -> (string * string) list
 
 (** {1 Replication}
 
-    A primary needs no calls here: the [repl] handshake registers
-    replica connections with the server's shipper, [set]/[del] commits
-    append to its delta log, and {!drain} flushes the log tail to every
+    A primary needs no calls here: the [repl] handshake turns a
+    connection into a link its shard loop hosts, [set]/[del] commits
+    append to the delta log, and {!drain} flushes the log tail to every
     replica. The functions below are the replica side and introspection
     (DESIGN.md §8.10). *)
 

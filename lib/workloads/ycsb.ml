@@ -149,21 +149,6 @@ let workload_b ?(seed = 42) ~record_count ~operation_count ~value_size () =
     seed;
   }
 
-let workload_c ?(seed = 42) ~record_count ~operation_count ~value_size () =
-  {
-    record_count;
-    operation_count;
-    read_proportion = 1.0;
-    update_proportion = 0.0;
-    insert_proportion = 0.0;
-    scan_proportion = 0.0;
-    rmw_proportion = 0.0;
-    max_scan_len = 1;
-    distribution = Zipfian;
-    value_size;
-    seed;
-  }
-
 (* Workload E: short range scans (95%) + inserts (5%), zipfian start
    keys. Workload F: reads (50%) + read-modify-writes (50%). *)
 let workload_e ?(seed = 42) ?(max_scan_len = 16) ~record_count

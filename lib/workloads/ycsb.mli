@@ -55,16 +55,12 @@ type spec = {
 }
 
 (** The standard mixes: A = 50/50 read/update zipfian, B = 95/5,
-    C = read-only, E = 95/5 scan/insert, F = 50/50 read/RMW. *)
+    E = 95/5 scan/insert, F = 50/50 read/RMW. *)
 val workload_a :
   ?seed:int -> record_count:int -> operation_count:int -> value_size:int ->
   unit -> spec
 
 val workload_b :
-  ?seed:int -> record_count:int -> operation_count:int -> value_size:int ->
-  unit -> spec
-
-val workload_c :
   ?seed:int -> record_count:int -> operation_count:int -> value_size:int ->
   unit -> spec
 

@@ -217,109 +217,14 @@ let test_log_compact () =
       Some { Delta.op = Delta.Del { key = 2 }; _ } ) ->
     Alcotest.(check bool) "big payload" true (payload = big)
   | _ -> Alcotest.fail "big entry");
-  Alcotest.(check int) "to_list" (n + 2) (List.length (Log.to_list l))
-
-(* ------------------------------------------------------------------ *)
-(* shipper wakeups, driven through socketpair peers registered directly *)
-
-let peer () =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.set_nonblock a;
-  (a, b)
-
-let send_ack b seq =
-  let s = Delta.render_ack seq in
-  ignore (Unix.write_substring b s 0 (String.length s) : int)
-
-(* Read the peer side until [needle] arrived; fails after [timeout]. *)
-let await_bytes b ~timeout needle =
-  let acc = Buffer.create 256 and buf = Bytes.create 4096 in
-  let deadline = Unix.gettimeofday () +. timeout in
-  while
-    (not (contains ~needle (Buffer.contents acc)))
-    && Unix.gettimeofday () < deadline
-  do
-    match
-      Unix.select [ b ] [] [] (Float.max 0.0 (deadline -. Unix.gettimeofday ()))
-    with
-    | [], _, _ -> ()
-    | _ -> (
-      match Unix.read b buf 0 (Bytes.length buf) with
-      | 0 -> Alcotest.failf "shipper closed the link before %S" needle
-      | n -> Buffer.add_subbytes acc buf 0 n)
-  done;
-  if not (contains ~needle (Buffer.contents acc)) then
-    Alcotest.failf "no %S within %.2f s" needle timeout
-
-(* Register [sync] peers and wait until each thread has said hello and
-   gone to sleep. *)
-let shipper_with ~sync n =
-  let log = Log.create () in
-  let hub = Shipper.create ~cluster:"wake-test" ~log () in
-  let peers = List.init n (fun _ -> peer ()) in
-  List.iter (fun (a, _) -> Shipper.register hub a ~sync ~from_seq:1) peers;
-  List.iter (fun (_, b) -> await_bytes b ~timeout:5.0 "REPLOK 1\r\n") peers;
-  Unix.sleepf 0.05;
-  (log, hub, List.map snd peers)
-
-let test_append_wakes_every_shipper () =
-  let log, hub, peers = shipper_with ~sync:false 2 in
-  let t0 = Unix.gettimeofday () in
-  ignore (Log.append log (Delta.Del { key = 7 }) : int);
-  List.iter (fun b -> await_bytes b ~timeout:1.0 "DDEL 1 7\r\n") peers;
-  let dt = Unix.gettimeofday () -. t0 in
-  if dt > 0.05 then Alcotest.failf "append reached both peers after %.3f s" dt;
-  List.iter (fun b -> send_ack b 1) peers;
-  Shipper.drain hub ~timeout_s:5.0;
-  List.iter Unix.close peers
-
-let test_ack_wakes_fence () =
-  let log, hub, peers = shipper_with ~sync:true 1 in
-  let b = List.hd peers in
-  let seq = Log.append log (Delta.Put { key = 1; color = "U"; payload = "x" }) in
-  await_bytes b ~timeout:1.0 "DPUT 1 1 U 0 1\r\nx\r\n";
-  let done_at = ref 0.0 and synced = ref false in
-  let waiter =
-    Thread.create
-      (fun () ->
-        synced := Shipper.wait_synced hub ~seq ~timeout_s:5.0;
-        done_at := Unix.gettimeofday ())
-      ()
-  in
-  Unix.sleepf 0.05;
-  let acked_at = Unix.gettimeofday () in
-  send_ack b seq;
-  Thread.join waiter;
-  Alcotest.(check bool) "fence passed" true !synced;
-  let dt = !done_at -. acked_at in
-  if dt > 0.05 then Alcotest.failf "fence released %.3f s after the ack" dt;
-  Shipper.drain hub ~timeout_s:5.0;
-  Unix.close b
-
-(* No timed condition wait exists, so the deadline must still be noticed:
-   a sync peer that never acks times the fence out, neither early nor
-   unboundedly late. *)
-let test_fence_times_out () =
-  let log, hub, peers = shipper_with ~sync:true 1 in
-  let seq = Log.append log (Delta.Del { key = 3 }) in
-  let t0 = Unix.gettimeofday () in
-  let c0 = Unix.times () in
-  let synced = Shipper.wait_synced hub ~seq ~timeout_s:0.3 in
-  let dt = Unix.gettimeofday () -. t0 in
-  let c1 = Unix.times () in
-  let cpu =
-    c1.Unix.tms_utime +. c1.Unix.tms_stime -. c0.Unix.tms_utime
-    -. c0.Unix.tms_stime
-  in
-  Alcotest.(check bool) "timed out" false synced;
-  if dt < 0.3 || dt > 1.0 then Alcotest.failf "timed out after %.3f s" dt;
-  (* the waiter sleeps on a condition and the ship thread in a bounded
-     select: a few wakeups, not a poll every half millisecond *)
-  if cpu > 0.004 then
-    Alcotest.failf "the 0.3 s fence wait burned %.1f ms of CPU" (cpu *. 1e3);
-  (* drain gives up on the silent peer at its own deadline *)
-  Shipper.drain hub ~timeout_s:0.2;
-  List.iter Unix.close peers
+  (* keys are varints: the extremes round-trip too *)
+  List.iter
+    (fun key ->
+      let op = Delta.Put { key; color = "red"; payload = "" } in
+      let s = Log.append l op in
+      Alcotest.(check bool) "extreme key" true (Log.get l s = Some { Delta.seq = s; op }))
+    [ min_int; max_int; -1; 0 ];
+  Alcotest.(check int) "to_list" (n + 6) (List.length (Log.to_list l))
 
 (* ------------------------------------------------------------------ *)
 (* end-to-end nodes over loopback TCP *)
@@ -419,6 +324,148 @@ let rpc c req =
   match read_responses c 1 with
   | [ r ] -> r
   | _ -> Alcotest.fail "rpc: no response"
+
+(* ------------------------------------------------------------------ *)
+(* the shipper: the link state machine, and the links shard loops host *)
+
+let send_ack fd seq = send_all fd (Delta.render_ack seq)
+
+(* Read the peer side until [needle] arrived; fails after [timeout]. *)
+let await_bytes fd ~timeout needle =
+  let acc = Buffer.create 256 and buf = Bytes.create 4096 in
+  let deadline = Unix.gettimeofday () +. timeout in
+  while
+    (not (contains ~needle (Buffer.contents acc)))
+    && Unix.gettimeofday () < deadline
+  do
+    match
+      Unix.select [ fd ] [] [] (Float.max 0.0 (deadline -. Unix.gettimeofday ()))
+    with
+    | [], _, _ -> ()
+    | _ -> (
+      match Unix.read fd buf 0 (Bytes.length buf) with
+      | 0 -> Alcotest.failf "the primary closed the link before %S" needle
+      | n -> Buffer.add_subbytes acc buf 0 n)
+  done;
+  if not (contains ~needle (Buffer.contents acc)) then
+    Alcotest.failf "no %S within %.2f s" needle timeout
+
+(* A raw replica: the handshake on a fresh connection, up to REPLOK. *)
+let raw_peer port ~sync =
+  let c = connect port in
+  send_all c.fd (Delta.render_hello ~sync ~from_seq:1);
+  await_bytes c.fd ~timeout:5.0 "REPLOK 1\r\n";
+  c.fd
+
+let repl_plan () =
+  plan_of (Programs.memcached ~nbuckets:64 ~vsize `Colored)
+
+let test_append_wakes_every_shipper () =
+  (* the state machine: after one append, every link's fill yields it *)
+  let log = Log.create () in
+  let hub = Shipper.create ~cluster:"wake-test" ~log () in
+  let links = List.init 2 (fun _ -> Shipper.attach hub ~sync:false ~from_seq:1) in
+  List.iter (fun l -> Alcotest.(check string) "hello" "REPLOK 1\r\n" (Shipper.output l)) links;
+  ignore (Log.append log (Delta.Del { key = 7 }) : int);
+  List.iter
+    (fun l ->
+      Shipper.fill hub l ~now:0.0;
+      Alcotest.(check string) "frame" "DDEL 1 7\r\n" (Shipper.output l))
+    links;
+  (* over sockets: connections go to shards round-robin, so the two
+     peers are hosted by shards 0 and 1 of a 2-shard primary, and one
+     client del must wake both loops *)
+  let node = make_node ~shards:2 ~engine:(Exec.default_engine ()) ~backend:`Sim (repl_plan ()) in
+  let port = Server.port node.n_srv in
+  let peers = [ raw_peer port ~sync:false; raw_peer port ~sync:false ] in
+  let c = connect port in
+  (match rpc c (Protocol.Set (5, "v")) with
+  | Protocol.Stored -> ()
+  | _ -> Alcotest.fail "set failed");
+  List.iter (fun fd -> await_bytes fd ~timeout:1.0 "DPUT 1 5 ") peers;
+  let t0 = Unix.gettimeofday () in
+  send_all c.fd (Protocol.render_request (Protocol.Del 5));
+  List.iter (fun fd -> await_bytes fd ~timeout:1.0 "DDEL 2 5\r\n") peers;
+  let dt = Unix.gettimeofday () -. t0 in
+  if dt > 0.05 then Alcotest.failf "the del reached both peers after %.3f s" dt;
+  List.iter (fun fd -> send_ack fd 2) peers;
+  List.iter Unix.close (c.fd :: peers);
+  Server.drain node.n_srv
+
+let test_ack_wakes_fence () =
+  let log = Log.create () in
+  let hub = Shipper.create ~cluster:"wake-test" ~log () in
+  let l = Shipper.attach hub ~sync:true ~from_seq:1 in
+  ignore (Shipper.attach hub ~sync:false ~from_seq:1 : Shipper.link);
+  let seq = Log.append log (Delta.Put { key = 1; color = "U"; payload = "x" }) in
+  Alcotest.(check bool) "an unacked sync link gates" false (Shipper.synced hub ~seq);
+  Shipper.fill hub l ~now:10.0;
+  Alcotest.(check string) "stream" "REPLOK 1\r\nDPUT 1 1 U 0 1\r\nx\r\n" (Shipper.output l);
+  let feed s = Shipper.feed l (Bytes.of_string s) (String.length s) ~now:35.0 in
+  feed (Delta.render_ack seq);
+  Alcotest.(check bool) "the ack syncs at once; the async link never gates" true
+    (Shipper.synced hub ~seq);
+  Alcotest.(check (float 0.0)) "send->ack lag" 25.0 (Shipper.last_lag_us hub);
+  let seq = Log.append log (Delta.Del { key = 1 }) in
+  Alcotest.(check bool) "the next commit gates again" false (Shipper.synced hub ~seq);
+  feed "bogus\r\n";
+  Alcotest.(check bool) "a malformed ack kills the link" false (Shipper.alive l);
+  Alcotest.(check bool) "a dead link stops gating" true (Shipper.synced hub ~seq);
+  Alcotest.(check int) "no live sync link" 0 (Shipper.sync_connected hub)
+
+(* A sync peer that never acks holds a client write. Nothing polls
+   while it waits, the shard keeps serving, and the peer's close
+   releases the write without waiting out the fence timeout. *)
+let test_silent_sync_peer () =
+  let node = make_node ~engine:(Exec.default_engine ()) ~backend:`Sim (repl_plan ()) in
+  let port = Server.port node.n_srv in
+  let peer = raw_peer port ~sync:true in
+  Alcotest.(check int) "sync link attached" 1
+    (Shipper.sync_connected (Server.repl_hub node.n_srv));
+  let c = connect port and r = connect port in
+  let c0 = Unix.times () in
+  send_all c.fd (Protocol.render_request (Protocol.Set (3, "held")));
+  (match read_responses ~timeout:0.3 c 1 with
+  | [] -> ()
+  | _ -> Alcotest.fail "the write was answered before its ack");
+  let c1 = Unix.times () in
+  let cpu =
+    c1.Unix.tms_utime +. c1.Unix.tms_stime -. c0.Unix.tms_utime -. c0.Unix.tms_stime
+  in
+  if cpu > 0.004 then Alcotest.failf "the 0.3 s hold burned %.1f ms of CPU" (cpu *. 1e3);
+  (match rpc r (Protocol.Get 4) with
+  | Protocol.Miss -> ()
+  | _ -> Alcotest.fail "the fenced shard stopped serving");
+  let t0 = Unix.gettimeofday () in
+  Unix.close peer;
+  (match read_responses ~timeout:5.0 c 1 with
+  | [ Protocol.Stored ] -> ()
+  | _ -> Alcotest.fail "the held write was not answered");
+  let dt = Unix.gettimeofday () -. t0 in
+  if dt > 1.0 then Alcotest.failf "released %.3f s after the peer closed" dt;
+  Alcotest.(check int) "no fence timeouts" 0 (Server.stats node.n_srv).Server.s_fence_timeouts;
+  List.iter Unix.close [ c.fd; r.fd ];
+  Server.drain node.n_srv
+
+(* [stop] wakes the client's read loop through a pipe: no poll to wait
+   out (a 50 ms one cost 25 ms per stop on average) *)
+let test_replica_stop_prompt () =
+  let node = make_node ~engine:(Exec.default_engine ()) ~backend:`Sim (repl_plan ()) in
+  let port = Server.port node.n_srv in
+  let total = ref 0.0 in
+  for _ = 1 to 5 do
+    let r = Replica.start ~host:"127.0.0.1" ~port ~apply:(fun _ -> Ok ()) () in
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while Replica.status r <> Replica.Streaming && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.001
+    done;
+    Alcotest.(check bool) "streaming" true (Replica.status r = Replica.Streaming);
+    let t0 = Unix.gettimeofday () in
+    Replica.stop r;
+    total := !total +. (Unix.gettimeofday () -. t0)
+  done;
+  if !total > 0.025 then Alcotest.failf "5 stops of idle links took %.1f ms" (!total *. 1e3);
+  Server.drain node.n_srv
 
 (* ------------------------------------------------------------------ *)
 (* convergence: replica globals bit-equal an oracle replaying the log *)
@@ -761,8 +808,10 @@ let suite =
       test_append_wakes_every_shipper;
     Alcotest.test_case "shipper: an ack releases the fence" `Quick
       test_ack_wakes_fence;
-    Alcotest.test_case "shipper: a silent sync peer times the fence out"
-      `Quick test_fence_times_out;
+    Alcotest.test_case "shipper: a silent sync peer holds the write, idle"
+      `Quick test_silent_sync_peer;
+    Alcotest.test_case "replica: stop ends an idle link promptly" `Quick
+      test_replica_stop_prompt;
     Alcotest.test_case "wire: colored payloads sealed" `Quick
       (wire_capture `Colored true);
     Alcotest.test_case "wire: plain payloads unsealed" `Quick

@@ -243,9 +243,9 @@ let test_fig3_known_leak () =
 (* ------------------------------------------------------------------ *)
 (* wire taps                                                           *)
 
-(* the replication shipper: frames pass the tap on their way to the
-   socket; a secret-colored payload is sealed, so the monitor finds no
-   live pattern on the wire *)
+(* the replication shipper: every byte rendered for a link passes the
+   tap before the link hands it out for a socket; a secret-colored
+   payload is sealed, so the monitor finds no live pattern on the wire *)
 let test_shipper_wire_tap () =
   let s = sentinel_of 48 in
   let mon = Monitor.create () in
@@ -261,27 +261,13 @@ let test_shipper_wire_tap () =
     (Log.append log (Delta.Put { key = 1; color = "blue"; payload = Monitor.le_bytes s })
       : int);
   let hub = Shipper.create ~cluster:"robust-test" ~log () in
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.set_nonblock a;
-  Shipper.register hub a ~sync:false ~from_seq:0;
-  (* read the replica side until the frame arrived (bounded) *)
-  let buf = Bytes.create 4096 in
-  let got = Buffer.create 256 in
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  while Buffer.length got < 16 && Unix.gettimeofday () < deadline do
-    match Unix.select [ b ] [] [] 0.2 with
-    | [], _, _ -> ()
-    | _ -> (
-      match Unix.read b buf 0 (Bytes.length buf) with
-      | 0 -> Buffer.add_string got "" (* EOF *)
-      | n -> Buffer.add_subbytes got buf 0 n
-      | exception Unix.Unix_error (Unix.EAGAIN, _, _) -> ())
-  done;
-  Shipper.drain hub ~timeout_s:1.0;
+  let l = Shipper.attach hub ~sync:false ~from_seq:0 in
+  Shipper.fill hub l ~now:0.0;
+  let wire = Shipper.output l in
   Shipper.set_wire_tap None;
-  Unix.close b;
-  Alcotest.(check bool) "tap saw the stream" true (Buffer.length captured > 0);
-  Alcotest.(check bool) "replica saw the stream" true (Buffer.length got > 0);
+  Alcotest.(check bool) "the link rendered the frame" true (String.length wire > 16);
+  Alcotest.(check string) "the tap saw every byte the link hands out" wire
+    (Buffer.contents captured);
   Alcotest.(check bool) "secret sealed on the wire" true (Monitor.ok mon);
   Alcotest.(check bool) "payload was sealed" true (Shipper.sealed_count hub >= 1)
 

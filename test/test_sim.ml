@@ -1,14 +1,19 @@
 (* Seeded deterministic simulation of the served store's shard cores.
 
-   One domain steps N sans-IO cores ([Privagic_server.Core]) and M
-   clients. A seeded PRNG picks every next step: adopt a client's
-   connection, deliver a fragment of a client's rendered pipeline or
-   its EOF, deliver one inbox item (each
-   sender->receiver stream stays FIFO, as the Msqueue keeps it), step a
-   woken core, resolve a pending sync fence, make a client vanish, or
-   start the two-stage drain. A core runs only when something woke it —
-   an inbox wake, readable bytes, a fence result — the way its shell
-   sleeps in select, so a lost wakeup shows as a stuck schedule.
+   One domain steps N sans-IO cores ([Privagic_server.Core]), M
+   clients and, chosen by the seed, 0 or 1 sync replication link
+   ([Privagic_replication.Shipper]) hosted by a random core. A seeded
+   PRNG picks every next step: adopt a client's connection, deliver a
+   fragment of a client's rendered pipeline or its EOF, deliver one
+   inbox item (each sender->receiver stream stays FIFO, as the Msqueue
+   keeps it), step a woken core, make a client vanish, start the
+   two-stage drain, and for the link: deliver a prefix of its pending
+   bytes to the replica, withhold them, ack a prefix of what the
+   replica received, or advance the clock past the oldest held fence's
+   deadline. A core runs only when something woke it — an inbox wake,
+   readable bytes, an ack, its deadline, a log append for the link's
+   host — the way its shell sleeps in select, so a lost wakeup shows as
+   a stuck schedule.
 
    The stores are real simulator instances of the test memcached plan.
    After the drain the checker asserts:
@@ -20,7 +25,14 @@
      issue order;
    - a multi-key transaction commits as one contiguous log run, and an
      aborted or shed write never reaches the log;
-   - every store holds exactly what the log says it should.
+   - every store holds exactly what the log says it should;
+   - a fenced reply leaves only once its seq is acked or its fence's
+     deadline has passed, never earlier;
+   - the fence timeouts the schedule caused equal the cores' counters;
+   - the frames the link emitted decode to a prefix of the commit log,
+     in order.
+   And after every step: no core sleeps on a held fence that is already
+   acked (a lost ack wakeup would otherwise hide until the deadline).
    The run also fails when it checked fewer responses than it ran
    schedules: a driver that delivers nothing must not pass.
 
@@ -32,6 +44,8 @@ module Server = Privagic_server.Server
 module Protocol = Privagic_server.Protocol
 module Delta = Privagic_replication.Delta
 module Log = Privagic_replication.Log
+module Seal = Privagic_replication.Seal
+module Shipper = Privagic_replication.Shipper
 open Privagic_vm
 
 (* The first schedule's seed; main's [--seed N] rebases it. *)
@@ -58,6 +72,8 @@ type client = {
   mutable sent : int;
   rd : Protocol.resp_reader;
   mutable resps : Protocol.response list;  (* newest first *)
+  mutable stamps : (float * int) list;
+      (* per response: when it left, and the seq the link had acked *)
   mutable adopted : bool;
   doomed : bool;                    (* may vanish mid-pipeline *)
   mutable vanished : bool;
@@ -98,7 +114,7 @@ let gen_client rng ~shards cid =
     (fun i s -> ends.(i) <- (if i = 0 then 0 else ends.(i - 1)) + String.length s)
     rendered;
   { cid; home = cid mod shards; reqs; wire = String.concat "" (Array.to_list rendered);
-    ends; sent = 0; rd = Protocol.resp_reader (); resps = []; adopted = false;
+    ends; sent = 0; rd = Protocol.resp_reader (); resps = []; stamps = []; adopted = false;
     doomed = Random.State.int rng 5 = 0; vanished = false;
     half_close = Random.State.bool rng; eof = false }
 
@@ -113,6 +129,9 @@ type world = {
   log : Log.t;
   cores : Core.t array;
   clients : client array;
+  appended_at : (int, float) Hashtbl.t;  (* seq -> time of its commit *)
+  timeouts : int;                        (* fences the schedule timed out *)
+  emitted : Delta.frame list;            (* what the link sent, in order *)
 }
 
 let run_schedule seed =
@@ -126,7 +145,7 @@ let run_schedule seed =
       policy = pick [ Server.Block; Server.Shed ];
       max_batch = pick [ 1; 8 ] }
   in
-  let sync = Random.State.bool rng in
+  let host = if Random.State.bool rng then Some (Random.State.int rng shards) else None in
   let p = Lazy.force plan in
   let stores =
     Array.init shards (fun _ ->
@@ -136,9 +155,55 @@ let run_schedule seed =
   in
   let bnd = Option.get (Server.bindings_of_plan p) in
   let log = Log.create () in
+  let now = ref 0.0 in
+  (* the link: the host fills it after each of its steps; the replica
+     end decodes whatever the schedule delivers and acks some prefix *)
+  let hub = Shipper.create ~log () in
+  let link = Option.map (fun _ -> Shipper.attach hub ~sync:true ~from_seq:1) host in
+  let pending = Buffer.create 256 and replica = Delta.reader () in
+  let emitted = ref [] and received = ref 0 and acked = ref 0 in
+  let ship () =
+    Option.iter
+      (fun l ->
+        Shipper.fill hub l ~now:!now;
+        Buffer.add_string pending (Shipper.output l))
+      link
+  in
+  let deliver n =
+    let b = Buffer.sub pending 0 n in
+    let rest = Buffer.sub pending n (Buffer.length pending - n) in
+    Buffer.clear pending;
+    Buffer.add_string pending rest;
+    List.iter
+      (fun f ->
+        emitted := f :: !emitted;
+        match f with Delta.Frame { d; _ } -> received := d.Delta.seq | _ -> ())
+      (Delta.feed replica (Bytes.of_string b) n)
+  in
+  (* the commit time of each seq: appends happen inside core calls, and
+     a call's time is fixed, so stamping after each call is exact *)
+  let appended_at = Hashtbl.create 64 and stamped = ref 0 in
+  let stamp () =
+    let head = Log.head log in
+    for q = !stamped + 1 to head do
+      Hashtbl.replace appended_at q !now
+    done;
+    let grew = head > !stamped in
+    stamped := head;
+    grew
+  in
+  (* a fence times out when the core finds its seq unacked at or past
+     its deadline; the schedule counts those answers itself *)
+  let timeouts = ref 0 in
+  let synced seq =
+    let r = Shipper.synced hub ~seq in
+    (match Hashtbl.find_opt appended_at seq with
+    | Some at when (not r) && !now >= at +. Core.fence_timeout_us -> incr timeouts
+    | _ -> ());
+    r
+  in
   let g =
-    Core.group ~cfg ~bnd ~log ~role:(Atomic.make Core.Primary)
-      ~sync:(fun () -> sync)
+    Core.group ~cfg ~bnd ~log ~role:(Atomic.make Core.Primary) ~synced
       ~info:(fun _ -> Protocol.Error_msg "no stats in the simulation")
       ~self:(fun () -> (Domain.self () :> int))
       stores
@@ -150,19 +215,19 @@ let run_schedule seed =
   let drain_after = Random.State.int rng 200 in
   (* the world outside the cores *)
   let chan = Array.init shards (fun _ -> Array.init shards (fun _ -> Queue.create ())) in
-  let woken = Array.make shards false and fences = Array.make shards 0 in
+  let woken = Array.make shards false in
   let drain = ref false and closed = ref false and dispatched = ref 0 in
-  let now = ref 0.0 in
   let emit s = function
     | Core.Write (id, b) ->
       let c = clients.(id) in
       let got = Protocol.feed_resp c.rd (Bytes.of_string b) (String.length b) in
-      c.resps <- List.rev_append got c.resps
+      let acked = if link = None then max_int else !acked in
+      c.resps <- List.rev_append got c.resps;
+      c.stamps <- List.rev_append (List.map (fun _ -> (!now, acked)) got) c.stamps
     | Core.Close _ -> ()
     | Core.Handoff _ -> fail "replication handoff without a repl verb"
     | Core.Send (r, item) -> Queue.push item chan.(s).(r)
     | Core.Wake k -> woken.(k) <- true
-    | Core.Fence _ -> fences.(s) <- fences.(s) + 1
     | Core.Dispatched ->
       incr dispatched;
       if !dispatched = shards then begin
@@ -172,9 +237,14 @@ let run_schedule seed =
       end
     | Core.Shutdown -> fail "shutdown verb without one sent"
   in
+  (* an append wakes the link's host, as the log subscription does *)
+  let after_call () =
+    if stamp () then Option.iter (fun h -> woken.(h) <- true) host
+  in
   let handle s ev =
     now := !now +. 1.0;
-    Core.handle cores.(s) ~now:!now ~emit:(emit s) ev
+    Core.handle cores.(s) ~now:!now ~emit:(emit s) ev;
+    after_call ()
   in
   let step s =
     woken.(s) <- false;
@@ -193,9 +263,12 @@ let run_schedule seed =
     if was_closed then handle s Core.Closed;
     let rec run () =
       now := !now +. 1.0;
-      if Core.run cores.(s) ~now:!now ~emit:(emit s) then run ()
+      let again = Core.run cores.(s) ~now:!now ~emit:(emit s) in
+      after_call ();
+      if again then run ()
     in
-    run ()
+    run ();
+    if host = Some s then ship ()
   in
   (* a core with readable bytes or a fence result is runnable too *)
   let ready = Array.make shards false in
@@ -239,12 +312,29 @@ let run_schedule seed =
           if not (Queue.is_empty chan.(r).(s)) then
             add 3 (fun () -> handle s (Core.Inbox (Queue.pop chan.(r).(s))))
         done;
-      if fences.(s) > 0 then
-        add 3 (fun () ->
-            fences.(s) <- fences.(s) - 1;
-            handle s Core.Fenced;
-            ready.(s) <- true)
     done;
+    Option.iter
+      (fun l ->
+        let h = Option.get host in
+        let n = Buffer.length pending in
+        if n > 0 then begin
+          add 3 (fun () -> deliver (1 + Random.State.int rng n));
+          add 1 (fun () -> () (* withhold *))
+        end;
+        if !received > !acked then
+          add 3 (fun () ->
+              acked := !acked + 1 + Random.State.int rng (!received - !acked);
+              let a = Delta.render_ack !acked in
+              Shipper.feed l (Bytes.of_string a) (String.length a) ~now:!now;
+              Core.wake_fenced cores.(h) ~emit:(emit h));
+        let deadlines = Array.map Core.deadline cores in
+        match Array.fold_left (fun m d -> Option.fold ~none:m ~some:(Float.min m) d) infinity deadlines with
+        | d when d < infinity ->
+          add 1 (fun () ->
+              now := Float.max !now d;
+              Array.iteri (fun s d' -> if d' = Some d then ready.(s) <- true) deadlines)
+        | _ -> ())
+      link;
     let start_drain () =
       drain := true;
       Array.iteri (fun s _ -> handle s Core.Drain; ready.(s) <- true) cores
@@ -263,13 +353,23 @@ let run_schedule seed =
         | [] -> assert false
       in
       choose (Random.State.int rng total) acts ();
+      (* no lost ack wakeup: a core whose oldest held fence is acked
+         must be runnable, or it would sleep until the deadline *)
+      Array.iteri
+        (fun s c ->
+          match Queue.peek_opt c.Core.fences with
+          | Some (_, seq, _) when Shipper.synced hub ~seq && not (woken.(s) || ready.(s)) ->
+            fail "shard %d sleeps on fence %d, which is acked" s seq
+          | _ -> ())
+        cores;
       loop (steps + 1)
   in
   loop 0;
   Array.iteri
     (fun s c -> if not (Core.finished c) then fail "shard %d stuck: drain never finished" s)
     cores;
-  { cfg; stores; log; cores; clients }
+  { cfg; stores; log; cores; clients; appended_at; timeouts = !timeouts;
+    emitted = List.rev !emitted }
 
 (* ------------------------------------------------------------------ *)
 (* the checker *)
@@ -277,7 +377,7 @@ let run_schedule seed =
 let check w =
   (* per key, the committed writes in log order; position j is the
      state after the key's j-th write, whose version is j *)
-  let hist = Array.make keys [||] in
+  let hist = Array.make keys [||] and hist_seq = Array.make keys [||] in
   let put_at : (string, int * int * int) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun (d : Delta.t) ->
@@ -285,6 +385,7 @@ let check w =
         | Delta.Put { key; payload; _ } -> (key, Some payload)
         | Delta.Del { key } -> (key, None) in
       hist.(k) <- Array.append hist.(k) [| v |];
+      hist_seq.(k) <- Array.append hist_seq.(k) [| d.Delta.seq |];
       Option.iter
         (fun v ->
           if Hashtbl.mem put_at v then fail "value %S committed twice" v;
@@ -299,6 +400,7 @@ let check w =
   Array.iter
     (fun c ->
       let resps = Array.of_list (List.rev c.resps) in
+      let stamps = Array.of_list (List.rev c.stamps) in
       let n = parsed c in
       if (not c.vanished) && Array.length resps <> n then
         fail "client %d: %d responses to %d parsed requests" c.cid (Array.length resps) n;
@@ -331,9 +433,19 @@ let check w =
           fail "client %d: key %d at version %d read %S" c.cid k ver x
         | _ -> ()
       in
-      let put ?expect k v =
+      (* the reply to response [i] committed [seq]: a sync fence let it
+         go only once the link acked [seq] or the fence's deadline had
+         passed *)
+      let released i seq =
+        let at, acked = stamps.(i) in
+        if acked < seq && at < Hashtbl.find w.appended_at seq +. Core.fence_timeout_us then
+          fail "client %d: reply %d left at %.0f with seq %d unacked (acked %d)" c.cid i at
+            seq acked
+      in
+      let put ?expect i k v =
         match Hashtbl.find_opt put_at v with
-        | Some (k', p, _) when k' = k ->
+        | Some (k', p, seq) when k' = k ->
+          released i seq;
           if p <= cur.(k) then fail "client %d: write %S on key %d reordered" c.cid v k;
           Option.iter
             (fun e ->
@@ -343,10 +455,13 @@ let check w =
           at k p "write"
         | _ -> fail "client %d: acknowledged write %S on key %d is not in the log" c.cid v k
       in
-      let del k =
+      let del i k =
         let rec find p =
           if p > top k then fail "client %d: acknowledged del on key %d is not in the log" c.cid k
-          else if state k p = None && state k (p - 1) <> None then at k p "del"
+          else if state k p = None && state k (p - 1) <> None then begin
+            released i hist_seq.(k).(p - 1);
+            at k p "del"
+          end
           else find (p + 1)
         in
         find (cur.(k) + 1)
@@ -368,14 +483,15 @@ let check w =
           | _, Protocol.Busy -> ()
           | Protocol.Get k, Protocol.Value (k', v) when k = k' -> read k (Some v)
           | Protocol.Get k, Protocol.Miss -> read k None
-          | Protocol.Set (k, v), Protocol.Stored -> put k v
-          | Protocol.Del k, Protocol.Deleted -> del k
+          | Protocol.Set (k, v), Protocol.Stored -> put i k v
+          | Protocol.Del k, Protocol.Deleted -> del i k
           | Protocol.Del k, Protocol.Not_found -> read k None
           | Protocol.Getv k, Protocol.Version { v_key; v_ver; v_val } when v_key = k ->
             version k v_ver v_val;
             if v_val = None && state k v_ver <> None then
               fail "client %d: getv missed key %d present at version %d" c.cid k v_ver
-          | Protocol.Cas { c_key; c_ver; c_val }, Protocol.Stored -> put ~expect:c_ver c_key c_val
+          | Protocol.Cas { c_key; c_ver; c_val }, Protocol.Stored ->
+            put ~expect:c_ver i c_key c_val
           | Protocol.Cas { c_key; c_ver; c_val }, Protocol.Cas_conflict found when found <> c_ver ->
             refused [ c_val ];
             version c_key found None
@@ -397,9 +513,9 @@ let check w =
               (fun op r ->
                 match (op, r) with
                 | Protocol.T_get k, Protocol.R_value v -> read k v
-                | Protocol.T_set (k, v), Protocol.R_stored -> put k v
-                | Protocol.T_cas (k, e, v), Protocol.R_stored -> put ~expect:e k v
-                | Protocol.T_del k, Protocol.R_deleted -> del k
+                | Protocol.T_set (k, v), Protocol.R_stored -> put i k v
+                | Protocol.T_cas (k, e, v), Protocol.R_stored -> put ~expect:e i k v
+                | Protocol.T_del k, Protocol.R_deleted -> del i k
                 | Protocol.T_del k, Protocol.R_not_found -> read k None
                 | _ -> shape ())
               ops results;
@@ -453,23 +569,59 @@ let check w =
     in
     if got <> want then fail "key %d: the store disagrees with the log" k
   done;
-  Array.fold_left (fun n c -> n + List.length c.resps) 0 w.clients
+  let counted = Array.fold_left (fun n c -> n + c.Core.n.Core.fence_timeouts) 0 w.cores in
+  if counted <> w.timeouts then
+    fail "the cores counted %d fence timeouts, the schedule caused %d" counted w.timeouts;
+  (* the link's stream: the handshake, then the log from seq 1, in order *)
+  (match w.emitted with
+  | [] -> ()
+  | Delta.Ok_hello 1 :: frames ->
+    List.iteri
+      (fun i f ->
+        match f with
+        | Delta.Frame { d; sealed } ->
+          let d =
+            match d.Delta.op with
+            | Delta.Put ({ color; payload; _ } as p) when sealed -> (
+              match
+                Seal.unseal ~key:(Seal.derive ~cluster:"privagic" color) ~nonce:d.Delta.seq payload
+              with
+              | Ok payload -> { d with Delta.op = Delta.Put { p with payload } }
+              | Error e -> fail "link frame %d: %s" d.Delta.seq e)
+            | _ -> d
+          in
+          if d.Delta.seq <> i + 1 || Log.get w.log (i + 1) <> Some d then
+            fail "link frame %d is not log entry %d" d.Delta.seq (i + 1)
+        | _ -> fail "link: stray handshake or corrupt frame")
+      frames
+  | _ -> fail "link: the stream does not start with REPLOK 1");
+  (Array.fold_left (fun n c -> n + List.length c.resps) 0 w.clients, List.length w.emitted)
 
 let test_schedules () =
-  let t0 = Unix.gettimeofday () and checked = ref 0 in
+  let t0 = Unix.gettimeofday () and checked = ref 0 and frames = ref 0 and timeouts = ref 0 in
   for i = 0 to schedules - 1 do
     let seed = !base_seed + i in
-    match check (run_schedule seed) with
-    | n -> checked := !checked + n
+    match
+      let w = run_schedule seed in
+      (w, check w)
+    with
+    | w, (n, f) ->
+      checked := !checked + n;
+      frames := !frames + f;
+      timeouts := !timeouts + w.timeouts
     | exception Violation m ->
       Alcotest.failf "schedule %d: %s\n  reproduce: dune exec test/main.exe -- test sim --seed %d"
         seed m seed
   done;
-  Printf.printf "%d schedules, %d responses checked, in %.1f s\n%!" schedules !checked
-    (Unix.gettimeofday () -. t0);
-  (* a schedule that never delivers a request checks nothing *)
+  Printf.printf "%d schedules, %d responses checked, %d link frames, %d fence timeouts, in %.1f s\n%!"
+    schedules !checked !frames !timeouts (Unix.gettimeofday () -. t0);
+  (* a schedule that never delivers a request checks nothing, and a
+     link that never ships or never times a fence out checks no fence *)
   if !checked < schedules then
-    Alcotest.failf "only %d responses over %d schedules" !checked schedules
+    Alcotest.failf "only %d responses over %d schedules" !checked schedules;
+  if !frames = 0 || !timeouts = 0 then
+    Alcotest.failf "%d link frames and %d fence timeouts over %d schedules" !frames !timeouts
+      schedules
 
 (* The single-writer rule: the first domain to step a core owns it. *)
 let test_owner () =
@@ -479,7 +631,7 @@ let test_owner () =
   let g =
     Core.group ~cfg:{ Server.default_config with vsize }
       ~bnd:(Option.get (Server.bindings_of_plan p)) ~log:(Log.create ())
-      ~role:(Atomic.make Core.Primary) ~sync:(fun () -> false)
+      ~role:(Atomic.make Core.Primary) ~synced:(fun _ -> true)
       ~info:(fun _ -> Protocol.Ok_msg) ~self:(fun () -> (Domain.self () :> int))
       [| store |]
   in
