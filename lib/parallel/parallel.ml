@@ -1,7 +1,7 @@
 (* Real-parallel execution backend: runs a partition plan on OCaml 5
    domains with the lock-free Michael–Scott queue as the inter-partition
-   channel — the runtime architecture of §7.3 on actual hardware threads,
-   where Pinterp executes the same architecture in virtual time.
+   channel. It is the domains scheduler of the §7.3 runtime protocol
+   (Rtproto); Pinterp runs the same protocol in virtual time.
 
    Topology. Application threads are mapped onto a bounded set of lanes
    (real runtimes bound their thread pools; OCaml additionally caps the
@@ -10,13 +10,12 @@
    on the worker of their partition, cont messages carry return values,
    entry messages carry whole requests into the untrusted worker (§7.3.4).
 
-   Host-order discipline (shared with the simulator, DESIGN.md §8.2/§8.7):
-   chunks of one activation are serialized — spawned siblings run in color
-   order, an untrusted leader runs its body after the spawned enclave
-   stage, an enclave leader before it — so declassified values written to
-   unsafe memory flow forward exactly as in the simulator. Real
-   parallelism happens across application threads (the §7.3 [spawn]
-   instruction) and across concurrent entry calls.
+   Host-order discipline (DESIGN.md §8.2/§8.7): the protocol, shared with
+   the simulator, serializes the chunks of one activation, so declassified
+   values written to unsafe memory flow forward exactly as in the
+   simulator; here its waits are real waits on atomics. Real parallelism
+   happens across application threads (the §7.3 [spawn] instruction) and
+   across concurrent entry calls.
 
    The one rule that keeps this deadlock-free: a worker that has to wait —
    for a return value, for the spawned stage, for a sibling, at a barrier
@@ -29,7 +28,6 @@
    and joins the domains. *)
 
 open Privagic_pir
-open Privagic_secure
 open Privagic_partition
 open Privagic_vm
 module Sgx = Privagic_sgx
@@ -37,22 +35,18 @@ module Msq = Privagic_runtime.Msqueue
 module Obs = Privagic_obs
 module Ev = Privagic_obs.Ev
 
-exception Error of string
+exception Error = Rtproto.Error
 
-(* One executing instance of a function, shared by all its participants:
-   the ones at a call site get the same record from the sequence
-   agreement (Dispatch.child), and spawn messages carry it to the spawned
-   chunks. Its barrier state therefore dies with the activation. *)
-type activation = {
-  act_seq : int;
-  act_root : int;                  (* seq of the request it serves *)
-  act_rf : Dispatch.rfunc;         (* the function, resolved for its P *)
-  act_spawned : Color.t list;      (* colors started via spawn messages *)
-  act_pending : int Atomic.t;      (* spawned chunks still running *)
-  act_done : Color.t list Atomic.t; (* spawned chunks completed *)
-  act_arrived : (int * Color.t * int) list Atomic.t;
+(* An activation's completion and barrier state. The activation is shared
+   by all its participants, so this state dies with it. *)
+type state = {
+  pending : int Atomic.t;          (* spawned chunks still running *)
+  done_ : Color.t list Atomic.t;   (* spawned chunks completed *)
+  arrived : (int * Color.t * int) list Atomic.t;
       (* barrier arrivals: (instr, color, latest occurrence reached) *)
 }
+
+type activation = state Rtproto.act
 
 (* What a worker holds while it runs one participant's chunk of [f_act]:
    this participant's call-site executions (for the sequence agreement)
@@ -61,11 +55,6 @@ type frame = {
   f_act : activation;
   f_calls : Dispatch.counts;
   f_barriers : Dispatch.counts;
-}
-
-type slot = {
-  s_mu : Mutex.t;
-  mutable s_result : (Rvalue.t, string) result option;
 }
 
 type msg =
@@ -80,10 +69,11 @@ type msg =
       e_act : activation;
       e_args : Rvalue.t array;
       e_entry : Dispatch.entry; (* the resolved §7.3.4 interface *)
-      e_slot : slot;
+      e_slot : (Rvalue.t, string) result option Atomic.t; (* the response *)
     }
 
 type worker = {
+  w_pool : t;
   w_lane : int;
   w_color : Color.t;
   w_queue : msg Msq.t;
@@ -96,7 +86,7 @@ type worker = {
          untraced *)
 }
 
-type t = {
+and t = {
   plan : Plan.t;
   disp : activation Dispatch.t;
   base : Exec.t;                   (* template: shared heap/tables *)
@@ -108,36 +98,18 @@ type t = {
   inflight : int Atomic.t;         (* chunks/entries created, not done *)
   next_thread : int Atomic.t;
   mutable guard : bool;            (* §8 valid-spawn-sequence guard *)
-  tr_mu : Mutex.t;
-  mutable traps : string list;
+  traps : string list Atomic.t;
   trace : bool;                    (* lanes also record messages/barriers *)
   mutable domains : int;
   entries_served : int Atomic.t;   (* completed call_entry requests *)
 }
 
-let dummy_hooks : Exec.hooks =
-  {
-    Exec.h_call = (fun _ _ _ _ -> Rvalue.zero);
-    h_callind = (fun _ _ _ _ -> Rvalue.zero);
-    h_spawn = (fun _ _ _ _ -> ());
-    h_pre_instr = (fun _ _ -> ());
-    h_alloca_zone = (fun _ _ -> Heap.Unsafe);
-  }
+let rec atomic_update a f =
+  let cur = Atomic.get a in
+  if not (Atomic.compare_and_set a cur (f cur)) then atomic_update a f
 
-let add_trap t msg =
-  Mutex.lock t.tr_mu;
-  t.traps <- msg :: t.traps;
-  Mutex.unlock t.tr_mu
-
-let take_traps t =
-  Mutex.lock t.tr_mu;
-  let msgs = t.traps in
-  t.traps <- [];
-  Mutex.unlock t.tr_mu;
-  List.rev msgs
-
-let fill_slot (slot : slot) r =
-  Mutex.protect slot.s_mu (fun () -> slot.s_result <- Some r)
+let add_trap t msg = atomic_update t.traps (fun l -> msg :: l)
+let take_traps t = List.rev (Atomic.exchange t.traps [])
 
 (* Hybrid idle backoff: spin briefly (a message usually follows within the
    latency of one chunk), then yield the core. *)
@@ -182,52 +154,19 @@ let chunk_edge w code (ch : Dispatch.chunk) phase =
 (* Messages and barriers, traced runs only: each worker records its own
    sends and receives into its own ring, so no record takes a lock.
    Flows carry no id across domains. *)
-let trace_note t w kind =
-  if t.trace then
+let trace_note w kind =
+  if w.w_pool.trace then
     match w.w_obs with
     | Some l ->
       Obs.Ring.record (Obs.Lane.ring l) ~track:0 ~code:(Ev.code kind) ~arg:0
         ~ts:(Obs.now_us ())
     | None -> ()
 
-let act_name (act : activation) =
-  Infer.instance_name act.act_rf.Dispatch.rf_pf.Plan.pf_key
+let cur_frame w =
+  match w.w_frame with Some f -> f | None -> raise (Error "no current activation")
 
-let chunk_exn (act : activation) (c : Color.t) : Dispatch.chunk =
-  match Dispatch.chunk act.act_rf c with
-  | Some ch -> ch
-  | None ->
-    raise
-      (Error
-         (Printf.sprintf "no %s chunk in %s" (Color.to_string c)
-            (act_name act)))
-
-let cur_frame (w : worker) =
-  match w.w_frame with
-  | Some f -> f
-  | None -> raise (Error "no current activation")
-
-let cur_act w = (cur_frame w).f_act
-
-(* A fresh activation; [root] defaults to the activation itself (a new
-   request). *)
-let new_act ?root ~seq rf ~spawned =
-  {
-    act_seq = seq;
-    act_root = Option.value root ~default:seq;
-    act_rf = rf;
-    act_spawned = spawned;
-    act_pending = Atomic.make 0;
-    act_done = Atomic.make [];
-    act_arrived = Atomic.make [];
-  }
-
-let fresh_act t ?root rf ~spawned =
-  new_act ?root ~seq:(Dispatch.fresh_seq t.disp) rf ~spawned
-
-let rec atomic_update a f =
-  let cur = Atomic.get a in
-  if not (Atomic.compare_and_set a cur (f cur)) then atomic_update a f
+let new_state () =
+  { pending = Atomic.make 0; done_ = Atomic.make []; arrived = Atomic.make [] }
 
 (* ------------------------------------------------------------------ *)
 (* the worker pool *)
@@ -243,14 +182,10 @@ let rec worker t thread color : worker =
   | None ->
     let machine = Sgx.Machine.create ?cost:t.cost t.config in
     let w =
-      {
-        w_lane = lane;
-        w_color = color;
-        w_queue = Msq.create ();
-        w_exec = Exec.clone_shared t.base ~machine ~hooks:dummy_hooks;
-        w_mail = [];
-        w_frame = None;
-        w_domain = None;
+      { w_pool = t; w_lane = lane; w_color = color; w_queue = Msq.create ();
+        (* the base executor's hooks are inert; this worker's follow *)
+        w_exec = Exec.clone_shared t.base ~machine ~hooks:t.base.Exec.hooks;
+        w_mail = []; w_frame = None; w_domain = None;
         w_obs =
           (if t.trace || Obs.enabled () then begin
              (* ring id = worker creation index: unique within the pool,
@@ -268,63 +203,74 @@ let rec worker t thread color : worker =
                (Dispatch.chunk_names t.disp);
              Some l
            end
-           else None);
-      }
+           else None) }
     in
     w.w_exec.Exec.cpu <- Dispatch.cpu_of_color color;
-    w.w_exec.Exec.hooks <- hooks_for t w;
-    (match w.w_obs with
-    | Some l -> w.w_exec.Exec.obs_ring <- Some (Obs.Lane.ring l)
-    | None -> ());
+    w.w_exec.Exec.hooks <- Rtproto.hooks sched (fun () -> w);
+    w.w_exec.Exec.obs_ring <- Option.map Obs.Lane.ring w.w_obs;
     Hashtbl.replace t.workers key w;
     t.domains <- t.domains + 1;
-    let d = Domain.spawn (fun () -> worker_loop t w) in
+    let d = Domain.spawn (fun () -> worker_loop w) in
     w.w_domain <- Some d;
     Mutex.unlock t.wmu;
     w
 
-and worker_loop t w =
+and worker_loop w =
   let idle = ref 0 in
-  let stop = ref false in
-  while not !stop do
+  (* [closed]: the close flag was seen before this pop *)
+  let rec loop closed =
     match Msq.pop w.w_queue with
     | Some m ->
       idle := 0;
       obs_enter w Obs.Phase.Run;
-      handle t w m;
-      obs_enter w Obs.Phase.Queue_wait
+      handle w m;
+      obs_enter w Obs.Phase.Queue_wait;
+      loop false
+    (* drain protocol (msqueue.mli): exit only on a None pop observed
+       after the close flag, so no pre-close message is lost *)
+    | None when closed -> ()
+    | None when Msq.is_closed w.w_queue -> loop true
     | None ->
-      if Msq.is_closed w.w_queue then begin
-        (* drain protocol (msqueue.mli): exit only on a None pop observed
-           after the close flag, so no pre-close message is lost *)
-        match Msq.pop w.w_queue with
-        | Some m ->
-          idle := 0;
-          obs_enter w Obs.Phase.Run;
-          handle t w m;
-          obs_enter w Obs.Phase.Queue_wait
-        | None -> stop := true
-      end
-      else begin
-        (* transitions only at the backoff boundaries: queue-wait on the
-           first empty pop, park when the spin budget runs out *)
-        if !idle = 0 then obs_enter w Obs.Phase.Queue_wait
-        else if !idle = spin_budget - 1 then obs_enter w Obs.Phase.Park;
-        idle_wait idle
-      end
-  done
+      (* transitions only at the backoff boundaries: queue-wait on the
+         first empty pop, park when the spin budget runs out *)
+      if !idle = 0 then obs_enter w Obs.Phase.Queue_wait
+      else if !idle = spin_budget - 1 then obs_enter w Obs.Phase.Park;
+      idle_wait idle;
+      loop false
+  in
+  loop false
 
-and handle t w (m : msg) =
+and handle w (m : msg) =
   match m with
   | Cont { c_seq; c_value } -> w.w_mail <- (c_seq, c_value) :: w.w_mail
-  | Spawn _ -> exec_spawn t w m
-  | Entry _ -> exec_entry t w m
+  | Spawn { sp_act = act; sp_args; sp_reply_to; sp_forged } -> (
+    let t = w.w_pool in
+    (* §8 extension: the valid-spawn-sequence guard, enforced where the
+       runtime actually learns about the message — at dequeue, in the
+       target partition, before anything executes *)
+    match
+      if sp_forged && t.guard then Rtproto.spawn_guard t.plan act w.w_color
+      else None
+    with
+    | Some msg ->
+      add_trap t msg;
+      finish w act ~ok:false
+    | None ->
+      trace_note w (Ev.Recv Ev.Spawn);
+      Rtproto.receive sched w act ~reply_to:sp_reply_to sp_args)
+  | Entry { e_act; e_args; e_entry; e_slot } ->
+    Atomic.set e_slot
+      (Some
+         (match Rtproto.entry sched w e_act e_entry e_args with
+         | r -> Ok r
+         | exception (Exec.Trap msg | Error msg) -> Result.Error msg));
+    Atomic.decr w.w_pool.inflight
 
 (* A wait that keeps the domain useful: pump the worker's own queue until
    [pred] holds. Nested spawns execute here; without this, a spawn
    targeting a waiting worker would deadlock the pool (the simulator gets
    the same effect from fiber multiplexing). *)
-and wait_until ?(phase = Obs.Phase.Pump_wait) t w pred =
+and wait_until ?(phase = Obs.Phase.Pump_wait) w pred =
   let saved = obs_current w in
   obs_enter w phase;
   let idle = ref 0 in
@@ -334,31 +280,26 @@ and wait_until ?(phase = Obs.Phase.Pump_wait) t w pred =
       idle := 0;
       (* back from a possible park; nested chunks re-enter Run themselves *)
       obs_enter w phase;
-      handle t w m
+      handle w m
     | None ->
       if !idle = spin_budget - 1 then obs_enter w Obs.Phase.Park;
       idle_wait idle
   done;
   obs_enter_index w saved
 
-and wait_pending t w (act : activation) =
-  wait_until t w (fun () -> Atomic.get act.act_pending = 0)
-
-and wait_cont t w ~seq : Rvalue.t =
-  wait_until t w (fun () -> List.exists (fun (s, _) -> s = seq) w.w_mail);
-  let rec take acc = function
-    | [] -> raise (Error "wait_cont: message vanished")
-    | (s, v) :: rest when s = seq -> (v, List.rev_append acc rest)
-    | m :: rest -> take (m :: acc) rest
+and wait_cont w ~seq : Rvalue.t =
+  wait_until w (fun () -> List.mem_assoc seq w.w_mail);
+  let v =
+    try List.assoc seq w.w_mail
+    with Not_found -> raise (Error "wait_cont: message vanished")
   in
-  let v, rest = take [] w.w_mail in
-  w.w_mail <- rest;
-  trace_note t w (Ev.Recv Ev.Retval);
+  w.w_mail <- List.remove_assoc seq w.w_mail;
+  trace_note w (Ev.Recv Ev.Retval);
   v
 
-and send_cont t (from : worker) ~thread ~color ~seq v =
-  let target = worker t thread color in
-  trace_note t from (Ev.Send Ev.Retval);
+and send_cont w ~thread color ~seq v =
+  let target = worker w.w_pool thread color in
+  trace_note w (Ev.Send Ev.Retval);
   Msq.push target.w_queue (Cont { c_seq = seq; c_value = v })
 
 (* The in-flight count covers every created chunk/entry; [call_entry] and
@@ -367,228 +308,31 @@ and send_cont t (from : worker) ~thread ~color ~seq v =
 and send_spawn t (from : worker option) ~thread (act : activation)
     (d : Color.t) ~reply_to ~forged (args : Rvalue.t array) =
   Atomic.incr t.inflight;
-  Atomic.incr act.act_pending;
+  Atomic.incr act.Rtproto.act_st.pending;
   let target = worker t thread d in
-  (match from with Some fw -> trace_note t fw (Ev.Send Ev.Spawn) | None -> ());
+  (match from with Some fw -> trace_note fw (Ev.Send Ev.Spawn) | None -> ());
   Msq.push target.w_queue
     (Spawn { sp_act = act; sp_args = args; sp_reply_to = reply_to; sp_forged = forged })
 
-and mark_done (act : activation) (c : Color.t) =
+and finish w (act : activation) ~ok:_ =
   (* completion set first, then the count: a waiter that observes
      pending = 0 (SC atomics) also observes the color in the set *)
-  atomic_update act.act_done (fun l -> c :: l);
-  Atomic.decr act.act_pending
+  atomic_update act.Rtproto.act_st.done_ (fun l -> w.w_color :: l);
+  Atomic.decr act.Rtproto.act_st.pending;
+  Atomic.decr w.w_pool.inflight
 
-and exec_spawn t w (s : msg) =
-  match s with
-  | Spawn { sp_act = act; sp_args; sp_reply_to; sp_forged } ->
-    let chunk_name =
-      match Dispatch.chunk act.act_rf w.w_color with
-      | Some ch -> ch.Dispatch.ch_func.Func.name
-      | None -> "<missing>"
-    in
-    (* §8 extension: the valid-spawn-sequence guard, enforced where the
-       runtime actually learns about the message — at dequeue, in the
-       target partition, before anything executes *)
-    if
-      t.guard && sp_forged
-      && not (Plan.spawn_allowed t.plan w.w_color chunk_name)
-    then begin
-      add_trap t
-        (Printf.sprintf "spawn guard: %s rejected in %s" chunk_name
-           (Color.to_string w.w_color));
-      mark_done act w.w_color;
-      Atomic.decr t.inflight
-    end
-    else begin
-      trace_note t w (Ev.Recv Ev.Spawn);
-      (* host order: spawned siblings of one activation serialize in color
-         order, so declassifications flow forward deterministically *)
-      let earlier =
-        List.filter (fun d -> Color.compare d w.w_color < 0) act.act_spawned
-      in
-      if earlier <> [] then
-        wait_until t w (fun () ->
-            let done_ = Atomic.get act.act_done in
-            List.for_all
-              (fun d -> List.exists (Color.equal d) done_)
-              earlier);
-      (match run_chunk w act sp_args with
-      | r ->
-        List.iter
-          (fun (th, color) ->
-            send_cont t w ~thread:th ~color ~seq:act.act_seq r)
-          sp_reply_to
-      | exception Exec.Trap msg -> add_trap t (chunk_name ^ ": " ^ msg)
-      | exception Error msg -> add_trap t (chunk_name ^ ": " ^ msg));
-      mark_done act w.w_color;
-      Atomic.decr t.inflight
-    end
-  | _ -> ()
-
-and run_chunk w (act : activation) (args : Rvalue.t array) : Rvalue.t =
-  let ch = chunk_exn act w.w_color in
-  let saved = w.w_frame in
+and run_chunk w (act : activation) (ch : Dispatch.chunk) args : Rvalue.t =
+  let saved = w.w_frame and obs_saved = obs_current w in
   w.w_frame <-
     Some
       { f_act = act; f_calls = Dispatch.counts ();
         f_barriers = Dispatch.counts () };
-  let obs_saved = obs_current w in
   chunk_edge w code_begin ch (Obs.Phase.index Obs.Phase.Run);
-  let finish () =
-    w.w_frame <- saved;
-    chunk_edge w code_end ch obs_saved
-  in
-  match Dispatch.run_chunk w.w_exec ch args with
-  | r ->
-    finish ();
-    r
-  | exception e ->
-    finish ();
-    raise e
-
-(* ------------------------------------------------------------------ *)
-(* call dispatch (the decisions come from Dispatch, shared with Pinterp) *)
-
-and dispatch_call t w (i : Instr.t) callee (args : Rvalue.t array) : Rvalue.t =
-  let act = cur_act w in
-  match Dispatch.resolved act.act_rf i.Instr.id with
-  | Dispatch.Call site -> dispatch_local_call t w i site args
-  | Dispatch.Extern -> extern t w act i callee args
-  | Dispatch.Unplanned | Dispatch.Thread _ | Dispatch.Indirect _ ->
-    if Pmodule.is_defined t.base.Exec.m callee then
-      raise
-        (Error
-           (Printf.sprintf "call to @%s at instr %d has no plan in %s" callee
-              i.Instr.id (act_name act)))
-    else extern t w act i callee args
-
-and extern t w act i callee args =
-  Dispatch.dispatch_extern t.disp w.w_exec ~color:w.w_color
-    ~caller:act.act_rf.Dispatch.rf_pf.Plan.pf_key.Infer.ik_func i callee args
-
-and dispatch_local_call t w (i : Instr.t) (site : Dispatch.rsite)
-    (args : Rvalue.t array) : Rvalue.t =
-  let c = w.w_color in
-  let thread = w.w_lane in
-  let fr = cur_frame w in
-  let act = fr.f_act in
-  let callee = site.Dispatch.rs_callee in
-  let { Dispatch.s_leader = leader; s_inter = inter; s_spawned = spawned;
-        s_ret_sender = ret_sender } =
-    site.Dispatch.rs_layout
-  in
-  (* every participant of the site gets the same child activation *)
-  let child_act =
-    Dispatch.child t.disp ~calls:fr.f_calls ~root:act.act_root
-      ~seq:act.act_seq ~instr:i.Instr.id ~takers:site.Dispatch.rs_takers
-      (fun seq -> new_act ~root:act.act_root ~seq callee ~spawned)
-  in
-  let seq = child_act.act_seq in
-  let needers = site.Dispatch.rs_needers in
-  let is_sender = match ret_sender with Some d -> Color.equal c d | None -> false in
-  (* the leader starts the missing chunks *)
-  if Color.equal c leader && spawned <> [] then begin
-    List.iter
-      (fun d ->
-        let reply_to =
-          match inter, ret_sender with
-          | [], Some r when Color.equal d r ->
-            List.map (fun n -> (thread, n)) needers
-          | _ -> []
-        in
-        send_spawn t (Some w) ~thread child_act d ~reply_to ~forged:false args)
-      spawned;
-    (* host order: an untrusted leader lets the spawned enclave stage
-       complete before its own body, so declassified values are visible *)
-    if not (Color.is_enclave c) then wait_pending t w child_act
-  end;
-  let result =
-    if callee.Dispatch.rf_pure then
-      (* pure-F callee: replicated, executes inline everywhere *)
-      run_chunk w child_act args
-    else if List.exists (Color.equal c) callee.Dispatch.rf_participants then begin
-      (* direct call (§7.3.2): inline execution in this worker *)
-      let r = run_chunk w child_act args in
-      (if is_sender && inter <> [] then
-         List.iter
-           (fun d -> send_cont t w ~thread ~color:d ~seq r)
-           needers);
-      r
-    end
-    else if List.exists (Color.equal c) needers then wait_cont t w ~seq
-    else Rvalue.zero
-  in
-  (* an enclave leader waits after its own (direct) work *)
-  if Color.equal c leader && Color.is_enclave c then
-    wait_pending t w child_act;
-  result
-
-(* Indirect call to a defined function (§6.3, §7.3.4): interface-style
-   entry in the current worker, which starts the missing chunks itself. *)
-and dispatch_indirect t w (i : Instr.t) name (args : Rvalue.t array) :
-    Rvalue.t =
-  let c = w.w_color in
-  let thread = w.w_lane in
-  let rf =
-    match Dispatch.indirect t.disp name ~color:c with
-    | Some rf -> rf
-    | None ->
-      let f = Pmodule.find_func_exn t.base.Exec.m name in
-      raise
-        (Error
-           ("no partitioned function for "
-           ^ Infer.instance_name (Dispatch.indirect_entry_key t.plan f)))
-  in
-  let cs = rf.Dispatch.rf_pf.Plan.pf_colorset in
-  let spawned_cs = List.filter (fun d -> not (Color.equal d c)) cs in
-  let parent = cur_act w in
-  let act = fresh_act t ~root:parent.act_root rf ~spawned:spawned_cs in
-  if rf.Dispatch.rf_pure then run_chunk w act args
-  else begin
-    let in_cs = List.exists (Color.equal c) cs in
-    let i_need =
-      (not in_cs)
-      &&
-      match
-        Dispatch.resolved parent.act_rf i.Instr.id,
-        Dispatch.chunk parent.act_rf c
-      with
-      | Dispatch.Indirect readers, Some ch ->
-        List.exists (Color.equal ch.Dispatch.ch_color) readers
-      | _ -> false
-    in
-    let first = match cs with d :: _ -> Some d | [] -> None in
-    List.iter
-      (fun d ->
-        let reply_to =
-          match first with
-          | Some f when i_need && Color.equal d f -> [ (thread, c) ]
-          | _ -> []
-        in
-        send_spawn t (Some w) ~thread act d ~reply_to ~forged:false args)
-      spawned_cs;
-    if in_cs then run_chunk w act args
-    else if i_need then wait_cont t w ~seq:act.act_seq
-    else Rvalue.zero
-  end
-
-(* §7.3 thread creation: start every chunk of the target instance on the
-   workers of a fresh application thread — this is where the backend's
-   parallelism is real rather than simulated. *)
-and dispatch_spawn t w (i : Instr.t) (args : Rvalue.t array) =
-  let act = cur_act w in
-  match Dispatch.resolved act.act_rf i.Instr.id with
-  | Dispatch.Thread rf ->
-    let thread = Atomic.fetch_and_add t.next_thread 1 in
-    let cs = rf.Dispatch.rf_participants in
-    let child = fresh_act t ~root:act.act_root rf ~spawned:cs in
-    List.iter
-      (fun d -> send_spawn t (Some w) ~thread child d ~reply_to:[] ~forged:false args)
-      cs
-  | Dispatch.Unplanned | Dispatch.Extern | Dispatch.Call _
-  | Dispatch.Indirect _ ->
-    raise (Error "spawn site without plan")
+  Fun.protect
+    ~finally:(fun () ->
+      w.w_frame <- saved;
+      chunk_edge w code_end ch obs_saved)
+    (fun () -> Dispatch.run_chunk w.w_exec ch args)
 
 (* §7.3.3 synchronization barrier, realized with real shared state: the
    arriving worker records its arrival in the activation and waits
@@ -599,29 +343,29 @@ and dispatch_spawn t w (i : Instr.t) (args : Rvalue.t array) =
    violation of the discipline blocks loudly instead of racing quietly.
    Occurrences are reached in order, so keeping each participant's latest
    one per instruction is enough. *)
-and barrier t w (fr : frame) (instr : int) =
+and barrier w (instr : int) =
+  let fr = cur_frame w in
   let act = fr.f_act in
+  let st = act.Rtproto.act_st in
   let occ = Dispatch.next fr.f_barriers instr in
   let c = w.w_color in
   let same i d = i = instr && Color.equal d c in
-  atomic_update act.act_arrived (fun l ->
+  atomic_update st.arrived (fun l ->
       (instr, c, occ) :: List.filter (fun (i, d, _) -> not (same i d)) l);
-  trace_note t w Ev.Barrier;
-  let present = Dispatch.presence act.act_rf instr in
-  let spawned d = List.exists (Color.equal d) act.act_spawned in
+  trace_note w Ev.Barrier;
+  let present = Dispatch.presence act.Rtproto.act_rf instr in
+  let spawned d = List.exists (Color.equal d) act.Rtproto.act_spawned in
   let preds =
-    if spawned w.w_color then
+    if spawned c then
       (* spawned chunks serialize in color order *)
-      List.filter
-        (fun d -> spawned d && Color.compare d w.w_color < 0)
-        present
-    else if Color.is_enclave w.w_color then [] (* enclave direct runs first *)
+      List.filter (fun d -> spawned d && Color.compare d c < 0) present
+    else if Color.is_enclave c then [] (* enclave direct runs first *)
     else List.filter spawned present (* untrusted body runs after the stage *)
   in
   if preds <> [] then
-    wait_until ~phase:Obs.Phase.Barrier t w (fun () ->
-        let done_ = Atomic.get act.act_done in
-        let arrived = Atomic.get act.act_arrived in
+    wait_until ~phase:Obs.Phase.Barrier w (fun () ->
+        let done_ = Atomic.get st.done_ in
+        let arrived = Atomic.get st.arrived in
         List.for_all
           (fun d ->
             List.exists (Color.equal d) done_
@@ -630,114 +374,62 @@ and barrier t w (fr : frame) (instr : int) =
                  arrived)
           preds)
 
-and hooks_for t w : Exec.hooks =
+and sched : (worker, state) Rtproto.sched =
   {
-    Exec.h_call = (fun _ i callee args -> dispatch_call t w i callee args);
-    h_callind =
-      (fun ex i fv args ->
-        let name = Exec.resolve_func ex fv in
-        if Pmodule.is_defined ex.Exec.m name then
-          dispatch_indirect t w i name args
-        else extern t w (cur_act w) i name args);
-    h_spawn = (fun _ i _ args -> dispatch_spawn t w i args);
-    h_pre_instr =
-      (fun _ i ->
-        match w.w_frame with
-        | Some fr when Dispatch.barrier fr.f_act.act_rf i.Instr.id ->
-          barrier t w fr i.Instr.id
-        | _ -> ());
-    h_alloca_zone = (fun _ ty -> Dispatch.alloca_zone ty ~current:w.w_color);
+    Rtproto.color = (fun w -> w.w_color);
+    thread = (fun w -> w.w_lane);
+    act = (fun w -> (cur_frame w).f_act);
+    calls = (fun w -> (cur_frame w).f_calls);
+    exec = (fun w -> w.w_exec);
+    disp = (fun w -> w.w_pool.disp);
+    plan = (fun w -> w.w_pool.plan);
+    state = new_state;
+    run = run_chunk;
+    send_spawn =
+      (fun w ~thread act d ~reply_to args ->
+        send_spawn w.w_pool (Some w) ~thread act d ~reply_to ~forged:false args);
+    wait_spawned =
+      (fun w act ->
+        wait_until w (fun () -> Atomic.get act.Rtproto.act_st.pending = 0));
+    wait_earlier =
+      (fun w act earlier ->
+        let st = act.Rtproto.act_st in
+        wait_until w (fun () ->
+            let done_ = Atomic.get st.done_ in
+            List.for_all (fun d -> List.exists (Color.equal d) done_) earlier));
+    send_cont;
+    wait_cont;
+    barrier;
+    cross = (fun _ _ -> ());
+    new_thread = (fun w -> Atomic.fetch_and_add w.w_pool.next_thread 1);
+    finish;
+    trap =
+      (fun w act -> function
+        | Exec.Trap msg | Error msg ->
+          add_trap w.w_pool (Rtproto.chunk_name act w.w_color ^ ": " ^ msg)
+        | e -> raise e);
   }
-
-(* ------------------------------------------------------------------ *)
-(* entry interface (§7.3.4) *)
-
-and exec_entry t w (e : msg) =
-  match e with
-  | Entry { e_act = act; e_args; e_entry; e_slot } ->
-    (match
-       (List.iter
-          (fun d ->
-            let reply_to =
-              match e_entry.Dispatch.en_replier with
-              | Some r when Color.equal d r -> [ (w.w_lane, Color.Unsafe) ]
-              | _ -> []
-            in
-            send_spawn t (Some w) ~thread:w.w_lane act d ~reply_to
-              ~forged:false e_args)
-          act.act_spawned;
-        (* host order: enclave chunks complete before the U body *)
-        wait_pending t w act;
-        match e_entry.Dispatch.en_direct with
-        | Some _ -> run_chunk w act e_args
-        | None -> wait_cont t w ~seq:act.act_seq)
-     with
-    | r -> fill_slot e_slot (Ok r)
-    | exception Exec.Trap msg -> fill_slot e_slot (Result.Error msg)
-    | exception Error msg -> fill_slot e_slot (Result.Error msg));
-    Atomic.decr t.inflight
-  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 
 let create ?(config = Sgx.Config.machine_b) ?cost ?(lanes = 2) ?engine
     ?(trace = false) (plan : Plan.t) : t =
-  let engine =
-    match engine with Some e -> e | None -> Exec.default_engine ()
-  in
-  let m = plan.Plan.pmodule in
-  let machine = Sgx.Machine.create ?cost config in
-  let heap = Heap.create () in
-  let layout =
-    Layout.create ~auth_pointers:plan.Plan.auth_pointers m plan.Plan.mode
-  in
-  let sites = Exec.alloc_sites m in
-  let base = Exec.create m heap layout machine dummy_hooks in
-  Exec.init_globals base (Dispatch.global_zone plan);
   (* everything lazily built and shared becomes read-only before the first
      domain starts; the heap serializes its own structures from here on *)
-  Exec.warm_caches base ~extra:(Dispatch.chunk_funcs plan);
-  let image =
-    match engine with
-    | Exec.Image ->
-      let img = Image.build ~plan ~sites base in
-      Image.install base img;
-      Some img
-    | Exec.Walk -> None
-  in
-  let disp = Dispatch.create ~sites ?image plan in
-  Heap.set_concurrent heap true;
-  {
-    plan;
-    disp;
-    base;
-    config;
-    cost;
-    lanes = max 1 lanes;
-    workers = Hashtbl.create 16;
-    wmu = Mutex.create ();
-    inflight = Atomic.make 0;
-    next_thread = Atomic.make 1;
-    guard = true;
-    tr_mu = Mutex.create ();
-    traps = [];
-    trace;
-    domains = 0;
-    entries_served = Atomic.make 0;
-  }
+  let base, disp = Rtproto.setup ~config ?cost ?engine ~shared:true plan in
+  { plan; disp; base; config; cost; lanes = max 1 lanes;
+    workers = Hashtbl.create 16; wmu = Mutex.create ();
+    inflight = Atomic.make 0; next_thread = Atomic.make 1; guard = true;
+    traps = Atomic.make []; trace; domains = 0;
+    entries_served = Atomic.make 0 }
 
 type entry_result = { value : Rvalue.t; wall_seconds : float }
 
 let call_entry t ?(thread = 0) ?(timeout_s = 60.0) name (args : Rvalue.t list)
     : entry_result =
-  let en =
-    match Dispatch.entry t.disp name with
-    | Some e -> e
-    | None -> raise (Error ("not an entry point: " ^ name))
-  in
+  let en, act = Rtproto.entry_call t.disp name (new_state ()) in
   Heap.reset_stacks t.base.Exec.heap;
-  let act = fresh_act t en.Dispatch.en_rf ~spawned:en.Dispatch.en_spawned in
-  let slot = { s_mu = Mutex.create (); s_result = None } in
+  let slot = Atomic.make None in
   let uw = worker t thread Color.Unsafe in
   let start = Unix.gettimeofday () in
   Atomic.incr t.inflight;
@@ -749,14 +441,8 @@ let call_entry t ?(thread = 0) ?(timeout_s = 60.0) name (args : Rvalue.t list)
      matching Sched.run in the simulator. The timeout turns a deadlocked
      worker pool into a failure instead of a hung test. *)
   let deadline = start +. timeout_s in
-  let result = ref None in
   let rec await () =
-    (if !result = None then begin
-       Mutex.lock slot.s_mu;
-       result := slot.s_result;
-       Mutex.unlock slot.s_mu
-     end);
-    match !result with
+    match Atomic.get slot with
     | Some r when Atomic.get t.inflight = 0 -> r
     | _ ->
       if Unix.gettimeofday () > deadline then
@@ -772,7 +458,7 @@ let call_entry t ?(thread = 0) ?(timeout_s = 60.0) name (args : Rvalue.t list)
   in
   let r = await () in
   (* the pool went quiet, so no participant of this request is left *)
-  Dispatch.release t.disp ~root:act.act_seq;
+  Dispatch.release t.disp ~root:act.Rtproto.act_seq;
   (match take_traps t with
   | [] -> ()
   | msgs -> raise (Error (String.concat "; " msgs)));
@@ -786,33 +472,26 @@ let call_entry t ?(thread = 0) ?(timeout_s = 60.0) name (args : Rvalue.t list)
    message into a partition's queue. The guard rejects it at dequeue. *)
 let inject_spawn t ?(thread = 0) ~(color : Color.t) ~(chunk : string)
     (args : Rvalue.t list) : (unit, string) result =
-  match Dispatch.locate_chunk t.plan chunk with
-  | None -> Result.Error ("no such chunk: " ^ chunk)
-  | Some (_, pf, cc) ->
-    if not (Color.equal cc color) then
-      Result.Error
-        (Printf.sprintf "chunk %s belongs to partition %s" chunk
-           (Color.to_string cc))
-    else begin
-      let act = fresh_act t (Dispatch.shape t.disp pf [ color ]) ~spawned:[] in
-      send_spawn t None ~thread act color ~reply_to:[] ~forged:true
-        (Array.of_list args);
-      let deadline = Unix.gettimeofday () +. 30.0 in
-      let rec drain () =
-        if Atomic.get t.inflight = 0 then ()
-        else if Unix.gettimeofday () > deadline then
-          raise (Error "inject_spawn: timed out")
-        else begin
-          Unix.sleepf 0.0001;
-          drain ()
-        end
-      in
-      drain ();
-      Dispatch.release t.disp ~root:act.act_seq;
-      match take_traps t with
-      | [] -> Result.Ok ()
-      | msgs -> Result.Error (String.concat "; " msgs)
-    end
+  match Rtproto.forged_act t.disp t.plan ~chunk ~color (new_state ()) with
+  | Result.Error m -> Result.Error m
+  | Ok act -> (
+    send_spawn t None ~thread act color ~reply_to:[] ~forged:true
+      (Array.of_list args);
+    let deadline = Unix.gettimeofday () +. 30.0 in
+    let rec drain () =
+      if Atomic.get t.inflight = 0 then ()
+      else if Unix.gettimeofday () > deadline then
+        raise (Error "inject_spawn: timed out")
+      else begin
+        Unix.sleepf 0.0001;
+        drain ()
+      end
+    in
+    drain ();
+    Dispatch.release t.disp ~root:act.Rtproto.act_seq;
+    match take_traps t with
+    | [] -> Result.Ok ()
+    | msgs -> Result.Error (String.concat "; " msgs))
 
 let set_spawn_guard t enabled = t.guard <- enabled
 
@@ -850,31 +529,7 @@ let domain_count t =
   Mutex.unlock t.wmu;
   n
 
-let total_steps t =
-  Mutex.lock t.wmu;
-  let n =
-    Hashtbl.fold (fun _ w acc -> acc + w.w_exec.Exec.steps) t.workers
-      t.base.Exec.steps
-  in
-  Mutex.unlock t.wmu;
-  n
-
-let output t =
-  Mutex.lock t.wmu;
-  let ws =
-    List.sort compare (Hashtbl.fold (fun k w acc -> (k, w) :: acc) t.workers [])
-  in
-  Mutex.unlock t.wmu;
-  String.concat ""
-    (Buffer.contents t.base.Exec.out
-    :: List.map (fun (_, w) -> Buffer.contents w.w_exec.Exec.out) ws)
-
-(* ------------------------------------------------------------------ *)
-(* observability (lib/obs): per-lane phase accounting, event rings,
-   metrics registration. Snapshots are monitoring-grade while the pool
-   runs; after [call_entry] returns or [shutdown] joins the domains they
-   are exact. *)
-
+(* in deterministic (lane, color) order *)
 let sorted_workers t =
   Mutex.lock t.wmu;
   let ws =
@@ -882,6 +537,23 @@ let sorted_workers t =
   in
   Mutex.unlock t.wmu;
   List.map snd ws
+
+let total_steps t =
+  List.fold_left
+    (fun acc w -> acc + w.w_exec.Exec.steps)
+    t.base.Exec.steps (sorted_workers t)
+
+let output t =
+  String.concat ""
+    (List.map
+       (fun (ex : Exec.t) -> Buffer.contents ex.Exec.out)
+       (t.base :: List.map (fun w -> w.w_exec) (sorted_workers t)))
+
+(* ------------------------------------------------------------------ *)
+(* observability (lib/obs): per-lane phase accounting, event rings,
+   metrics registration. Snapshots are monitoring-grade while the pool
+   runs; after [call_entry] returns or [shutdown] joins the domains they
+   are exact. *)
 
 let agreement_entries t = Dispatch.pending t.disp
 
@@ -901,17 +573,15 @@ let total_externs t =
 
 let declass_counts t : (string * int) list =
   let acc = Hashtbl.create 8 in
-  let fold (ex : Exec.t) =
-    Hashtbl.iter
-      (fun color r ->
-        match Hashtbl.find_opt acc color with
-        | Some a -> a := !a + !r
-        | None -> Hashtbl.add acc color (ref !r))
-      ex.Exec.declass
-  in
-  fold t.base;
-  List.iter (fun w -> fold w.w_exec) (sorted_workers t);
-  List.sort compare (Hashtbl.fold (fun c r l -> (c, !r) :: l) acc [])
+  List.iter
+    (fun (ex : Exec.t) ->
+      Hashtbl.iter
+        (fun c r ->
+          let n = Option.value (Hashtbl.find_opt acc c) ~default:0 in
+          Hashtbl.replace acc c (n + !r))
+        ex.Exec.declass)
+    (t.base :: List.map (fun w -> w.w_exec) (sorted_workers t));
+  List.sort compare (Hashtbl.fold (fun c n l -> (c, n) :: l) acc [])
 
 let register_obs t (reg : Obs.Registry.t) =
   let g = Obs.Registry.gauge reg in

@@ -1,9 +1,9 @@
 (** Real-parallel execution backend: runs a {!Privagic_partition.Plan}
     on OCaml 5 domains, with the lock-free runtime queue as the
-    inter-partition channel — the §7.3 architecture on actual hardware
-    threads, measured in wall-clock time.
+    inter-partition channel — the domains scheduler of the §7.3 protocol
+    ({!Privagic_vm.Rtproto}), measured in wall-clock time.
 
-    {!Pinterp} executes the same architecture (and the same {!Dispatch}
+    {!Pinterp} runs the same protocol (and the same {!Dispatch}
     decisions) in virtual time on one core; it is the deterministic
     oracle this backend is differentially tested against. See DESIGN.md
     §8.7 for what transfers between the two and what deliberately
@@ -13,6 +13,7 @@ open Privagic_pir
 open Privagic_vm
 module Sgx = Privagic_sgx
 
+(** Runtime failures, including trapped chunks: {!Privagic_vm.Rtproto.Error}. *)
 exception Error of string
 
 type t
@@ -103,13 +104,6 @@ val obs_lanes : t -> Privagic_obs.Lane.t list
 
 (** Phase decomposition of each lane's wall time, snapshotted now. *)
 val lane_breakdowns : t -> Privagic_obs.Lane.breakdown list
-
-(** Extern dispatches summed over the base executor and all workers. *)
-val total_externs : t -> int
-
-(** Declassification calls per color name, off the shared extern path
-    (sorted by color). *)
-val declass_counts : t -> (string * int) list
 
 (** Register the pool's gauges (domains, inflight, steps, externs,
     per-lane phase times, per-color declassify counts, ring drops) on a

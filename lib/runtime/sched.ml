@@ -215,5 +215,3 @@ let run ?(allow_blocked = true) ?(max_steps = max_int) t : outcome =
 let max_clock t =
   List.fold_left (fun acc w -> Float.max acc (Vclock.get w.clock)) t.high_water
     t.workers
-
-let worker_count t = List.length t.workers

@@ -85,5 +85,3 @@ val run : ?allow_blocked:bool -> ?max_steps:int -> t -> outcome
 (** Largest clock ever observed across workers, including already-pruned
     finished fibers (the makespan). *)
 val max_clock : t -> float
-
-val worker_count : t -> int

@@ -67,8 +67,6 @@ and hooks = {
   h_alloca_zone : t -> Ty.t -> Heap.zone;
 }
 
-val default_data_map : Heap.zone -> Sgx.Machine.zone
-
 (** Add cycles to the current clock. *)
 val charge : t -> float -> unit
 

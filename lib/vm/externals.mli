@@ -11,9 +11,6 @@ val syscall_weight : string -> int
 
 val is_syscall : string -> bool
 
-val copy_bytes : Heap.t -> dst:int -> src:int -> int -> unit
-val set_bytes : Heap.t -> dst:int -> int -> int -> unit
-
 (** Execute external [name]; [None] when unknown (the driver traps).
     [malloc_zone] is where allocation externals place memory — the enclave
     executing the within-call, per §6.3. *)

@@ -7,7 +7,6 @@
 
 type zone = Unsafe | Enclave of string | Rodata
 
-val zone_equal : zone -> zone -> bool
 val zone_to_string : zone -> string
 
 type t

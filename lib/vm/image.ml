@@ -387,9 +387,6 @@ let find_code t (f : Func.t) : code option =
 
 let covers t f = find_code t f <> None
 
-let func_count t =
-  Hashtbl.fold (fun _ bucket n -> n + List.length bucket) t.codes 0
-
 (* ------------------------------------------------------------------ *)
 (* the engine: an index-resolved hot loop over one code *)
 

@@ -50,6 +50,3 @@ val find_code : t -> Func.t -> code option
 (** Run a lowered body on executor [ex] — what {!install}'s [run_func]
     does once it has found the code. *)
 val run_code : Exec.t -> code -> Rvalue.t array -> Rvalue.t
-
-(** Number of lowered function bodies (diagnostics). *)
-val func_count : t -> int

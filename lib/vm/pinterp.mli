@@ -1,8 +1,9 @@
 (** Partitioned interpreter: executes a {!Privagic_partition.Plan} over
-    the SGX simulator with the runtime architecture of §7.3 — per
-    application thread, one worker per partition color; spawn messages
-    start missing chunks; cont messages carry F values and return values;
-    everything runs in virtual time on the deterministic scheduler.
+    the SGX simulator — the virtual-time scheduler of the §7.3 protocol
+    ({!Rtproto}): per application thread, one worker per partition color;
+    spawn messages start missing chunks on fibers; cont messages carry F
+    values and return values; everything runs in virtual time on the
+    deterministic scheduler.
 
     Crossing costs are a parameter: the lock-free queue of the Privagic
     runtime by default, or the lock-based switchless call for the
@@ -14,52 +15,24 @@ open Privagic_partition
 module Sgx = Privagic_sgx
 module Sched = Privagic_runtime.Sched
 
+(** Runtime failures, including trapped fibers: {!Rtproto.Error}. *)
 exception Error of string
 
-type payload = Cont of { seq : int; tag : tag; value : Rvalue.t }
-and tag = Retval | Token
+(** The scheduler's own records: an activation ({!Rtproto.act} with this
+    scheduler's completion state), an application thread, a fiber. *)
+type activation
+type thread
+type fiber_ctx
 
-type mail = { sent_at : float; flow : int; payload : payload }
-
-type worker = {
-  w_thread : int;
-  w_color : Color.t;
-  mutable w_track : int;  (** ring track of this worker *)
-  mutable w_mail : mail list;
-}
-
-type activation = {
-  act_seq : int;
-  act_root : int;  (** seq of the request the activation serves *)
-  act_rf : Dispatch.rfunc;
-      (** the function resolved for this activation's participants *)
-  mutable act_pending : int;
-  mutable act_done_max : float;
-  mutable act_done_flow : int;
-  mutable act_colors_done : Color.t list;
-}
-
-type fiber_ctx = {
-  worker : worker;
-  mutable act : activation;
-  mutable calls : Dispatch.counts;
-      (** this participant's call-site executions within [act] *)
-  clock : Privagic_runtime.Vclock.t;
-}
-
-(** An application thread: its clock and its workers, one per color. *)
-type thread = {
-  th_clock : Privagic_runtime.Vclock.t;
-  mutable th_workers : worker list;
-}
-
-type t = {
+(** Read-only outside the VM: servers and benches read [exec], [sched],
+    [ring] and [disp]. *)
+type t = private {
   plan : Plan.t;
   exec : Exec.t;
   disp : activation Dispatch.t;
       (** resolved plan and sequence agreement (see {!Dispatch}) *)
   sched : Sched.t;
-  mutable threads : thread array;  (** by thread id, grown on use *)
+  mutable threads : thread array;
   crossing : Sgx.Machine.t -> float;
   mutable current : fiber_ctx option;
   mutable next_thread : int;

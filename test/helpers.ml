@@ -32,6 +32,31 @@ let plan_of ?(mode = Mode.Hardened) src =
             plan.Privagic_partition.Plan.diagnostics));
   plan
 
+(* A two-partition program with a sensitive operation in the blue chunk:
+   the target of the forged-spawn (§8 guard) tests. *)
+let victim_src =
+  {|
+ignore extern void classify_i64(int* d, int v);
+ignore extern void declassify_i64(int* d, int v);
+int color(blue) vault;
+int rstatus;
+// internal helper: only ever direct-called from the blue chunk, so it is
+// never a legitimate spawn target
+void audit(int color(blue) x) {
+  vault = x + 1;
+}
+entry void set_vault(int v) {
+  int color(blue) k;
+  classify_i64(&k, v);
+  vault = k;
+  audit(k);
+}
+entry int read_vault() {
+  declassify_i64(&rstatus, vault);
+  return rstatus;
+}
+|}
+
 (* Plain interpreter over an unpartitioned module. *)
 let interp ?(policy = Privagic_vm.Interp.unprotected) src =
   Privagic_vm.Interp.create ~config:Privagic_sgx.Config.machine_test

@@ -7,29 +7,6 @@ open Privagic_pir
 open Privagic_vm
 module Plan = Privagic_partition.Plan
 
-(* a two-partition program with a sensitive operation in the blue chunk *)
-let victim_src =
-  {|
-ignore extern void classify_i64(int* d, int v);
-ignore extern void declassify_i64(int* d, int v);
-int color(blue) vault;
-int rstatus;
-// internal helper: only ever direct-called from the blue chunk, so it is
-// never a legitimate spawn target
-void audit(int color(blue) x) {
-  vault = x + 1;
-}
-entry void set_vault(int v) {
-  int color(blue) k;
-  classify_i64(&k, v);
-  vault = k;
-  audit(k);
-}
-entry int read_vault() {
-  declassify_i64(&rstatus, vault);
-  return rstatus;
-}
-|}
 
 let build ?(mode = Mode.Hardened) ?(auth = false) src =
   let m = Helpers.compile src in
@@ -45,7 +22,7 @@ let build ?(mode = Mode.Hardened) ?(auth = false) src =
 (* --- spawn guard --- *)
 
 let test_valid_spawn_targets () =
-  let plan = build victim_src in
+  let plan = build Helpers.victim_src in
   let blue_targets = Plan.valid_spawn_targets plan (Color.Named "blue") in
   (* the entry interfaces legitimately spawn the blue chunks *)
   Alcotest.(check bool) "set_vault's blue chunk spawnable" true
@@ -55,7 +32,7 @@ let test_valid_spawn_targets () =
     (Plan.valid_spawn_targets plan (Color.Named "red"))
 
 let test_guard_blocks_forged_spawn () =
-  let plan = build victim_src in
+  let plan = build Helpers.victim_src in
   let pt = Pinterp.create ~config:Privagic_sgx.Config.machine_test plan in
   ignore (Pinterp.call_entry pt "set_vault" [ Helpers.rvalue_int 41 ]);
   (* the attacker tries to start the blue set_vault chunk directly with a
@@ -74,7 +51,7 @@ let test_guard_blocks_forged_spawn () =
     Alcotest.(check bool) "guard message" true (Helpers.contains e "guard"))
 
 let test_guard_off_executes_attack () =
-  let plan = build victim_src in
+  let plan = build Helpers.victim_src in
   let pt = Pinterp.create ~config:Privagic_sgx.Config.machine_test plan in
   ignore (Pinterp.call_entry pt "set_vault" [ Helpers.rvalue_int 41 ]);
   Pinterp.set_spawn_guard pt false;

@@ -272,6 +272,60 @@ let test_spawn_guard () =
   Parallel.set_spawn_guard p false;
   ignore (Parallel.shutdown p)
 
+(* The §8 forged spawn on both backends, chunk by chunk: the simulator
+   refuses at send and the pool at dequeue, but the outcome, the guard's
+   text and the state the attack leaves behind must agree. Every chunk of
+   the victim plan is injected with its own color and one argument per
+   parameter, first under the guard, then without it. *)
+let test_forged_spawn_parity () =
+  let plan = Helpers.plan_of Helpers.victim_src in
+  let pt = Pinterp.create ~config:Privagic_sgx.Config.machine_test plan in
+  let p = Parallel.create plan in
+  let set v = [ Helpers.rvalue_int v ] in
+  ignore (Pinterp.call_entry pt "set_vault" (set 41));
+  ignore (Parallel.call_entry p "set_vault" (set 41));
+  let chunks =
+    Hashtbl.fold
+      (fun _ (pf : Privagic_partition.Plan.pfunc) acc ->
+        List.map
+          (fun (ci : Privagic_partition.Plan.chunk_info) ->
+            ( ci.Privagic_partition.Plan.ci_func.Func.name,
+              ci.Privagic_partition.Plan.ci_color,
+              List.length ci.Privagic_partition.Plan.ci_func.Func.params ))
+          pf.Privagic_partition.Plan.pf_chunks
+        @ acc)
+      plan.Privagic_partition.Plan.pfuncs []
+    |> List.sort compare
+  in
+  let vault () =
+    ( Rvalue.to_int64 (Pinterp.call_entry pt "read_vault" []).Pinterp.value,
+      Rvalue.to_int64 (Parallel.call_entry p "read_vault" []).Parallel.value )
+  in
+  let outcome = function
+    | Result.Ok () -> "ok"
+    | Result.Error m when Helpers.contains m "spawn guard" -> m
+    | Result.Error _ -> "error"
+  in
+  let rejected = ref 0 in
+  List.iter
+    (fun guard ->
+      Pinterp.set_spawn_guard pt guard;
+      Parallel.set_spawn_guard p guard;
+      List.iteri
+        (fun k (chunk, color, arity) ->
+          let args = List.init arity (fun _ -> Helpers.rvalue_int (600 + k)) in
+          let tag = Printf.sprintf "%s (guard %b)" chunk guard in
+          let sim = outcome (Pinterp.inject_spawn pt ~color ~chunk args) in
+          let par = outcome (Parallel.inject_spawn p ~color ~chunk args) in
+          Alcotest.(check string) (tag ^ ": outcome") sim par;
+          if sim <> "ok" && sim <> "error" then incr rejected;
+          let v_sim, v_par = vault () in
+          Alcotest.(check int64) (tag ^ ": vault") v_sim v_par)
+        chunks)
+    [ true; false ];
+  Alcotest.(check bool) "the guard rejected some chunk" true (!rejected > 0);
+  Alcotest.(check bool) "pool quiesced" true (Parallel.shutdown p)
+
 let test_timeout_is_an_error () =
   (* the fail-fast path: an impossible deadline must surface as Error
      mentioning the timeout, not hang the suite *)
@@ -372,6 +426,8 @@ let suite =
       test_spawned_thread;
     Alcotest.test_case "forged spawn rejected at dequeue" `Quick
       test_spawn_guard;
+    Alcotest.test_case "forged spawns agree across backends" `Quick
+      test_forged_spawn_parity;
     Alcotest.test_case "timeout surfaces as error" `Quick
       test_timeout_is_an_error;
     Alcotest.test_case "runtime state bounded by in-flight work" `Quick
