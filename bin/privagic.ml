@@ -487,13 +487,6 @@ let serve_action mode auth trace engine host port queue_depth
     match replica_of with
     | None -> None
     | Some (rhost, rport) ->
-      let apply (d : Repl.Delta.t) =
-        match d.Repl.Delta.op with
-        | Repl.Delta.Put { key; payload; _ } ->
-          Server.apply_put srv ~seq:d.Repl.Delta.seq ~key ~payload
-        | Repl.Delta.Del { key } ->
-          Server.apply_del srv ~seq:d.Repl.Delta.seq ~key
-      in
       let on_lost () =
         if (not (Atomic.get stopping)) && not (Server.is_draining srv) then begin
           Server.promote srv;
@@ -502,7 +495,7 @@ let serve_action mode auth trace engine host port queue_depth
       in
       Some
         (Repl.Replica.start ~sync:repl_sync ~cluster:cluster_key ~on_lost
-           ~host:rhost ~port:rport ~apply ())
+           ~host:rhost ~port:rport ~apply:(Server.apply_delta srv) ())
   in
   (* a drain must not run inside the signal handler: handlers interrupt an
      arbitrary thread, possibly one the drain would join. The replication

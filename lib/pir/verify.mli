@@ -4,7 +4,6 @@
     agreement, call arities, known globals. A violation is a compiler bug,
     not a user error. *)
 
-val check_func : Pmodule.t -> Func.t -> string list
 val check_module : Pmodule.t -> (unit, string list) result
 
 exception Invalid of string list

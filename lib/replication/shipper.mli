@@ -69,16 +69,11 @@ val sync_connected : t -> int
 (** Most recent send→ack lag sample, microseconds (0.0 before any). *)
 val last_lag_us : t -> float
 
-val lag_pctiles : t -> Privagic_obs.Metrics.pctiles
-
 (** Deltas rendered for the wire / payloads sealed, over all links
     ever attached. *)
 val shipped : t -> int
 
 val sealed_count : t -> int
-
-(** Modeled sealing cost accumulated so far ({!Seal.cost_cycles}). *)
-val seal_cycles : t -> float
 
 (** Register the shipper's gauges (connections, lag, shipped/sealed
     counts, lag summary) on an obs registry. The closures merge the

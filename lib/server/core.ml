@@ -20,7 +20,9 @@
    - the commit log, appended while the latch is held, so per key log
      order is commit order;
    - a peer's inbox [depth] (admission) and [blocked_by] flags (the
-     [Block] wait), and its [fenced] flag (an ack wakes it). *)
+     [Block] wait), and its [fenced] flag (an ack wakes it);
+   - the group's [n_dispatched] counter, the drain barrier: the core
+     that completes it emits [Close_inboxes], once per group. *)
 
 module Repl = Privagic_replication
 module Metrics = Privagic_obs.Metrics
@@ -115,7 +117,8 @@ type effect =
                                        from_seq *)
   | Send of int * item              (* push onto shard r's inbox *)
   | Wake of int                     (* wake shard k's loop *)
-  | Dispatched                      (* drain: all parsed work dispatched *)
+  | Close_inboxes                   (* drain stage 2: every core has
+                                       dispatched; close every inbox *)
   | Shutdown                        (* the shutdown verb *)
 
 (* Owner-written counters, summed over the shards when read. *)
@@ -191,6 +194,7 @@ and group = {
   synced : int -> bool;             (* every sync replica acked seq *)
   info : Protocol.request -> Protocol.response;  (* stats verbs *)
   self : unit -> int;               (* the calling domain's id *)
+  n_dispatched : int Atomic.t;      (* cores past drain stage 1 *)
   mutable cores : t array;
 }
 
@@ -237,7 +241,7 @@ let create g i store tracer =
 (* One core per store; shard [i] owns [stores.(i)]. *)
 let group ~cfg ~bnd ~log ~role ~synced ~info ~self ?(tracer = fun _ -> untraced)
     stores =
-  let g = { cfg; bnd; log; role; synced; info; self; cores = [||] } in
+  let g = { cfg; bnd; log; role; synced; info; self; n_dispatched = Atomic.make 0; cores = [||] } in
   g.cores <- Array.mapi (fun i st -> create g i st (tracer i)) stores;
   g
 
@@ -850,8 +854,8 @@ let rec take_work t ~emit n =
    ingested inbox work, dispatch every connection and execute the local
    batch. Returns true when the round did anything: the caller calls
    again, with a later time, and a fill may have unblocked a barrier. A
-   round with nothing to do flushes, sweeps, reports the drain stage and
-   returns false. *)
+   round with nothing to do flushes, sweeps, passes drain stage 1 when
+   it can and returns false. *)
 let run t ~now ~emit =
   own t;
   t.now <- now;
@@ -870,12 +874,14 @@ let run t ~now ~emit =
     List.iter (flush ~emit) t.conns;
     sweep t ~emit;
     (* drain stage 1: everything parsed has left its connection, so
-       nothing new can enter another shard's inbox from here *)
+       nothing new can enter another shard's inbox from here. The last
+       core past it ends stage 1 for the group. *)
     if t.draining && (not t.dispatched)
        && List.for_all (fun c -> Queue.is_empty c.c_jobs) t.conns
     then begin
       t.dispatched <- true;
-      emit Dispatched
+      if Atomic.fetch_and_add t.g.n_dispatched 1 = Array.length t.g.cores - 1 then
+        emit Close_inboxes
     end;
     false
   end

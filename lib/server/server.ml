@@ -7,8 +7,9 @@
    around the cores: one [Unix.select] loop per shard on its own domain
    over nonblocking sockets and a self-pipe (no timeout polling on the
    serving path: every event that needs a loop writes its pipe), the
-   replication links each loop hosts, the acceptor, the supervisor, and
-   the two-stage drain.
+   replication links each loop hosts, accepting (loop 0), and the
+   two-stage drain. A running server is its N loop domains, and no
+   other thread.
 
    Shards talk through one bounded Msqueue inbox each: requests routed
    to a key's shard, and their completions coming home to the
@@ -126,9 +127,8 @@ let default_config =
 (* [Unix.select] is limited to fd values below FD_SETSIZE (1024). The
    cap is on open client connections plus replication links, counted
    process-fd-conservatively: headroom is left for the listen socket,
-   the per-shard self-pipes and stdio. Beyond the cap the acceptor
-   refuses with a clear error instead of corrupting every loop's
-   select. *)
+   the per-shard self-pipes and stdio. Beyond the cap loop 0 refuses
+   with a clear error instead of corrupting every loop's select. *)
 let fd_cap = 960
 
 (* A replication link whose pending write made no progress for this
@@ -159,7 +159,7 @@ type shard = {
   core : Core.t;
   inbox : Core.item Msq.t;
   wake : Wakeup.t;                  (* wakes the loop *)
-  incoming : (int * Unix.file_descr) Msq.t;  (* acceptor -> loop *)
+  incoming : (int * Unix.file_descr) Msq.t;  (* loop 0 -> loop *)
   (* traced servers only: the shard's VM records into a virtual-clock
      ring, its loop into a wall-clock one (request spans) *)
   vm_ring : Ring.t option;
@@ -175,24 +175,16 @@ type t = {
   (* replication *)
   hub : Repl.Shipper.t;
   n_applied : int Atomic.t;        (* deltas applied while a replica *)
-  a_wake : Wakeup.t;               (* wakes the acceptor *)
   (* counters written outside the shard cores *)
   conns_accepted : int Atomic.t;
   conns_open : int Atomic.t;
   conns_rejected : int Atomic.t;   (* refused at the fd cap *)
   obs : Obs.Registry.t; (* live metrics, served via `stats metrics` *)
   (* lifecycle *)
-  d_mu : Mutex.t;
-  d_cv : Condition.t;
   draining : bool Atomic.t;
-  mutable shutdown_req : bool;     (* d_mu; set by the shutdown verb *)
-  mutable drain_started : bool;    (* d_mu *)
-  mutable drained : bool;          (* d_mu *)
-  mutable n_dispatched : int;      (* d_mu; shards past the drain barrier *)
   n_finished : int Atomic.t;       (* cores whose drain finished *)
-  mutable acceptor : Thread.t option;
-  mutable supervisor : Thread.t option;
-  mutable domains : unit Domain.t list;
+  pipes_closed : bool Atomic.t;    (* the self-pipes, after the joins *)
+  mutable domains : unit Domain.t list;  (* set once, by [start] *)
 }
 
 let now_us t = (Unix.gettimeofday () -. t.started_at) *. 1e6
@@ -242,6 +234,11 @@ let apply_del t ~seq ~key =
       | Protocol.Error_msg m -> Error m
       | _ -> Error "unexpected response applying del")
 
+let apply_delta t ({ seq; op } : Repl.Delta.t) =
+  match op with
+  | Put { key; payload; _ } -> apply_put t ~seq ~key ~payload
+  | Del { key } -> apply_del t ~seq ~key
+
 let promote t = Atomic.set t.g.Core.role Primary
 
 let role_name t =
@@ -256,17 +253,43 @@ let repl_hub t = t.hub
 (* ------------------------------------------------------------------ *)
 (* the per-shard event loop (one domain each): IO around the core *)
 
-let request_shutdown t =
-  Mutex.lock t.d_mu;
-  t.shutdown_req <- true;
-  Condition.broadcast t.d_cv;
-  Mutex.unlock t.d_mu
+let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
+let wake_all t = Array.iter (fun s -> Wakeup.wake s.wake) t.sh
 
-let note_dispatched t =
-  Mutex.lock t.d_mu;
-  t.n_dispatched <- t.n_dispatched + 1;
-  Condition.broadcast t.d_cv;
-  Mutex.unlock t.d_mu
+(* Start the drain, once: each loop sees the flag when it wakes and
+   drains itself. *)
+let start_drain t = if Atomic.compare_and_set t.draining false true then wake_all t
+
+(* Loop 0 takes the whole backlog of its nonblocking listen socket. It
+   refuses a connection past [fd_cap], and hands the [i]th one it
+   admits to shard [i mod N]. *)
+let rec accept_all t =
+  match Unix.accept t.listen_fd with
+  | exception Unix.Unix_error ((EINTR | ECONNABORTED), _, _) -> accept_all t
+  | exception Unix.Unix_error _ -> ()
+  | fd, _ when Atomic.get t.conns_open + Repl.Shipper.connected t.hub >= fd_cap ->
+    (* select-based loops cannot take fds past FD_SETSIZE: refuse
+       loudly instead of corrupting every shard's readiness set *)
+    Atomic.incr t.conns_rejected;
+    let msg =
+      Protocol.render
+        (Protocol.Error_msg (Printf.sprintf "too many connections (fd cap %d)" fd_cap))
+    in
+    (match !wire_tap with None -> () | Some f -> f msg);
+    (try ignore (Unix.write_substring fd msg 0 (String.length msg))
+     with Unix.Unix_error _ -> ());
+    close_fd fd;
+    accept_all t
+  | fd, _ ->
+    Unix.set_nonblock fd;
+    (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+    Atomic.incr t.conns_open;
+    let i = Atomic.fetch_and_add t.conns_accepted 1 in
+    let s = t.sh.(i mod Array.length t.sh) in
+    Msq.push s.incoming (i, fd);
+    (* loop 0 adopts its own share after this select *)
+    if s.core.Core.id > 0 then Wakeup.wake s.wake;
+    accept_all t
 
 let has_output c = c.woff < Bytes.length c.wbuf || Buffer.length c.obuf > 0
 
@@ -327,11 +350,13 @@ let shard_loop t s =
     | Core.Wake k ->
       (* never ourselves: the loop runs its core again before it sleeps *)
       if k <> core.Core.id then Wakeup.wake t.sh.(k).wake
-    | Core.Dispatched -> note_dispatched t
-    | Core.Shutdown ->
-      (* the supervisor thread (main domain) runs the drain: draining
-         from a shard domain would join itself *)
-      request_shutdown t
+    | Core.Close_inboxes ->
+      (* nothing but completions enters an inbox from here: each loop
+         drains its inbox to empty-after-close (the Msqueue drain
+         protocol), so no queued request is lost *)
+      Array.iter (fun s -> Msq.close s.inbox) t.sh;
+      wake_all t
+    | Core.Shutdown -> start_drain t
   in
   let step ev = Core.handle core ~now:(now_us t) ~emit ev in
   let rec run () = if Core.run core ~now:(now_us t) ~emit then run () in
@@ -347,7 +372,7 @@ let shard_loop t s =
     if not (Msq.is_empty s.inbox) then settle ()
   in
   let drop id c =
-    (try Unix.close c.fd with Unix.Unix_error _ -> ());
+    close_fd c.fd;
     Atomic.decr t.conns_open;
     Hashtbl.remove conns id
   in
@@ -373,7 +398,7 @@ let shard_loop t s =
         (fun (c, l) ->
           f (c, l)
           || begin
-            (try Unix.close c.fd with Unix.Unix_error _ -> ());
+            close_fd c.fd;
             Repl.Shipper.detach l;
             if Repl.Shipper.is_sync l then Core.wake_fenced core ~emit;
             false
@@ -416,6 +441,8 @@ let shard_loop t s =
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> true
     | exception Unix.Unix_error _ -> false
   in
+  (* loop 0 accepts until it sees the drain *)
+  let listening = ref (core.Core.id = 0) in
   let finished = ref false and linger = ref infinity and running = ref true in
   while !running do
     let now = now_us t in
@@ -424,11 +451,13 @@ let shard_loop t s =
       ship ~now
     end;
     let draining = Atomic.get t.draining in
+    let accepting = !listening && not draining in
     (* no timeout on the serving path: every event that needs us writes
        the self-pipe. The select wakes by the oldest held fence's
        deadline, a stall deadline or the drain linger, whichever is
        first. *)
     let rds = ref [ Wakeup.fd s.wake ] and wrs = ref [] in
+    if accepting then rds := t.listen_fd :: !rds;
     let wake_by =
       ref (Float.min !linger (Option.value (Core.deadline core) ~default:infinity))
     in
@@ -456,6 +485,7 @@ let shard_loop t s =
     (match Unix.select !rds !wrs [] timeout with
     | rd, _, _ ->
       if List.mem (Wakeup.fd s.wake) rd then Wakeup.drain s.wake;
+      if accepting && List.mem t.listen_fd rd then accept_all t;
       each (fun id c ->
           if List.mem c.fd rd then
             match Unix.read c.fd rbuf 0 (Bytes.length rbuf) with
@@ -465,12 +495,7 @@ let shard_loop t s =
             | exception Unix.Unix_error _ -> kill id c);
       let now = now_us t in
       keep_links (fun (c, l) -> (not (List.mem c.fd rd)) || read_acks ~now (c, l))
-    | exception Unix.Unix_error (EINTR, _, _) -> ()
-    | exception Unix.Unix_error (EBADF, _, _) ->
-      (* a raced fd: drop connections that died under us *)
-      let live fd = match Unix.fstat fd with _ -> true | exception Unix.Unix_error _ -> false in
-      each (fun id c -> if not (live c.fd) then kill id c);
-      keep_links (fun (c, _) -> live c.fd));
+    | exception Unix.Unix_error (EINTR, _, _) -> ());
     Atomic.set asleep false;
     pop_all s.incoming (fun (id, fd) ->
         Hashtbl.replace conns id
@@ -479,7 +504,11 @@ let shard_loop t s =
         step (Core.Adopt id));
     (* re-read: the wakeup that announced the drain may be the one this
        select consumed *)
-    if Atomic.get t.draining then step Core.Drain;
+    if Atomic.get t.draining then begin
+      if !listening then close_fd t.listen_fd;
+      listening := false;
+      step Core.Drain
+    end;
     settle ();
     let now = now_us t in
     each (fun id c ->
@@ -502,8 +531,7 @@ let shard_loop t s =
       each drop;
       if not !finished then begin
         finished := true;
-        if Atomic.fetch_and_add t.n_finished 1 = Array.length t.sh - 1 then
-          Array.iter (fun s -> Wakeup.wake s.wake) t.sh
+        if Atomic.fetch_and_add t.n_finished 1 = Array.length t.sh - 1 then wake_all t
       end
     end;
     if !finished && Atomic.get t.n_finished = Array.length t.sh then begin
@@ -511,51 +539,12 @@ let shard_loop t s =
       keep_links (fun (_, l) -> now < !linger && not (Repl.Shipper.caught_up t.hub l));
       running := !links <> []
     end
-  done
-
-(* ------------------------------------------------------------------ *)
-(* acceptor *)
-
-let acceptor_loop t =
-  let next = ref 0 in
-  while not (Atomic.get t.draining) do
-    match Unix.select [ t.listen_fd; Wakeup.fd t.a_wake ] [] [] (-1.0) with
-    | rd, _, _ ->
-      if List.mem (Wakeup.fd t.a_wake) rd then Wakeup.drain t.a_wake;
-      if List.mem t.listen_fd rd then (
-        match Unix.accept t.listen_fd with
-        | fd, _ ->
-          if Atomic.get t.conns_open + Repl.Shipper.connected t.hub >= fd_cap
-          then begin
-            (* select-based loops cannot take fds past FD_SETSIZE: refuse
-               loudly instead of corrupting every shard's readiness set *)
-            Atomic.incr t.conns_rejected;
-            let msg =
-              Protocol.render
-                (Protocol.Error_msg
-                   (Printf.sprintf "too many connections (fd cap %d)" fd_cap))
-            in
-            (match !wire_tap with None -> () | Some f -> f msg);
-            (try ignore (Unix.write_substring fd msg 0 (String.length msg))
-             with Unix.Unix_error _ -> ());
-            try Unix.close fd with Unix.Unix_error _ -> ()
-          end
-          else begin
-            Unix.set_nonblock fd;
-            (try Unix.setsockopt fd Unix.TCP_NODELAY true
-             with Unix.Unix_error _ -> ());
-            let s = t.sh.(!next mod Array.length t.sh) in
-            Atomic.incr t.conns_accepted;
-            Atomic.incr t.conns_open;
-            Msq.push s.incoming (!next, fd);
-            incr next;
-            Wakeup.wake s.wake
-          end
-        | exception Unix.Unix_error _ -> ())
-    | exception Unix.Unix_error (EINTR, _, _) -> ()
-    | exception Unix.Unix_error _ -> ()
   done;
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ())
+  (* Connections loop 0 handed over while this loop finished: every
+     hand-off precedes loop 0's own finish, so none comes later. *)
+  pop_all s.incoming (fun (_, fd) ->
+      close_fd fd;
+      Atomic.decr t.conns_open)
 
 (* ------------------------------------------------------------------ *)
 (* lifecycle *)
@@ -568,64 +557,15 @@ let rings t =
 
 let is_draining t = Atomic.get t.draining
 
-let drain t =
-  Mutex.lock t.d_mu;
-  if t.drain_started then begin
-    while not t.drained do
-      Condition.wait t.d_cv t.d_mu
-    done;
-    Mutex.unlock t.d_mu
-  end
-  else begin
-    t.drain_started <- true;
-    Condition.broadcast t.d_cv (* releases an idle supervisor *);
-    Mutex.unlock t.d_mu;
-    Atomic.set t.draining true;
-    Wakeup.wake t.a_wake;
-    (match t.acceptor with Some th -> Thread.join th | None -> ());
-    Array.iter (fun s -> Wakeup.wake s.wake) t.sh;
-    (* stage 1: wait until every shard has dispatched all parsed work —
-       after this, nothing new can enter any inbox but completions *)
-    Mutex.lock t.d_mu;
-    while t.n_dispatched < t.g.Core.cfg.shards do
-      Condition.wait t.d_cv t.d_mu
-    done;
-    Mutex.unlock t.d_mu;
-    (* stage 2: close the inboxes; each loop drains to empty-after-close
-       (the Msqueue drain protocol — no queued request is lost), waits
-       for its own connections' completions, flushes, then flushes the
-       log's tail to the links it hosts and lingers (bounded) for their
-       acks before it exits *)
-    Array.iter (fun s -> Msq.close s.inbox) t.sh;
-    Array.iter (fun s -> Wakeup.wake s.wake) t.sh;
-    List.iter Domain.join t.domains;
-    t.domains <- [];
-    Array.iter (fun s -> Wakeup.close s.wake) t.sh;
-    Wakeup.close t.a_wake;
-    Mutex.lock t.d_mu;
-    t.drained <- true;
-    Condition.broadcast t.d_cv;
-    Mutex.unlock t.d_mu
-  end
-
-(* The supervisor turns a [shutdown] verb into a drain. It lives on the
-   main domain: a shard loop cannot run the drain itself (Domain.join
-   on its own domain), so the verb only flags [shutdown_req]. *)
-let supervisor_loop t =
-  Mutex.lock t.d_mu;
-  while not (t.shutdown_req || t.drain_started) do
-    Condition.wait t.d_cv t.d_mu
-  done;
-  let run = t.shutdown_req && not t.drain_started in
-  Mutex.unlock t.d_mu;
-  if run then drain t
-
+(* Join every loop; the first joiner past them closes the self-pipes. *)
 let wait t =
-  Mutex.lock t.d_mu;
-  while not t.drained do
-    Condition.wait t.d_cv t.d_mu
-  done;
-  Mutex.unlock t.d_mu
+  List.iter Domain.join t.domains;
+  if Atomic.compare_and_set t.pipes_closed false true then
+    Array.iter (fun s -> Wakeup.close s.wake) t.sh
+
+let drain t =
+  start_drain t;
+  wait t
 
 (* ------------------------------------------------------------------ *)
 (* stats: the owner-written per-shard counters and histograms, merged
@@ -848,9 +788,10 @@ let start ?replica_of cfg bnd (stores : store array) =
      Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
      Unix.bind listen_fd
        (Unix.ADDR_INET (Unix.inet_addr_of_string cfg.host, cfg.port));
-     Unix.listen listen_fd 128
+     Unix.listen listen_fd 128;
+     Unix.set_nonblock listen_fd
    with e ->
-     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+     close_fd listen_fd;
      failwith
        (Printf.sprintf "cannot bind %s:%d (%s)" cfg.host cfg.port
           (Printexc.to_string e)));
@@ -918,31 +859,21 @@ let start ?replica_of cfg bnd (stores : store array) =
              g.Core.cores;
          started_at = Unix.gettimeofday ();
          n_applied = Atomic.make 0;
-         a_wake = Wakeup.create ();
          conns_accepted = Atomic.make 0;
          conns_open = Atomic.make 0;
          conns_rejected = Atomic.make 0;
          obs = Obs.Registry.create ();
-         d_mu = Mutex.create ();
-         d_cv = Condition.create ();
          draining = Atomic.make false;
-         shutdown_req = false;
-         drain_started = false;
-         drained = false;
-         n_dispatched = 0;
          n_finished = Atomic.make 0;
-         acceptor = None;
-         supervisor = None;
+         pipes_closed = Atomic.make false;
          domains = [];
        })
   in
   let t = Lazy.force t in
-  (* registered before the first thread starts, so `stats metrics` is
+  (* registered before the first loop starts, so `stats metrics` is
      complete from the first request on *)
   register_metrics t stores.(0);
   t.domains <-
     Array.to_list
       (Array.map (fun s -> Domain.spawn (fun () -> shard_loop t s)) t.sh);
-  t.supervisor <- Some (Thread.create (fun () -> supervisor_loop t) ());
-  t.acceptor <- Some (Thread.create (fun () -> acceptor_loop t) ());
   t

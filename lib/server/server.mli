@@ -92,7 +92,7 @@ type config = Core.config = {
 
 val default_config : config
 
-(** Open client connections plus replication links the acceptor admits
+(** Open client connections plus replication links loop 0 admits
     before refusing with a clear error: [Unix.select] readiness breaks
     past FD_SETSIZE (1024), so the cap — surfaced in [STATS] as
     [fd_cap] — keeps every loop's fd set valid. *)
@@ -100,14 +100,15 @@ val fd_cap : int
 
 type t
 
-(** Bind, listen, and start the shard loops (one domain per shard, plus
-    an acceptor thread). [stores] must have exactly [cfg.shards]
+(** Bind, listen, and start the shard loops: one domain per shard and
+    no other thread. Loop 0 also accepts, and hands connection [i] to
+    shard [i mod shards]. [stores] must have exactly [cfg.shards]
     elements — shard [i] owns [stores.(i)] exclusively; the caller
     initializes each one (e.g. the family's init entry). The server is
     serving when [start] returns. [replica_of] starts it in the
     read-only replica role (the string is the primary's address, for
     display only — the caller runs the {!Privagic_replication.Replica}
-    client and feeds {!apply_put}/{!apply_del}); {!promote} flips it to
+    client with {!apply_delta} as its callback); {!promote} flips it to
     primary.
     @raise Failure when the socket cannot be bound. *)
 val start : ?replica_of:string -> config -> bindings -> store array -> t
@@ -127,19 +128,17 @@ val port : t -> int
     them after {!wait}: the drain joins every writer. *)
 val rings : t -> Privagic_obs.Ring.t list
 
-(** Graceful drain: stop accepting, let every shard loop dispatch and
-    flush every parsed request (a two-stage barrier guarantees no
-    cross-shard handoff races the inbox close), close the inboxes
-    (loops finish via the Msqueue drain protocol, so no queued request
-    is lost); once every loop has finished, each flushes the log's tail
-    to the replication links it hosts and exits when they acked it, or
-    after a 5 s linger. The stores stay with the caller. Idempotent; safe to call from any
-    thread — a [shutdown] verb routes here through a supervisor thread
-    on the main domain. *)
+(** Graceful drain: start it, as a [shutdown] verb does, then {!wait}.
+    Loop 0 stops accepting; every loop answers every parsed request,
+    with no queued cross-shard request lost (a two-stage barrier,
+    DESIGN.md §8.14); each then flushes the log's tail to the
+    replication links it hosts and exits once they acked it, or after
+    a 5 s linger. The stores stay with the caller. Idempotent; call it
+    from any thread but a shard loop. *)
 val drain : t -> unit
 
-(** Block until a drain (triggered by {!drain} or a [shutdown] verb)
-    completes. *)
+(** Block until the drain (started by {!drain} or a [shutdown] verb)
+    completes: join every shard loop. Any number of threads may wait. *)
 val wait : t -> unit
 
 val is_draining : t -> bool
@@ -203,6 +202,10 @@ val apply_put :
   t -> seq:int -> key:int -> payload:string -> (unit, string) result
 
 val apply_del : t -> seq:int -> key:int -> (unit, string) result
+
+(** {!apply_put} or {!apply_del}, by the delta's op: the replica
+    client's [apply] callback. *)
+val apply_delta : t -> Privagic_replication.Delta.t -> (unit, string) result
 
 (** Leave the read-only replica role and accept client writes; the
     promoted server's mirrored log lets downstream replicas keep

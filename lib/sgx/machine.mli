@@ -20,8 +20,6 @@ type counters = {
   mutable threads_spawned : int;
 }
 
-val fresh_counters : unit -> counters
-
 (** A traced VM's ring: events land on [track], the worker the VM runs,
     at [now ()], that worker's clock as a ring timestamp. *)
 type tap = {

@@ -216,10 +216,6 @@ let create spec =
     inserted = spec.record_count;
   }
 
-(* Keys of the initial dataset: 0 .. record_count-1 (the harness maps them
-   to 8-byte keys). *)
-let load_keys spec = List.init spec.record_count (fun i -> i)
-
 let next_key t =
   match t.spec.distribution with
   | Uniform -> next_int t.r t.inserted

@@ -20,7 +20,6 @@ val zipfian_constant : float
 type zipfian
 
 val zipfian : ?theta:float -> int -> zipfian
-val zeta : int -> float -> float
 
 (** Next zipfian item in [0, items); item 0 is the hottest. *)
 val zipfian_next : zipfian -> rng -> int
@@ -79,8 +78,6 @@ val uniform_mix :
 type t
 
 val create : spec -> t
-val load_keys : spec -> int list
-val next_key : t -> int
 val next_op : t -> op
 
 (** Deterministic pseudo-random payload for a key. *)

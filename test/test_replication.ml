@@ -275,13 +275,8 @@ let drain_node node =
   List.iter (fun p -> ignore (Parallel.shutdown p : bool)) node.n_pools
 
 let attach ~sync node pport =
-  let apply (d : Delta.t) =
-    match d.Delta.op with
-    | Delta.Put { key; payload; _ } ->
-      Server.apply_put node.n_srv ~seq:d.Delta.seq ~key ~payload
-    | Delta.Del { key } -> Server.apply_del node.n_srv ~seq:d.Delta.seq ~key
-  in
-  Replica.start ~sync ~host:"127.0.0.1" ~port:pport ~apply ()
+  Replica.start ~sync ~host:"127.0.0.1" ~port:pport
+    ~apply:(Server.apply_delta node.n_srv) ()
 
 (* a minimal blocking client (test_server has its own copy; kept local
    so this file stands alone) *)

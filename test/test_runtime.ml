@@ -142,26 +142,6 @@ let test_queue_close_flag () =
     (Msqueue.pop q);
   Alcotest.(check (option int)) "then empty" None (Msqueue.pop q)
 
-(* the wire-protocol datatype used with the queue *)
-let test_message_envelopes () =
-  let module M = Privagic_runtime.Message in
-  let q : int M.envelope Msqueue.t = Msqueue.create () in
-  Msqueue.push q
-    { M.sent_at = 10.0;
-      payload = M.Spawn { chunk = "f@blue#blue"; args = [| Some 1 |];
-                          frame = 0; seq = 7 } };
-  Msqueue.push q
-    { M.sent_at = 12.5; payload = M.Cont { seq = 7; tag = M.Retval; value = Some 42 } };
-  (match Msqueue.pop q with
-  | Some { M.sent_at; payload = M.Spawn { chunk; seq; _ } } ->
-    Alcotest.(check (float 0.001)) "timestamp" 10.0 sent_at;
-    Alcotest.(check string) "chunk" "f@blue#blue" chunk;
-    Alcotest.(check int) "seq" 7 seq
-  | _ -> Alcotest.fail "expected the spawn first");
-  match Msqueue.pop q with
-  | Some { M.payload = M.Cont { tag = M.Retval; value = Some 42; _ }; _ } -> ()
-  | _ -> Alcotest.fail "expected the cont"
-
 (* --- scheduler --- *)
 
 let test_sched_runs_by_clock () =
@@ -247,7 +227,6 @@ let suite =
     Alcotest.test_case "queue close drain (domains)" `Slow
       test_queue_close_drain;
     QCheck_alcotest.to_alcotest prop_queue_close_drain;
-    Alcotest.test_case "message envelopes" `Quick test_message_envelopes;
     Alcotest.test_case "sched clock order" `Quick test_sched_runs_by_clock;
     Alcotest.test_case "sched block/resume" `Quick test_sched_block_resume;
     Alcotest.test_case "sched spawn during run" `Quick test_sched_spawn_during_run;

@@ -459,6 +459,49 @@ let test_idle_drain () =
     (Printf.sprintf "idle drain took %.2f s (< 1 s)" dt)
     true (dt < 1.0)
 
+(* The shutdown verb drains the server from inside a shard loop. One
+   connection pipelines writes and reads over both shards and ends the
+   burst in [shutdown]: every earlier request is answered in order, then
+   [OK]. Two threads blocked in [wait] and one in [drain] all return,
+   every connection is closed, and a second drain returns at once. *)
+let test_shutdown_verb () =
+  let shards = 2 in
+  let bnd = Option.get (Server.bindings_of_plan (plan ())) in
+  let cfg = { Server.default_config with Server.port = 0; shards; vsize } in
+  let srv = Server.start cfg bnd (stores_of (plan ()) ~shards) in
+  let waiters = List.init 2 (fun _ -> Thread.create Server.wait srv) in
+  let c = connect (Server.port srv) in
+  let reqs = ref [] and want = ref [] in
+  let push req resp =
+    reqs := req :: !reqs;
+    want := resp :: !want
+  in
+  for k = 0 to 7 do
+    push (Protocol.Set (k, Printf.sprintf "v%d" k)) Protocol.Stored;
+    push (Protocol.Get k) (Protocol.Value (k, Printf.sprintf "v%d" k))
+  done;
+  push Protocol.Shutdown Protocol.Ok_msg;
+  let want = List.rev !want in
+  send_all c (String.concat "" (List.rev_map Protocol.render_request !reqs));
+  let got = read_responses c (List.length want) in
+  Alcotest.(check int) "every request answered" (List.length want) (List.length got);
+  List.iteri
+    (fun i (w, g) ->
+      if w <> g then
+        Alcotest.failf "response %d: want %s got %s" i (Protocol.render w)
+          (Protocol.render g))
+    (List.combine want got);
+  (* the verb raised the flag before its OK was written *)
+  Alcotest.(check bool) "the verb started the drain" true (Server.is_draining srv);
+  let drainer = Thread.create Server.drain srv in
+  List.iter Thread.join (drainer :: waiters);
+  Unix.close c.fd;
+  Alcotest.(check int) "no connection left open" 0 (Server.stats srv).Server.s_conns_open;
+  let t0 = Unix.gettimeofday () in
+  Server.drain srv;
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "second drain took %.3f s (< 0.1 s)" dt) true (dt < 0.1)
+
 (* A traced 2-shard server under pipelined clients on both shards, its
    rings merged after the drain. Every writer owns its ring, so slices
    balance on every track, request spans stay on the loop tracks, each
@@ -551,6 +594,8 @@ let suite =
     Alcotest.test_case "shedding at queue bound 1" `Quick test_shedding;
     Alcotest.test_case "idle sharded server drains in under 1 s" `Quick
       test_idle_drain;
+    Alcotest.test_case "shutdown verb drains a 2-shard server" `Quick
+      test_shutdown_verb;
     Alcotest.test_case "traced 2-shard server: per-writer rings balance"
       `Quick test_traced_shards;
   ]

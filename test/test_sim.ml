@@ -7,13 +7,21 @@
    fragment of a client's rendered pipeline or its EOF, deliver one
    inbox item (each sender->receiver stream stays FIFO, as the Msqueue
    keeps it), step a woken core, make a client vanish, start the
-   two-stage drain, and for the link: deliver a prefix of its pending
+   two-stage drain (or, when the seed ends one client's pipeline in the
+   [shutdown] verb, let that verb start it), adopt a connection after
+   the drain started, and for the link: deliver a prefix of its pending
    bytes to the replica, withhold them, ack a prefix of what the
    replica received, or advance the clock past the oldest held fence's
    deadline. A core runs only when something woke it — an inbox wake,
    readable bytes, an ack, its deadline, a log append for the link's
    host — the way its shell sleeps in select, so a lost wakeup shows as
    a stuck schedule.
+
+   The drain runs as the shell runs it: a started drain wakes every
+   core, each steps [Drain] when it next runs, and the core that
+   completes the group's dispatch count emits [Close_inboxes], which
+   closes every inbox and wakes every core. Work sent to an inbox after
+   that close is a violation: the barrier exists to rule it out.
 
    The stores are real simulator instances of the test memcached plan.
    After the drain the checker asserts:
@@ -106,8 +114,9 @@ let gen_request rng ~cid i =
     let start = Random.State.int rng keys in
     Protocol.Scan { sc_start = start; sc_stop = start + Random.State.int rng 3; sc_limit = 16 }
 
-let gen_client rng ~shards cid =
+let gen_client rng ~shards ~trigger cid =
   let reqs = Array.init (1 + Random.State.int rng 10) (gen_request rng ~cid) in
+  let reqs = if trigger = Some cid then Array.append reqs [| Protocol.Shutdown |] else reqs in
   let rendered = Array.map Protocol.render_request reqs in
   let ends = Array.make (Array.length reqs) 0 in
   Array.iteri
@@ -132,6 +141,8 @@ type world = {
   appended_at : (int, float) Hashtbl.t;  (* seq -> time of its commit *)
   timeouts : int;                        (* fences the schedule timed out *)
   emitted : Delta.frame list;            (* what the link sent, in order *)
+  by_verb : bool;                        (* the shutdown verb started the drain *)
+  late : int;                            (* connections adopted after it *)
 }
 
 let run_schedule seed =
@@ -209,14 +220,25 @@ let run_schedule seed =
       stores
   in
   let cores = g.Core.cores in
-  let clients = Array.init (1 + Random.State.int rng 6) (gen_client rng ~shards) in
-  (* the drain may start once this many steps have run (or when
-     nothing else can happen) *)
+  let n_clients = 1 + Random.State.int rng 6 in
+  (* half the schedules end one client's pipeline in [shutdown] *)
+  let trigger =
+    if Random.State.bool rng then Some (Random.State.int rng n_clients) else None
+  in
+  let clients = Array.init n_clients (gen_client rng ~shards ~trigger) in
+  (* without a shutdown verb, the drain may start once this many steps
+     have run; in any schedule, when nothing else can happen *)
   let drain_after = Random.State.int rng 200 in
   (* the world outside the cores *)
   let chan = Array.init shards (fun _ -> Array.init shards (fun _ -> Queue.create ())) in
   let woken = Array.make shards false in
-  let drain = ref false and closed = ref false and dispatched = ref 0 in
+  let drain = ref false and closed = ref false and by_verb = ref false and late = ref 0 in
+  (* the shell's drain: raise the flag and wake every loop; each core
+     steps [Drain] when it next runs *)
+  let start_drain () =
+    drain := true;
+    Array.fill woken 0 shards true
+  in
   let emit s = function
     | Core.Write (id, b) ->
       let c = clients.(id) in
@@ -226,16 +248,22 @@ let run_schedule seed =
       c.stamps <- List.rev_append (List.map (fun _ -> (!now, acked)) got) c.stamps
     | Core.Close _ -> ()
     | Core.Handoff _ -> fail "replication handoff without a repl verb"
-    | Core.Send (r, item) -> Queue.push item chan.(s).(r)
+    | Core.Send (r, item) ->
+      (match item with
+      | Core.Work _ when !closed -> fail "shard %d sent work to shard %d after the inboxes closed" s r
+      | _ -> ());
+      Queue.push item chan.(s).(r)
     | Core.Wake k -> woken.(k) <- true
-    | Core.Dispatched ->
-      incr dispatched;
-      if !dispatched = shards then begin
-        (* stage 2: close every inbox and wake every loop *)
-        closed := true;
-        Array.fill woken 0 shards true
+    | Core.Close_inboxes ->
+      if !closed then fail "the inboxes closed twice";
+      closed := true;
+      Array.fill woken 0 shards true
+    | Core.Shutdown ->
+      if trigger = None then fail "shutdown verb without one sent";
+      if not !drain then begin
+        by_verb := true;
+        start_drain ()
       end
-    | Core.Shutdown -> fail "shutdown verb without one sent"
   in
   (* an append wakes the link's host, as the log subscription does *)
   let after_call () =
@@ -248,6 +276,7 @@ let run_schedule seed =
   in
   let step s =
     woken.(s) <- false;
+    if !drain then handle s Core.Drain;
     (* the shell pops everything queued: a random merge of the senders'
        streams, each one in order *)
     let rec pop () =
@@ -277,9 +306,12 @@ let run_schedule seed =
     let add w f = acts := (w, f) :: !acts in
     Array.iter
       (fun c ->
-        if (not c.adopted) && not !drain then
-          add 4 (fun () ->
+        if not c.adopted then
+          (* after the drain started: a connection accepted just before
+             it, which its shard adopts late *)
+          add (if !drain then 1 else 4) (fun () ->
               c.adopted <- true;
+              if !drain then incr late;
               handle c.home (Core.Adopt c.cid);
               ready.(c.home) <- true)
         else if c.adopted && not c.vanished then begin
@@ -335,11 +367,8 @@ let run_schedule seed =
               Array.iteri (fun s d' -> if d' = Some d then ready.(s) <- true) deadlines)
         | _ -> ())
       link;
-    let start_drain () =
-      drain := true;
-      Array.iteri (fun s _ -> handle s Core.Drain; ready.(s) <- true) cores
-    in
-    if (not !drain) && (steps >= drain_after || !acts = []) then add 1 start_drain;
+    if (not !drain) && ((trigger = None && steps >= drain_after) || !acts = []) then
+      add 1 start_drain;
     !acts
   in
   let rec loop steps =
@@ -369,7 +398,7 @@ let run_schedule seed =
     (fun s c -> if not (Core.finished c) then fail "shard %d stuck: drain never finished" s)
     cores;
   { cfg; stores; log; cores; clients; appended_at; timeouts = !timeouts;
-    emitted = List.rev !emitted }
+    emitted = List.rev !emitted; by_verb = !by_verb; late = !late }
 
 (* ------------------------------------------------------------------ *)
 (* the checker *)
@@ -486,6 +515,7 @@ let check w =
           | Protocol.Set (k, v), Protocol.Stored -> put i k v
           | Protocol.Del k, Protocol.Deleted -> del i k
           | Protocol.Del k, Protocol.Not_found -> read k None
+          | Protocol.Shutdown, Protocol.Ok_msg -> ()
           | Protocol.Getv k, Protocol.Version { v_key; v_ver; v_val } when v_key = k ->
             version k v_ver v_val;
             if v_val = None && state k v_ver <> None then
@@ -599,6 +629,7 @@ let check w =
 
 let test_schedules () =
   let t0 = Unix.gettimeofday () and checked = ref 0 and frames = ref 0 and timeouts = ref 0 in
+  let by_verb = ref 0 and late = ref 0 in
   for i = 0 to schedules - 1 do
     let seed = !base_seed + i in
     match
@@ -608,20 +639,29 @@ let test_schedules () =
     | w, (n, f) ->
       checked := !checked + n;
       frames := !frames + f;
-      timeouts := !timeouts + w.timeouts
+      timeouts := !timeouts + w.timeouts;
+      if w.by_verb then incr by_verb;
+      late := !late + w.late
     | exception Violation m ->
       Alcotest.failf "schedule %d: %s\n  reproduce: dune exec test/main.exe -- test sim --seed %d"
         seed m seed
   done;
-  Printf.printf "%d schedules, %d responses checked, %d link frames, %d fence timeouts, in %.1f s\n%!"
-    schedules !checked !frames !timeouts (Unix.gettimeofday () -. t0);
+  Printf.printf
+    "%d schedules, %d responses checked, %d link frames, %d fence timeouts, %d drains by \
+     the shutdown verb, %d late adoptions, in %.1f s\n%!"
+    schedules !checked !frames !timeouts !by_verb !late (Unix.gettimeofday () -. t0);
   (* a schedule that never delivers a request checks nothing, and a
      link that never ships or never times a fence out checks no fence *)
   if !checked < schedules then
     Alcotest.failf "only %d responses over %d schedules" !checked schedules;
   if !frames = 0 || !timeouts = 0 then
     Alcotest.failf "%d link frames and %d fence timeouts over %d schedules" !frames !timeouts
-      schedules
+      schedules;
+  (* nor does a drain the verb never starts, or one no late connection
+     meets, check those paths *)
+  if !by_verb = 0 || !late = 0 then
+    Alcotest.failf "%d drains by the shutdown verb and %d late adoptions over %d schedules"
+      !by_verb !late schedules
 
 (* The single-writer rule: the first domain to step a core owns it. *)
 let test_owner () =

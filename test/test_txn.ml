@@ -428,13 +428,10 @@ let test_replica_convergence () =
       ~replica_of:(Printf.sprintf "127.0.0.1:%d" pport)
       ~engine:(Exec.default_engine ()) (plan_of src)
   in
-  let apply (d : Delta.t) =
-    match d.Delta.op with
-    | Delta.Put { key; payload; _ } ->
-      Server.apply_put replica ~seq:d.Delta.seq ~key ~payload
-    | Delta.Del { key } -> Server.apply_del replica ~seq:d.Delta.seq ~key
+  let link =
+    Replica.start ~sync:true ~host:"127.0.0.1" ~port:pport
+      ~apply:(Server.apply_delta replica) ()
   in
-  let link = Replica.start ~sync:true ~host:"127.0.0.1" ~port:pport ~apply () in
   (* writes through every commit path: set, cas, txn batch, del *)
   let c = connect pport in
   let expect_stored r =
