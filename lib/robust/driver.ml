@@ -267,16 +267,7 @@ let apply (x : ctx) (act : Gen.action) =
       (* the scan reply a server would write to the client: render it
          and hold it against the wire check — the secrecy property says
          no index path may carry the secret's bytes out *)
-      let items =
-        List.map
-          (fun (e : Index.entry) ->
-            {
-              Protocol.si_key = e.Index.e_key;
-              si_ver = e.Index.e_version;
-              si_val = e.Index.e_value;
-            })
-          (Txn.scan k.kc_txn ~start ~stop:(start + (2 * limit)) ~limit)
-      in
+      let items = Txn.scan k.kc_txn ~start ~stop:(start + (2 * limit)) ~limit in
       Monitor.check_wire mon ~where:"scan-reply"
         (Protocol.render (Protocol.Scan_reply items));
       if
@@ -568,16 +559,7 @@ let run_mutant (cell : cell) (mutant : mutant) ~seed : kill =
       let bytes = sentinel_value ~vsize sentinel in
       let txn = Txn.create ~value_color:Index.unprotected_color () in
       Txn.note_put txn ~key:secret_key ~value:bytes;
-      let items =
-        List.map
-          (fun (e : Index.entry) ->
-            {
-              Protocol.si_key = e.Index.e_key;
-              si_ver = e.Index.e_version;
-              si_val = e.Index.e_value;
-            })
-          (Txn.scan txn ~start:secret_key ~stop:secret_key ~limit:8)
-      in
+      let items = Txn.scan txn ~start:secret_key ~stop:secret_key ~limit:8 in
       Monitor.check_wire mon ~where:"mutant-scan"
         (Protocol.render (Protocol.Scan_reply items));
       if Txn.lookup txn ~value:bytes <> [] then

@@ -14,9 +14,13 @@
 
    Shared state a core may touch, all of it on purpose:
    - its own and its peers' latches: the owner holds its latch per
-     chunk (uncontended); a multi-shard transaction or a scan takes the
-     participants' latches in ascending order (two-phase commit), and
-     the replica thread takes the owner's latch to apply a delta;
+     chunk (uncontended); only a multi-shard transaction takes the
+     participants' latches, in ascending order (two-phase commit), and
+     only a replica's link host takes the owner's latch to apply a
+     delta. Whoever holds a latch publishes the shard's per-key table
+     just before releasing it;
+   - every shard's published table: a scan reads them all without
+     taking any latch;
    - the commit log, appended while the latch is held, so per key log
      order is commit order;
    - a peer's inbox [depth] (admission) and [blocked_by] flags (the
@@ -155,8 +159,7 @@ type t = {
   id : int;
   g : group;
   store : store;
-  txn : Txn.t;                      (* versions + indexes; under latch *)
-  lengths : (int, int) Hashtbl.t;   (* key -> stored length; latch *)
+  txn : Txn.t;                      (* the per-key table; under latch *)
   vbuf : int;
   obuf : int;
   latch : Mutex.t;
@@ -206,9 +209,8 @@ let create g i store tracer =
     store;
     (* contract (see Txn.create): the bound stores must be empty when
        the server starts — there is no enumeration entry point to
-       backfill versions/indexes from *)
+       backfill the per-key table from *)
     txn = Txn.create ~value_color:g.bnd.b_vcolor ();
-    lengths = Hashtbl.create 1024;
     vbuf = store.st_alloc (max 1 cfg.vsize);
     obuf = store.st_alloc (max 1 cfg.vsize);
     latch = Mutex.create ();
@@ -277,9 +279,7 @@ let exec_set t key v =
     match
       t.store.st_call t.g.bnd.b_set [ Rvalue.Int (Int64.of_int key); Rvalue.Ptr t.vbuf ]
     with
-    | Ok _ ->
-      Hashtbl.replace t.lengths key (String.length v);
-      Protocol.Stored
+    | Ok _ -> Protocol.Stored
     | Error m -> Protocol.Error_msg ("exec: " ^ m)
   end
 
@@ -289,7 +289,7 @@ let exec_get t key =
   with
   | Ok v when Rvalue.truthy v ->
     let len =
-      match Hashtbl.find_opt t.lengths key with Some n -> n | None -> t.g.cfg.vsize
+      match Txn.length t.txn key with Some n -> n | None -> t.g.cfg.vsize
     in
     Protocol.Value (key, t.store.st_read t.obuf len)
   | Ok _ -> Protocol.Miss
@@ -302,17 +302,17 @@ let exec_del t key =
       (Printf.sprintf "del not supported by the %s program" t.g.bnd.b_family)
   | Some entry -> (
     match t.store.st_call entry [ Rvalue.Int (Int64.of_int key) ] with
-    | Ok v when Rvalue.truthy v ->
-      Hashtbl.remove t.lengths key;
-      Protocol.Deleted
+    | Ok v when Rvalue.truthy v -> Protocol.Deleted
     | Ok _ -> Protocol.Not_found
     | Error m -> Protocol.Error_msg ("exec: " ^ m))
 
 (* Commit choke points: every committed write — client set/del, replica
-   apply, CAS, transaction — advances the owning shard's per-key
-   versions and secondary indexes here, under that shard's latch.
+   apply, CAS, transaction — advances the owning shard's per-key table
+   here, under that shard's latch. [exec_get] reads the stored length
+   from the same table, so a key's length is recorded by its commit
+   hook, never by [exec_set] alone.
    Primaries and replicas run the same hooks, which is what makes
-   replicas converge on versions and indexes too, not only on bytes. *)
+   replicas converge on versions and tables too, not only on bytes. *)
 let commit_set t key v =
   match exec_set t key v with
   | Protocol.Stored ->
@@ -359,13 +359,19 @@ let store_ops t =
     o_can_del = t.g.bnd.b_del <> None;
   }
 
+(* Publish a shard's table, then release its latch: a published table
+   shows only whole latch holds. *)
+let release_latch t =
+  Txn.publish t.txn;
+  Mutex.unlock t.latch
+
 (* Take the latches of the (ascending) shard ids in [ids], run [f],
    release in reverse. Ascending order is the 2PC deadlock-freedom
    argument: two cross-shard commits always contend in the same order. *)
 let with_latches g ids f =
   List.iter (fun i -> Mutex.lock g.cores.(i).latch) ids;
   Fun.protect f ~finally:(fun () ->
-      List.iter (fun i -> Mutex.unlock g.cores.(i).latch) (List.rev ids))
+      List.iter (fun i -> release_latch g.cores.(i)) (List.rev ids))
 
 let txn_shard_ids g ops =
   List.sort_uniq compare
@@ -440,31 +446,24 @@ let exec_txn t cx ops =
     Protocol.Txn_abort { ta_key = a_key; ta_expected = a_expected; ta_found = a_found }
   | Txn.Failed { f_msg; f_applied } -> failed cx g f_msg f_applied
 
-(* A scan merges per-shard ordered-index cursors: each shard's slice is
-   read under its own latch (no global lock), the sorted slices are
-   merged, and the first [limit] survive. Shards partition the key
-   space, so there are no ties. *)
+(* A scan merges the shards' published tables with one bounded walk,
+   taking no latch. Each shard's part is atomic (a published table shows
+   whole latch holds), and the connection barrier that runs a scan only
+   once the connection's earlier requests answered makes it see their
+   writes: a reply leaves only after its chunk published. The items
+   leave as they are: a secret-colored key carries no value bytes. *)
 let exec_scan t ~start ~stop ~limit =
   t.n.scans <- t.n.scans + 1;
   let items =
     t.tracer.span sp_scan (fun () ->
-        Array.to_list t.g.cores
-        |> List.concat_map (fun c ->
-               with_latches t.g [ c.id ] (fun () ->
-                   Index.range (Txn.index c.txn) ~start ~stop ~limit))
-        |> List.sort (fun (a : Index.entry) b -> compare a.Index.e_key b.Index.e_key)
-        |> List.filteri (fun i _ -> i < limit))
+        Index.range
+          (Array.map (fun c -> Txn.published c.txn) t.g.cores)
+          ~start ~stop ~limit)
   in
-  t.n.scan_items <- t.n.scan_items + List.length items;
-  Metrics.observe t.scan_len (float_of_int (List.length items));
-  Protocol.Scan_reply
-    (List.map
-       (fun (e : Index.entry) ->
-         (* [e_value] is populated only for color "U": a secret-colored
-            value leaves as key+version alone *)
-         { Protocol.si_key = e.Index.e_key; si_ver = e.Index.e_version;
-           si_val = e.Index.e_value })
-       items)
+  let n = List.length items in
+  t.n.scan_items <- t.n.scan_items + n;
+  Metrics.observe t.scan_len (float_of_int n);
+  Protocol.Scan_reply items
 
 (* One request. Duplicate gets inside a chunk are served from the
    cache — exact, because the chunk runs atomically under the latch and
@@ -619,7 +618,7 @@ let exec_chunk t ~emit chunk =
         (c, p, exec_req t cx req))
       chunk
   in
-  Mutex.unlock t.latch;
+  release_latch t;
   complete t ~emit cx fills
 
 (* ------------------------------------------------------------------ *)

@@ -35,8 +35,13 @@ type request =
 
 (* A scan item carries value bytes only when the indexed value is
    unprotected ("U"): secret-colored entries answer with key and
-   version alone (SKEY), never with data. *)
-type scan_item = { si_key : int; si_ver : int; si_val : string option }
+   version alone (SKEY), never with data. The shards' tables produce
+   these records directly. *)
+type scan_item = Privagic_txn.Index.item = {
+  si_key : int;
+  si_ver : int;
+  si_val : string option;
+}
 
 type response =
   | Value of int * string
@@ -290,57 +295,121 @@ let feed r buf n =
   go ();
   List.rev !out
 
+(* Wire text is built in a [Buffer], numbers digit by digit: no
+   [Printf] format is interpreted on the reply path. *)
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+(* A space, then the decimal [n]. *)
+let field b n =
+  Buffer.add_char b ' ';
+  if n >= 0 then add_digits b n else Buffer.add_string b (string_of_int n)
+
+let crlf b = Buffer.add_string b "\r\n"
+
+(* A data block's bytes and their CRLF. *)
+let data b v =
+  Buffer.add_string b v;
+  crlf b
+
+let build size f =
+  let b = Buffer.create size in
+  f b;
+  Buffer.contents b
+
 let render = function
   | Value (k, v) ->
-    Printf.sprintf "VALUE %d %d\r\n%s\r\nEND\r\n" k (String.length v) v
+    build (String.length v + 32) (fun b ->
+        Buffer.add_string b "VALUE";
+        field b k;
+        field b (String.length v);
+        crlf b;
+        data b v;
+        Buffer.add_string b "END\r\n")
   | Miss -> "END\r\n"
   | Stored -> "STORED\r\n"
   | Deleted -> "DELETED\r\n"
   | Not_found -> "NOT_FOUND\r\n"
   | Version { v_key; v_ver; v_val = Some v } ->
-    Printf.sprintf "VERSION %d %d %d\r\n%s\r\nEND\r\n" v_key v_ver
-      (String.length v) v
+    build (String.length v + 48) (fun b ->
+        Buffer.add_string b "VERSION";
+        field b v_key;
+        field b v_ver;
+        field b (String.length v);
+        crlf b;
+        data b v;
+        Buffer.add_string b "END\r\n")
   | Version { v_key; v_ver; v_val = None } ->
-    Printf.sprintf "VMISS %d %d\r\n" v_key v_ver
-  | Cas_conflict cur -> Printf.sprintf "CAS_CONFLICT %d\r\n" cur
+    build 32 (fun b ->
+        Buffer.add_string b "VMISS";
+        field b v_key;
+        field b v_ver;
+        crlf b)
+  | Cas_conflict cur ->
+    build 32 (fun b ->
+        Buffer.add_string b "CAS_CONFLICT";
+        field b cur;
+        crlf b)
   | Scan_reply items ->
-    let b = Buffer.create 256 in
-    Buffer.add_string b (Printf.sprintf "SCAN %d\r\n" (List.length items));
-    List.iter
-      (fun { si_key; si_ver; si_val } ->
-        match si_val with
-        | Some v ->
-          Buffer.add_string b
-            (Printf.sprintf "SVAL %d %d %d\r\n%s\r\n" si_key si_ver
-               (String.length v) v)
-        | None ->
-          (* secret-colored entry: key and version only *)
-          Buffer.add_string b (Printf.sprintf "SKEY %d %d\r\n" si_key si_ver))
-      items;
-    Buffer.add_string b "END\r\n";
-    Buffer.contents b
+    let n = List.length items in
+    build (16 + (24 * n)) (fun b ->
+        Buffer.add_string b "SCAN";
+        field b n;
+        crlf b;
+        List.iter
+          (fun { si_key; si_ver; si_val } ->
+            match si_val with
+            | Some v ->
+              Buffer.add_string b "SVAL";
+              field b si_key;
+              field b si_ver;
+              field b (String.length v);
+              crlf b;
+              data b v
+            | None ->
+              (* secret-colored entry: key and version only *)
+              Buffer.add_string b "SKEY";
+              field b si_key;
+              field b si_ver;
+              crlf b)
+          items;
+        Buffer.add_string b "END\r\n")
   | Txn_reply results ->
-    let b = Buffer.create 128 in
-    Buffer.add_string b (Printf.sprintf "TXN %d\r\n" (List.length results));
-    List.iter
-      (fun res ->
-        Buffer.add_string b
-          (match res with
-          | R_value (Some v) ->
-            Printf.sprintf "RVAL %d\r\n%s\r\n" (String.length v) v
-          | R_value None -> "RMISS\r\n"
-          | R_stored -> "RSTORED\r\n"
-          | R_deleted -> "RDELETED\r\n"
-          | R_not_found -> "RNOTFOUND\r\n"))
-      results;
-    Buffer.add_string b "END\r\n";
-    Buffer.contents b
+    build 128 (fun b ->
+        Buffer.add_string b "TXN";
+        field b (List.length results);
+        crlf b;
+        List.iter
+          (function
+            | R_value (Some v) ->
+              Buffer.add_string b "RVAL";
+              field b (String.length v);
+              crlf b;
+              data b v
+            | R_value None -> Buffer.add_string b "RMISS\r\n"
+            | R_stored -> Buffer.add_string b "RSTORED\r\n"
+            | R_deleted -> Buffer.add_string b "RDELETED\r\n"
+            | R_not_found -> Buffer.add_string b "RNOTFOUND\r\n")
+          results;
+        Buffer.add_string b "END\r\n")
   | Txn_abort { ta_key; ta_expected; ta_found } ->
-    Printf.sprintf "TXN_ABORT %d %d %d\r\n" ta_key ta_expected ta_found
+    build 48 (fun b ->
+        Buffer.add_string b "TXN_ABORT";
+        field b ta_key;
+        field b ta_expected;
+        field b ta_found;
+        crlf b)
   | Stats_reply kvs ->
-    String.concat ""
-      (List.map (fun (k, v) -> Printf.sprintf "STAT %s %s\r\n" k v) kvs)
-    ^ "END\r\n"
+    build 1024 (fun b ->
+        List.iter
+          (fun (k, v) ->
+            Buffer.add_string b "STAT ";
+            Buffer.add_string b k;
+            Buffer.add_char b ' ';
+            data b v)
+          kvs;
+        Buffer.add_string b "END\r\n")
   | Metrics_reply text ->
     (* exposition lines pass through verbatim; END closes the reply like
        a stats block so line-oriented clients know where to stop *)
@@ -350,7 +419,7 @@ let render = function
     in
     text ^ "END\r\n"
   | Busy -> "SERVER_BUSY\r\n"
-  | Error_msg m -> Printf.sprintf "CLIENT_ERROR %s\r\n" m
+  | Error_msg m -> "CLIENT_ERROR " ^ m ^ "\r\n"
   | Ok_msg -> "OK\r\n"
 
 (* ------------------------------------------------------------------ *)
@@ -531,34 +600,65 @@ let feed_resp p buf n =
   List.rev !out
 
 let render_request = function
-  | Get k -> Printf.sprintf "get %d\r\n" k
-  | Set (k, v) -> Printf.sprintf "set %d %d\r\n%s\r\n" k (String.length v) v
-  | Del k -> Printf.sprintf "del %d\r\n" k
-  | Getv k -> Printf.sprintf "getv %d\r\n" k
+  | Get k -> build 24 (fun b -> Buffer.add_string b "get"; field b k; crlf b)
+  | Set (k, v) ->
+    build (String.length v + 32) (fun b ->
+        Buffer.add_string b "set";
+        field b k;
+        field b (String.length v);
+        crlf b;
+        data b v)
+  | Del k -> build 24 (fun b -> Buffer.add_string b "del"; field b k; crlf b)
+  | Getv k -> build 24 (fun b -> Buffer.add_string b "getv"; field b k; crlf b)
   | Cas { c_key; c_ver; c_val } ->
-    Printf.sprintf "cas %d %d %d\r\n%s\r\n" c_key c_ver (String.length c_val)
-      c_val
+    build (String.length c_val + 48) (fun b ->
+        Buffer.add_string b "cas";
+        field b c_key;
+        field b c_ver;
+        field b (String.length c_val);
+        crlf b;
+        data b c_val)
   | Scan { sc_start; sc_stop; sc_limit } ->
-    Printf.sprintf "scan %d %d %d\r\n" sc_start sc_stop sc_limit
+    build 48 (fun b ->
+        Buffer.add_string b "scan";
+        field b sc_start;
+        field b sc_stop;
+        field b sc_limit;
+        crlf b)
   | Txn ops ->
-    let b = Buffer.create 128 in
-    Buffer.add_string b "txn\r\n";
-    List.iter
-      (fun op ->
-        Buffer.add_string b
-          (match op with
-          | T_get k -> Printf.sprintf "t get %d\r\n" k
-          | T_set (k, v) ->
-            Printf.sprintf "t set %d %d\r\n%s\r\n" k (String.length v) v
-          | T_del k -> Printf.sprintf "t del %d\r\n" k
-          | T_cas (k, ver, v) ->
-            Printf.sprintf "t cas %d %d %d\r\n%s\r\n" k ver (String.length v) v))
-      ops;
-    Buffer.add_string b "exec\r\n";
-    Buffer.contents b
+    build 128 (fun b ->
+        Buffer.add_string b "txn\r\n";
+        List.iter
+          (function
+            | T_get k ->
+              Buffer.add_string b "t get";
+              field b k;
+              crlf b
+            | T_set (k, v) ->
+              Buffer.add_string b "t set";
+              field b k;
+              field b (String.length v);
+              crlf b;
+              data b v
+            | T_del k ->
+              Buffer.add_string b "t del";
+              field b k;
+              crlf b
+            | T_cas (k, ver, v) ->
+              Buffer.add_string b "t cas";
+              field b k;
+              field b ver;
+              field b (String.length v);
+              crlf b;
+              data b v)
+          ops;
+        Buffer.add_string b "exec\r\n")
   | Stats -> "stats\r\n"
   | Stats_metrics -> "stats metrics\r\n"
   | Quit -> "quit\r\n"
   | Shutdown -> "shutdown\r\n"
   | Repl { r_sync; r_from } ->
-    Printf.sprintf "repl %s %d\r\n" (if r_sync then "sync" else "async") r_from
+    build 32 (fun b ->
+        Buffer.add_string b (if r_sync then "repl sync" else "repl async");
+        field b r_from;
+        crlf b)

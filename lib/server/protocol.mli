@@ -84,8 +84,13 @@ type request =
 (** One range-scan result. [si_val] carries the value bytes only when
     the indexed value is unprotected (color "U"); a secret-colored entry
     answers with key and version alone — the color-inheritance rule for
-    index entries, enforced in lib/txn. *)
-type scan_item = { si_key : int; si_ver : int; si_val : string option }
+    index entries, enforced in lib/txn, whose per-key tables produce
+    these records directly. *)
+type scan_item = Privagic_txn.Index.item = {
+  si_key : int;
+  si_ver : int;
+  si_val : string option;
+}
 
 type response =
   | Value of int * string  (** hit: key, stored bytes *)
@@ -116,9 +121,6 @@ val max_value_len : int
 
 (** Scans return at most this many items per request. *)
 val max_scan_limit : int
-
-(** Transactions accept at most this many ops between [txn] and [exec]. *)
-val max_txn_ops : int
 
 (** {1 Server side: request parsing} *)
 

@@ -6,8 +6,8 @@
     Architecture (DESIGN.md §8.14): the keyspace is hash-partitioned
     ([key mod shards]) across N single-writer shards. Each shard owns —
     exclusively — one execution backend instance (the caller builds one
-    store per shard), its slice of the version table and secondary
-    indexes, and an event loop on its own domain: nonblocking sockets,
+    store per shard), its per-key table (versions, lengths, and the
+    ordered index scans read), and an event loop on its own domain: nonblocking sockets,
     [Unix.select] readiness with self-pipe wakeups (no timeout
     polling), incremental parsing, and fully pipelined connections
     (many requests in flight per connection; responses flush strictly
@@ -20,12 +20,12 @@
     requests hop to the owning shard over a bounded inbox, and their
     responses come home through the connection owner's inbox; multi-shard
     transactions commit via two-phase commit under the participant
-    latches (taken in ascending shard order), and scans merge per-shard
-    index cursors without any global lock. Same-key requests of one
-    connection always land in the same shard FIFO, so per-key program
-    order is preserved; a multi-shard transaction or scan waits for the
-    connection's earlier requests before executing (connection
-    barrier). All shards append commit deltas to one shared log, so
+    latches (taken in ascending shard order), and scans merge the
+    shards' published per-key tables without taking any latch. Same-key
+    requests of one connection always land in the same shard FIFO, so
+    per-key program order is preserved; a multi-shard transaction or
+    scan waits for the connection's earlier requests before executing
+    (connection barrier). All shards append commit deltas to one shared log, so
     replication keeps a single merged monotone sequence; each shard loop
     hosts the replication links whose handshake it read. *)
 
@@ -92,12 +92,6 @@ type config = Core.config = {
 
 val default_config : config
 
-(** Open client connections plus replication links loop 0 admits
-    before refusing with a clear error: [Unix.select] readiness breaks
-    past FD_SETSIZE (1024), so the cap — surfaced in [STATS] as
-    [fd_cap] — keeps every loop's fd set valid. *)
-val fd_cap : int
-
 type t
 
 (** Bind, listen, and start the shard loops: one domain per shard and
@@ -113,10 +107,10 @@ type t
     @raise Failure when the socket cannot be bound. *)
 val start : ?replica_of:string -> config -> bindings -> store array -> t
 (** The bound stores must hold no keys yet: the transaction layer's
-    version tables and ordered indexes start empty and only advance
-    through commit hooks, so keys pre-populated before [start] would be
-    invisible to [scan], report version 0 via [getv], and fail the
-    in-transaction del presence check. The known families' init entries
+    per-key tables start empty and only advance through commit hooks,
+    so keys pre-populated before [start] would be invisible to [scan],
+    report version 0 via [getv], and fail the in-transaction del
+    presence check. The known families' init entries
     all build empty tables. *)
 
 val port : t -> int
@@ -176,7 +170,9 @@ type stats = {
   s_shards : int;
   s_xshard : int;           (** requests routed or committed across shards *)
   s_conns_rejected : int;   (** connections refused at {!fd_cap} *)
-  s_fd_cap : int;
+  s_fd_cap : int;           (** open connections plus replication links
+                                loop 0 admits before refusing: [select]
+                                readiness breaks past FD_SETSIZE *)
 }
 
 val stats : t -> stats

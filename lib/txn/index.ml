@@ -1,113 +1,149 @@
-(* Secondary indexes over the colored store (ISSUE 9 tentpole, part 2).
+(* The per-key table of one shard: an immutable AVL tree keyed by the
+   primary key, one node per key ever written. A node holds everything the
+   layer keeps about a key in unsafe memory — its committed version,
+   its stored length and, for color "U" only, the cached value bytes —
+   inline, so a secret-colored key costs one 8-word node and nothing
+   else (DESIGN.md §8.13). A deleted key leaves a tombstone node.
 
-   Two structures, both living in *unsafe* memory (plain OCaml heap on
-   the untrusted side of the partition):
+   Immutability is what makes the table publishable: the shard's
+   writer replaces its root under the shard latch, and a reader holding
+   an older root keeps a consistent snapshot of the whole table without
+   any lock. [range] merges several such snapshots (one per shard) with
+   a bounded k-way walk that allocates only the items it returns. *)
 
-   - an ordered index: one immutable [IntMap] keyed by the primary
-     key. Each server shard owns its own index, so a range scan is one
-     ascending walk here; the server merges the shards' cursors.
+type t =
+  | Empty
+  | Node of {
+      l : t;
+      key : int;
+      ver : int;
+      len : int;  (* [tombstone] once deleted *)
+      value : string option;  (* [Some bytes] only for color "U" *)
+      r : t;
+      h : int;
+    }
 
-   - a hash index: a 64-bit FNV-1a fingerprint of the value bytes
-     mapping back to the set of primary keys currently holding those
-     bytes ("find the accounts whose value equals V").
-
-   The color-inheritance rule: an index entry inherits the color of
-   the value it indexes. Since the index itself is unsafe memory, a
-   secret-colored value may contribute *nothing derived from its
-   bytes* to the index — no cached copy, no fingerprint. Entries for
-   secret values therefore carry only (key, version, length), and the
-   hash index simply has no entry for them: a secret value is
-   structurally unreachable through the unprotected index, not merely
-   access-checked. Only values of color "U" (unprotected) are cached
-   and fingerprinted. [put] enforces this regardless of what the
-   caller passes. *)
-
-module IntMap = Map.Make (Int)
-
-type entry = {
-  e_key : int;
-  e_version : int;
-  e_len : int;
-  e_color : string;
-  e_value : string option;
-      (* [Some bytes] iff [e_color = "U"]; never for secret colors *)
-}
-
-type t = {
-  mutable ordered : entry IntMap.t;
-  hash : (int64, unit IntMap.t) Hashtbl.t; (* fingerprint -> key set *)
-  fp_of_key : (int, int64) Hashtbl.t; (* reverse map, for maintenance *)
-}
+type item = { si_key : int; si_ver : int; si_val : string option }
 
 let unprotected_color = "U"
+let empty = Empty
 
-(* FNV-1a, 64-bit, over the raw value bytes. *)
-let fingerprint (s : string) : int64 =
-  let open Int64 in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := logxor !h (of_int (Char.code c));
-      h := mul !h 0x100000001b3L)
-    s;
-  !h
+let height = function Empty -> 0 | Node n -> n.h
 
-let create () =
-  { ordered = IntMap.empty; hash = Hashtbl.create 64; fp_of_key = Hashtbl.create 64 }
+(* [nd]'s key and payload over new children. *)
+let join l nd r =
+  match nd with
+  | Node n ->
+    let hl = height l and hr = height r in
+    Node { n with l; r; h = (if hl >= hr then hl + 1 else hr + 1) }
+  | Empty -> assert false
 
-let hash_remove t key =
-  match Hashtbl.find_opt t.fp_of_key key with
-  | None -> ()
-  | Some fp ->
-    Hashtbl.remove t.fp_of_key key;
-    (match Hashtbl.find_opt t.hash fp with
-    | None -> ()
-    | Some set ->
-      let set = IntMap.remove key set in
-      if IntMap.is_empty set then Hashtbl.remove t.hash fp
-      else Hashtbl.replace t.hash fp set)
+(* AVL rebalancing, as in Stdlib.Map: [l] and [r] differ in height by
+   at most 3. *)
+let bal l nd r =
+  let hl = height l and hr = height r in
+  if hl > hr + 2 then
+    match l with
+    | Node { l = ll; r = lr; _ } -> (
+      if height ll >= height lr then join ll l (join lr nd r)
+      else
+        match lr with
+        | Node { l = lrl; r = lrr; _ } -> join (join ll l lrl) lr (join lrr nd r)
+        | Empty -> assert false)
+    | Empty -> assert false
+  else if hr > hl + 2 then
+    match r with
+    | Node { l = rl; r = rr; _ } -> (
+      if height rr >= height rl then join (join l nd rl) r rr
+      else
+        match rl with
+        | Node { l = rll; r = rlr; _ } -> join (join l nd rll) rl (join rlr r rr)
+        | Empty -> assert false)
+    | Empty -> assert false
+  else join l nd r
 
-let hash_add t key fp =
-  Hashtbl.replace t.fp_of_key key fp;
-  let set =
-    match Hashtbl.find_opt t.hash fp with
-    | None -> IntMap.empty
-    | Some s -> s
-  in
-  Hashtbl.replace t.hash fp (IntMap.add key () set)
+let rec add t ~key ~ver ~len ~value =
+  match t with
+  | Empty -> Node { l = Empty; key; ver; len; value; r = Empty; h = 1 }
+  | Node n as nd ->
+    if key = n.key then Node { n with ver; len; value }
+    else if key < n.key then bal (add n.l ~key ~ver ~len ~value) nd n.r
+    else bal n.l nd (add n.r ~key ~ver ~len ~value)
 
-let put t ~key ~version ~len ~color ~value =
-  (* The color rule is enforced here, not trusted from the caller: a
-     secret-colored value never lands in unsafe index memory. *)
-  let cached = if String.equal color unprotected_color then value else None in
-  let e = { e_key = key; e_version = version; e_len = len; e_color = color; e_value = cached } in
-  t.ordered <- IntMap.add key e t.ordered;
-  hash_remove t key;
-  match cached with None -> () | Some v -> hash_add t key (fingerprint v)
+(* A deleted key stays as a tombstone that keeps its version: a key
+   deleted and written again must not reuse a version a CAS guard may
+   have observed. *)
+let tombstone = -1
 
-let del t ~key =
-  t.ordered <- IntMap.remove key t.ordered;
-  hash_remove t key
+let del t ~key ~ver = add t ~key ~ver ~len:tombstone ~value:None
 
-let find t key = IntMap.find_opt key t.ordered
-let mem t key = IntMap.mem key t.ordered
-let cardinal t = IntMap.cardinal t.ordered
+(* The node holding [key], or [Empty]: lookups allocate nothing. *)
+let rec find t key =
+  match t with
+  | Empty -> Empty
+  | Node n as nd -> if key = n.key then nd else find (if key < n.key then n.l else n.r) key
 
-let range t ~start ~stop ~limit =
-  if limit <= 0 || stop < start then []
+let version t key = match find t key with Node n -> n.ver | Empty -> 0
+let length t key =
+  match find t key with Node n when n.len <> tombstone -> Some n.len | _ -> None
+
+let value t key = match find t key with Node n -> n.value | Empty -> None
+let mem t key = length t key <> None
+
+(* ------------------------------------------------------------------ *)
+(* the bounded k-way range walk *)
+
+(* An in-order cursor: the nodes still to visit, as a stack whose top
+   is the next key. A tree of height h never needs more than h slots. *)
+type cursor = { stack : t array; mutable sp : int }
+
+(* Push the nodes of [t] with key >= [start] along its left spine. *)
+let rec seek c start = function
+  | Empty -> ()
+  | Node n as nd ->
+    if n.key >= start then begin
+      c.stack.(c.sp) <- nd;
+      c.sp <- c.sp + 1;
+      seek c start n.l
+    end
+    else seek c start n.r
+
+let cursor start t =
+  let c = { stack = Array.make (height t) Empty; sp = 0 } in
+  seek c start t;
+  c
+
+(* The cursor whose next key is smallest and <= [stop], or -1. Shards
+   partition the key space, so two cursors never tie. *)
+let next cs stop =
+  let best = ref (-1) and best_key = ref 0 in
+  for i = 0 to Array.length cs - 1 do
+    let c = cs.(i) in
+    if c.sp > 0 then
+      match c.stack.(c.sp - 1) with
+      | Node n when n.key <= stop && (!best < 0 || n.key < !best_key) ->
+        best := i;
+        best_key := n.key
+      | _ -> ()
+  done;
+  !best
+
+let[@tail_mod_cons] rec walk cs stop limit =
+  if limit = 0 then []
   else
-    IntMap.to_seq_from start t.ordered
-    |> Seq.take_while (fun (k, _) -> k <= stop)
-    |> Seq.take limit |> Seq.map snd |> List.of_seq
+    let i = next cs stop in
+    if i < 0 then []
+    else
+      let c = cs.(i) in
+      c.sp <- c.sp - 1;
+      match c.stack.(c.sp) with
+      | Node n ->
+        c.stack.(c.sp) <- Empty;
+        seek c n.key n.r;
+        if n.len = tombstone then walk cs stop limit
+        else { si_key = n.key; si_ver = n.ver; si_val = n.value } :: walk cs stop (limit - 1)
+      | Empty -> assert false
 
-(* Hash-index lookup by value bytes. For secret-colored values this is
-   empty by construction: their fingerprints were never computed. *)
-let lookup t value =
-  match Hashtbl.find_opt t.hash (fingerprint value) with
-  | None -> []
-  | Some set ->
-    IntMap.fold
-      (fun key () acc ->
-        match find t key with Some e -> e :: acc | None -> acc)
-      set []
-    |> List.rev
+let range ts ~start ~stop ~limit =
+  if limit <= 0 || stop < start then []
+  else walk (Array.map (cursor start) ts) stop limit

@@ -6,18 +6,21 @@
    through the store's own entry points (the [store_ops] callbacks),
    i.e. through classify/declassify at the partition boundary. The
    layer keeps, in unsafe memory, only what the color rule allows it
-   to keep: per-key versions, and the secondary indexes of
-   {!module:Index}.
+   to keep: the per-key table of {!module:Index} (version, stored
+   length, and value bytes for color "U" only), and for color "U" a
+   hash index from value fingerprints back to keys.
 
-   Concurrency model: the caller (the server's executor, or a test)
-   runs [execute]/[scan]/[note_put]/[note_del] under the same mutex
-   that serializes store commits ([store_mu] in lib/server). A
-   transaction therefore executes atomically at a store commit point:
-   its snapshot is the committed state at that point, reads see the
-   transaction's own buffered writes, and conflict detection is
-   first-writer-wins — a CAS guard compares the version the client
-   observed (via [getv]) against the committed version, so whichever
-   writer committed first wins and the later CAS aborts.
+   Concurrency model: the caller (the server's shard core, or a test)
+   runs [execute]/[note_put]/[note_del] under the lock that serializes
+   the shard's commits (its latch). A transaction therefore executes
+   atomically at a commit point: its snapshot is the committed state at
+   that point, reads see the transaction's own buffered writes, and
+   conflict detection is first-writer-wins — a CAS guard compares the
+   version the client observed (via [getv]) against the committed
+   version, so whichever writer committed first wins and the later CAS
+   aborts. Whoever holds the latch calls [publish] just before
+   releasing it, so the published table only ever shows whole latch
+   holds, and a reader may take it without the latch.
 
    Commit emits the transaction's writes as one contiguous run at the
    commit point; the server turns that run into a single replication
@@ -57,53 +60,80 @@ type outcome =
          mid-apply; [f_applied] is the committed prefix the caller must
          still ship to replicas *)
 
+module IntSet = Set.Make (Int)
+
 type t = {
-  idx : Index.t;
-  versions : (int, int) Hashtbl.t;  (* absent = version 0 *)
-  value_color : string;
+  cache_bytes : bool;  (* the values are color "U" *)
+  mutable keys : Index.t;  (* the per-key table; under the latch *)
+  published : Index.t Atomic.t;  (* [keys] as of the last release *)
+  by_value : (int64, IntSet.t) Hashtbl.t;  (* fingerprint -> keys; "U" only *)
   commits : int Atomic.t;
   aborts : int Atomic.t;
-  scans : int Atomic.t;
-  scan_items : int Atomic.t;
 }
 
 let create ~value_color () =
   {
-    idx = Index.create ();
-    versions = Hashtbl.create 256;
-    value_color;
+    cache_bytes = String.equal value_color Index.unprotected_color;
+    keys = Index.empty;
+    published = Atomic.make Index.empty;
+    by_value = Hashtbl.create 64;
     commits = Atomic.make 0;
     aborts = Atomic.make 0;
-    scans = Atomic.make 0;
-    scan_items = Atomic.make 0;
   }
 
-let index t = t.idx
-let value_color t = t.value_color
 let commits t = Atomic.get t.commits
 let aborts t = Atomic.get t.aborts
-let scans t = Atomic.get t.scans
-let scan_items t = Atomic.get t.scan_items
+let version t key = Index.version t.keys key
+let length t key = Index.length t.keys key
+let publish t = Atomic.set t.published t.keys
+let published t = Atomic.get t.published
 
-let version t key = Option.value ~default:0 (Hashtbl.find_opt t.versions key)
+(* FNV-1a, 64-bit, over the raw value bytes. *)
+let fingerprint (s : string) : int64 =
+  let open Int64 in
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h := logxor !h (of_int (Char.code c));
+      h := mul !h 0x100000001b3L)
+    s;
+  !h
 
-let bump t key =
-  let v = version t key + 1 in
-  Hashtbl.replace t.versions key v;
-  v
+let keys_with t fp = Option.value ~default:IntSet.empty (Hashtbl.find_opt t.by_value fp)
 
-(* Commit-point hooks for non-transactional writes: the server calls
-   these for every plain set/del and for every replicated delta it
-   applies, so versions and indexes advance identically on primaries
-   and replicas. *)
+(* Drop [key]'s cached bytes from the hash index. *)
+let unmap t key =
+  match Index.value t.keys key with
+  | None -> ()
+  | Some old ->
+    let fp = fingerprint old in
+    let set = IntSet.remove key (keys_with t fp) in
+    if IntSet.is_empty set then Hashtbl.remove t.by_value fp
+    else Hashtbl.replace t.by_value fp set
+
+(* Commit-point hooks: the server calls these for every committed write
+   — plain set/del, CAS, transaction, replicated delta — so versions and
+   the table advance identically on primaries and replicas. The color
+   rule is enforced here, not trusted from the caller: a secret-colored
+   value contributes nothing derived from its bytes — no cached copy,
+   no fingerprint — so it is structurally unreachable through the
+   table, not merely access-checked. *)
 let note_put t ~key ~value =
-  let v = bump t key in
-  Index.put t.idx ~key ~version:v ~len:(String.length value) ~color:t.value_color
-    ~value:(Some value)
+  let ver = version t key + 1 in
+  let cached =
+    if t.cache_bytes then begin
+      unmap t key;
+      let fp = fingerprint value in
+      Hashtbl.replace t.by_value fp (IntSet.add key (keys_with t fp));
+      Some value
+    end
+    else None
+  in
+  t.keys <- Index.add t.keys ~key ~ver ~len:(String.length value) ~value:cached
 
 let note_del t ~key =
-  let _v = bump t key in
-  Index.del t.idx ~key
+  unmap t key;
+  t.keys <- Index.del t.keys ~key ~ver:(version t key + 1)
 
 (* The routed core: every per-key access — snapshot read, version
    lookup, presence check, applicability limit, apply callback, commit
@@ -126,7 +156,7 @@ let execute_routed ~(route : int -> t * store_ops) ~(coord : t) ops =
   let present key =
     match Hashtbl.find_opt buffered key with
     | Some v -> v <> None
-    | None -> Index.mem (t_of key).idx key
+    | None -> Index.mem (t_of key).keys key
   in
   let check_size key value =
     let limit = (s_of key).o_max_value in
@@ -187,13 +217,13 @@ let execute_routed ~(route : int -> t * store_ops) ~(coord : t) ops =
   | Error (`Fail e) -> Failed { f_msg = e; f_applied = [] }
   | Ok (results, writes) -> (
     (* Phase 2: apply the buffered writes in op order through the
-       store's own entry points, advancing versions and indexes. The
-       caller holds the commit mutex, so the run is contiguous and can
+       store's own entry points, advancing the per-key table. The
+       caller holds the commit lock, so the run is contiguous and can
        be shipped as one replication batch. Phase 1 already rejected
        inapplicable writes, so a failure here is a store malfunction —
-       the applied prefix is committed state (versions and indexes
-       advanced), and it is returned so the caller can still ship it
-       to replicas instead of silently diverging from them. *)
+       the applied prefix is committed state (the table advanced), and
+       it is returned so the caller can still ship it to replicas
+       instead of silently diverging from them. *)
     let applied = ref [] in
     let rec apply = function
       | [] -> None
@@ -221,10 +251,6 @@ let execute_routed ~(route : int -> t * store_ops) ~(coord : t) ops =
 (* The single-shard case: every key routes to the same layer/store. *)
 let execute t store ops = execute_routed ~route:(fun _ -> (t, store)) ~coord:t ops
 
-let scan t ~start ~stop ~limit =
-  let items = Index.range t.idx ~start ~stop ~limit in
-  Atomic.incr t.scans;
-  ignore (Atomic.fetch_and_add t.scan_items (List.length items));
-  items
+let scan t ~start ~stop ~limit = Index.range [| t.keys |] ~start ~stop ~limit
 
-let lookup t ~value = Index.lookup t.idx value
+let lookup t ~value = IntSet.elements (keys_with t (fingerprint value))

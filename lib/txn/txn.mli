@@ -3,8 +3,10 @@
     guards) and atomic commit, layered over the colored store.
 
     All state mutation must be serialized by the caller (the server
-    runs everything under its store commit mutex); the counters are
-    atomics so a metrics thread may read them concurrently. *)
+    holds the shard's latch); the counters are atomics so a metrics
+    thread may read them concurrently. The per-key table is
+    {!module:Index}; {!publish} makes its current state readable
+    without the latch ({!published}). *)
 
 type store_ops = {
   o_get : int -> (string option, string) result;
@@ -54,28 +56,38 @@ type outcome =
 type t
 
 val create : value_color:string -> unit -> t
-(** [value_color] is the color of the store's values; it is inherited
-    by every index entry (see {!module:Index}).
+(** [value_color] is the color of the store's values; the table caches
+    value bytes, and the hash index maps them, only when it is
+    {!Index.unprotected_color}.
 
-    The version table and indexes start empty and there is no backfill
-    path: the layer only learns about keys through its commit hooks.
-    The underlying store must therefore be empty when the layer
-    attaches — a key written to the store before [create] would be
-    invisible to scans, report version 0 via {!version}, and fail the
-    in-transaction del presence check. *)
-
-val index : t -> Index.t
-val value_color : t -> string
+    The table starts empty and there is no backfill path: the layer
+    only learns about keys through its commit hooks. The underlying
+    store must therefore be empty when the layer attaches — a key
+    written to the store before [create] would be invisible to scans,
+    report version 0 via {!version}, and fail the in-transaction del
+    presence check. *)
 
 val version : t -> int -> int
 (** Committed version of a key; 0 when never written. Every committed
     put or del bumps it by one. *)
+
+val length : t -> int -> int option
+(** Stored length of a present key. *)
 
 val note_put : t -> key:int -> value:string -> unit
 (** Commit-point hook for a non-transactional put (plain set, or a
     replicated delta applied on a replica). *)
 
 val note_del : t -> key:int -> unit
+
+val publish : t -> unit
+(** Publish the table as it stands. The holder of the lock that
+    serializes this layer's writes calls it just before releasing the
+    lock, so a published table only ever shows whole lock holds. *)
+
+val published : t -> Index.t
+(** The table as of the last {!publish}; safe from any domain, without
+    the lock. *)
 
 val execute : t -> store_ops -> op list -> outcome
 (** Run a transaction atomically at the current commit point: validate
@@ -99,15 +111,14 @@ val execute_routed :
     [execute t s ops] is [execute_routed ~route:(fun _ -> (t, s))
     ~coord:t ops]. *)
 
-val scan : t -> start:int -> stop:int -> limit:int -> Index.entry list
-(** Range scan [start <= key <= stop] (ascending, at most [limit])
-    served from the ordered index; secret-colored entries carry no
+val scan : t -> start:int -> stop:int -> limit:int -> Index.item list
+(** Range scan [start <= key <= stop] (ascending, at most [limit]) of
+    the current table, under the lock; secret-colored items carry no
     value bytes. *)
 
-val lookup : t -> value:string -> Index.entry list
-(** Hash-index lookup by value bytes; always [] for secret colors. *)
+val lookup : t -> value:string -> int list
+(** The keys currently holding exactly these value bytes, ascending —
+    always [] for secret colors. *)
 
 val commits : t -> int
 val aborts : t -> int
-val scans : t -> int
-val scan_items : t -> int

@@ -138,6 +138,58 @@ let test_protocol () =
   | [ `Req (Protocol.Get 1) ] -> ()
   | _ -> Alcotest.fail "parser dead after oversized set"
 
+(* Every response form, byte for byte: the wire format clients parse. *)
+let test_render_bytes () =
+  let cases =
+    [
+      (Protocol.Value (7, "ab"), "VALUE 7 2\r\nab\r\nEND\r\n");
+      (Protocol.Miss, "END\r\n");
+      ( Protocol.Version { v_key = 7; v_ver = 3; v_val = Some "xyz" },
+        "VERSION 7 3 3\r\nxyz\r\nEND\r\n" );
+      (Protocol.Version { v_key = 9; v_ver = 0; v_val = None }, "VMISS 9 0\r\n");
+      (Protocol.Cas_conflict 12, "CAS_CONFLICT 12\r\n");
+      ( Protocol.Scan_reply
+          [ { Protocol.si_key = 4; si_ver = 2; si_val = Some "hi" };
+            { Protocol.si_key = 10; si_ver = 105; si_val = None } ],
+        "SCAN 2\r\nSVAL 4 2 2\r\nhi\r\nSKEY 10 105\r\nEND\r\n" );
+      (Protocol.Scan_reply [], "SCAN 0\r\nEND\r\n");
+      ( Protocol.Txn_reply
+          [ Protocol.R_value (Some "v"); Protocol.R_value None; Protocol.R_stored;
+            Protocol.R_deleted; Protocol.R_not_found ],
+        "TXN 5\r\nRVAL 1\r\nv\r\nRMISS\r\nRSTORED\r\nRDELETED\r\nRNOTFOUND\r\nEND\r\n"
+      );
+      ( Protocol.Txn_abort { ta_key = 3; ta_expected = 0; ta_found = 1000000 },
+        "TXN_ABORT 3 0 1000000\r\n" );
+      ( Protocol.Stats_reply [ ("pid", "42"); ("role", "primary") ],
+        "STAT pid 42\r\nSTAT role primary\r\nEND\r\n" );
+      (Protocol.Error_msg "bad data chunk", "CLIENT_ERROR bad data chunk\r\n");
+      (Protocol.Stored, "STORED\r\n");
+      (Protocol.Deleted, "DELETED\r\n");
+      (Protocol.Not_found, "NOT_FOUND\r\n");
+      (Protocol.Busy, "SERVER_BUSY\r\n");
+      (Protocol.Ok_msg, "OK\r\n");
+    ]
+  in
+  List.iter
+    (fun (resp, wire) ->
+      Alcotest.(check string) (String.escaped wire) wire (Protocol.render resp))
+    cases;
+  let requests =
+    [
+      (Protocol.Get 0, "get 0\r\n");
+      (Protocol.Set (12, "abc"), "set 12 3\r\nabc\r\n");
+      (Protocol.Cas { c_key = 1; c_ver = 22; c_val = "" }, "cas 1 22 0\r\n\r\n");
+      (Protocol.Scan { sc_start = 5; sc_stop = 90; sc_limit = 10 }, "scan 5 90 10\r\n");
+      ( Protocol.Txn [ Protocol.T_get 1; Protocol.T_cas (2, 3, "x"); Protocol.T_del 4 ],
+        "txn\r\nt get 1\r\nt cas 2 3 1\r\nx\r\nt del 4\r\nexec\r\n" );
+      (Protocol.Repl { r_sync = true; r_from = 17 }, "repl sync 17\r\n");
+    ]
+  in
+  List.iter
+    (fun (req, wire) ->
+      Alcotest.(check string) (String.escaped wire) wire (Protocol.render_request req))
+    requests
+
 (* Differential: the same operation sequence over a socket (server on
    backend A, possibly sharded) and directly against an unsharded
    instance (same backend); every observable response must agree — each
@@ -502,6 +554,93 @@ let test_shutdown_verb () =
   let dt = Unix.gettimeofday () -. t0 in
   Alcotest.(check bool) (Printf.sprintf "second drain took %.3f s (< 0.1 s)" dt) true (dt < 0.1)
 
+(* Scans take no latch: they read each shard's published table, which a
+   shard publishes only as it releases its latch. On a 2-shard server,
+   with client domains racing the shard loops:
+   - a writer pipelines single-shard transactions that set keys 0 and 2
+     (both on shard 0) together, so the two always share a version;
+     every scan of [0, 2] must show both at one version, or neither;
+   - another connection pipelines a set and then a scan of the same key,
+     on keys of both shards: each scan sees its own connection's set. *)
+let test_scan_snapshot () =
+  let shards = 2 and txns = 3000 and batch = 50 in
+  let bnd = Option.get (Server.bindings_of_plan (plan ())) in
+  let cfg = { Server.default_config with Server.port = 0; shards; vsize } in
+  let srv = Server.start cfg bnd (stores_of (plan ()) ~shards) in
+  let port = Server.port srv in
+  let pipeline c reqs =
+    send_all c (String.concat "" (List.map Protocol.render_request reqs));
+    let got = read_responses c (List.length reqs) in
+    if List.length got <> List.length reqs then Alcotest.fail "pipeline: responses lost";
+    got
+  in
+  (* connections go to shards in accept order: the writer's to shard 0,
+     where its transactions execute, and the scanner's to shard 1, whose
+     loop then scans while shard 0's loop runs transactions *)
+  let c = connect port in
+  let scanner = connect port in
+  let writing = Atomic.make true in
+  let writer =
+    Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () ->
+            Atomic.set writing false;
+            Unix.close c.fd)
+          (fun () ->
+            for b = 0 to (txns / batch) - 1 do
+              let reqs =
+                List.init batch (fun i ->
+                    let v = Printf.sprintf "v%d" ((b * batch) + i) in
+                    Protocol.Txn [ Protocol.T_set (0, v); Protocol.T_set (2, v) ])
+              in
+              List.iter
+                (function
+                  | Protocol.Txn_reply [ Protocol.R_stored; Protocol.R_stored ] -> ()
+                  | r -> Alcotest.failf "txn: %s" (Protocol.render r))
+                (pipeline c reqs)
+            done))
+  in
+  let torn = ref 0 and whole = ref 0 in
+  while Atomic.get writing do
+    List.iter
+      (function
+        | Protocol.Scan_reply [] -> ()
+        | Protocol.Scan_reply
+            [ { Protocol.si_key = 0; si_ver = a; _ }; { Protocol.si_key = 2; si_ver = b; _ } ]
+          when a = b ->
+          incr whole
+        | Protocol.Scan_reply _ -> incr torn
+        | r -> Alcotest.failf "scan: %s" (Protocol.render r))
+      (pipeline scanner
+         (List.init batch (fun _ -> Protocol.Scan { sc_start = 0; sc_stop = 2; sc_limit = 10 })))
+  done;
+  Domain.join writer;
+  Alcotest.(check int) "scans that saw half a transaction" 0 !torn;
+  Alcotest.(check bool) "scans saw committed transactions" true (!whole > 0);
+  (* read-your-writes: keys 5 (shard 1) and 4 (shard 0), so one of the
+     two is remote from the connection's owner whichever shard owns it *)
+  let own = connect port in
+  let rounds = 40 in
+  let reqs =
+    List.concat
+      (List.init rounds (fun i ->
+           let k = 4 + (i mod 2) in
+           [ Protocol.Set (k, "w"); Protocol.Scan { sc_start = k; sc_stop = k; sc_limit = 1 } ]))
+  in
+  List.iteri
+    (fun j r ->
+      if j mod 2 = 1 then begin
+        let i = j / 2 in
+        let k = 4 + (i mod 2) and ver = 1 + (i / 2) in
+        match r with
+        | Protocol.Scan_reply [ { Protocol.si_key; si_ver; _ } ]
+          when si_key = k && si_ver = ver -> ()
+        | r -> Alcotest.failf "scan %d after its own set of %d: %s" i k (Protocol.render r)
+      end)
+    (pipeline own reqs);
+  List.iter (fun c -> Unix.close c.fd) [ scanner; own ];
+  Server.drain srv
+
 (* A traced 2-shard server under pipelined clients on both shards, its
    rings merged after the drain. Every writer owns its ring, so slices
    balance on every track, request spans stay on the loop tracks, each
@@ -574,6 +713,8 @@ let suite =
   [
     Alcotest.test_case "protocol: fragmented parse + roundtrip" `Quick
       test_protocol;
+    Alcotest.test_case "protocol: every response form, byte for byte" `Quick
+      test_render_bytes;
     Alcotest.test_case "differential socket-vs-direct (sim)" `Quick
       (test_differential ~shards:1);
     Alcotest.test_case "differential socket-vs-direct (sim, 4 shards)" `Quick
@@ -598,4 +739,6 @@ let suite =
       test_shutdown_verb;
     Alcotest.test_case "traced 2-shard server: per-writer rings balance"
       `Quick test_traced_shards;
+    Alcotest.test_case "latch-free scans see whole latch holds and own writes"
+      `Quick test_scan_snapshot;
   ]

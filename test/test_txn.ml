@@ -155,64 +155,60 @@ let test_execute_applicability () =
 (* the color-inheritance rule of the index *)
 
 let test_index_color_rule () =
-  let ix = Index.create () in
-  (* a secret-colored value: the index keeps (key, version, len) only,
-     whatever the caller passes as value bytes *)
-  Index.put ix ~key:5 ~version:1 ~len:3 ~color:"red" ~value:(Some "abc");
-  (match Index.find ix 5 with
-  | Some { Index.e_color = "red"; e_value = None; e_len = 3; e_version = 1; _ }
-    -> ()
+  (* a secret-colored store: the table keeps (key, version, len) only,
+     whatever bytes the value had *)
+  let t = Txn.create ~value_color:"red" () in
+  Txn.note_put t ~key:5 ~value:"abc";
+  (match Txn.scan t ~start:5 ~stop:5 ~limit:1 with
+  | [ { Index.si_key = 5; si_ver = 1; si_val = None } ] -> ()
   | _ -> Alcotest.fail "secret entry leaked value bytes");
-  Alcotest.(check int) "no reverse lookup for secrets" 0
-    (List.length (Index.lookup ix "abc"));
+  Alcotest.(check (option int)) "secret entry keeps its length" (Some 3)
+    (Txn.length t 5);
+  Alcotest.(check (list int)) "no reverse lookup for secrets" []
+    (Txn.lookup t ~value:"abc");
   (* an unprotected value is cached and reverse-indexed *)
-  Index.put ix ~key:6 ~version:1 ~len:3 ~color:Index.unprotected_color
-    ~value:(Some "abc");
-  (match Index.lookup ix "abc" with
-  | [ { Index.e_key = 6; e_value = Some "abc"; _ } ] -> ()
-  | _ -> Alcotest.fail "unprotected value not reverse-indexed");
-  (* a range over both shows value bytes only for the "U" entry *)
-  (match Index.range ix ~start:0 ~stop:10 ~limit:10 with
-  | [ { Index.e_key = 5; e_value = None; _ };
-      { Index.e_key = 6; e_value = Some "abc"; _ } ] -> ()
+  let u = Txn.create ~value_color:Index.unprotected_color () in
+  Txn.note_put u ~key:5 ~value:"def";
+  Txn.note_put u ~key:6 ~value:"abc";
+  Alcotest.(check (list int)) "unprotected value reverse-indexed" [ 6 ]
+    (Txn.lookup u ~value:"abc");
+  (match Txn.scan u ~start:0 ~stop:10 ~limit:10 with
+  | [ { Index.si_key = 5; si_val = Some "def"; _ };
+      { Index.si_key = 6; si_val = Some "abc"; _ } ] -> ()
   | l -> Alcotest.failf "unexpected range (%d entries)" (List.length l));
   (* overwrite remaps the fingerprint *)
-  Index.put ix ~key:6 ~version:2 ~len:3 ~color:Index.unprotected_color
-    ~value:(Some "xyz");
-  Alcotest.(check int) "old fingerprint unmapped" 0
-    (List.length (Index.lookup ix "abc"));
-  (match Index.lookup ix "xyz" with
-  | [ { Index.e_key = 6; e_version = 2; _ } ] -> ()
-  | _ -> Alcotest.fail "new fingerprint not mapped");
-  Index.del ix ~key:6;
-  Alcotest.(check int) "deleted key left the hash index" 0
-    (List.length (Index.lookup ix "xyz"));
-  Alcotest.(check int) "deleted key left the ordered index" 1
-    (List.length (Index.range ix ~start:0 ~stop:10 ~limit:10));
+  Txn.note_put u ~key:6 ~value:"xyz";
+  Alcotest.(check (list int)) "old fingerprint unmapped" []
+    (Txn.lookup u ~value:"abc");
+  (match Txn.scan u ~start:6 ~stop:6 ~limit:1 with
+  | [ { Index.si_key = 6; si_ver = 2; si_val = Some "xyz" } ] -> ()
+  | _ -> Alcotest.fail "overwrite not in the table");
+  Alcotest.(check (list int)) "new fingerprint mapped" [ 6 ]
+    (Txn.lookup u ~value:"xyz");
+  Txn.note_del u ~key:6;
+  Alcotest.(check (list int)) "deleted key left the hash index" []
+    (Txn.lookup u ~value:"xyz");
+  Alcotest.(check int) "deleted key left the scans" 1
+    (List.length (Txn.scan u ~start:0 ~stop:10 ~limit:10));
+  Alcotest.(check int) "deleted key keeps its version" 3 (Txn.version u 6);
+  Alcotest.(check (option int)) "deleted key has no length" None (Txn.length u 6);
   (* the extreme key is not an in-band sentinel of the range walk: an
      entry at max_int is still scannable *)
-  Index.put ix ~key:max_int ~version:1 ~len:2 ~color:Index.unprotected_color
-    ~value:(Some "mx");
-  (match Index.range ix ~start:max_int ~stop:max_int ~limit:4 with
-  | [ { Index.e_key = k; e_value = Some "mx"; _ } ] when k = max_int -> ()
+  Txn.note_put u ~key:max_int ~value:"mx";
+  (match Txn.scan u ~start:max_int ~stop:max_int ~limit:4 with
+  | [ { Index.si_key = k; si_val = Some "mx"; _ } ] when k = max_int -> ()
   | l -> Alcotest.failf "max_int entry not scanned (%d entries)"
-           (List.length l));
-  Index.del ix ~key:max_int;
-  (* the same rule through the txn layer: a secret store scans key-only
-     and is unreachable by value *)
-  let t = Txn.create ~value_color:"blue" () in
-  Txn.note_put t ~key:1 ~value:"secret-bytes";
-  (match Txn.scan t ~start:0 ~stop:10 ~limit:10 with
-  | [ { Index.e_key = 1; e_value = None; e_color = "blue"; _ } ] -> ()
-  | _ -> Alcotest.fail "secret scan entry carried bytes");
-  Alcotest.(check int) "secret store has no value lookup" 0
-    (List.length (Txn.lookup t ~value:"secret-bytes"))
+           (List.length l))
 
 (* ------------------------------------------------------------------ *)
 (* range scans against a reference model *)
 
 let test_range_oracle () =
   let t = Txn.create ~value_color:Index.unprotected_color () in
+  (* the same writes, partitioned over three shard tables (key mod 3):
+     their published tables merge to the same scans *)
+  let shards = Array.init 3 (fun _ -> Txn.create ~value_color:Index.unprotected_color ()) in
+  let shard k = shards.(k mod 3) in
   let model : (int, int * string) Hashtbl.t = Hashtbl.create 64 in
   let versions : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let bump k =
@@ -221,19 +217,24 @@ let test_range_oracle () =
     v
   in
   let rng = Ycsb.rng 0x5ca9 in
-  for i = 1 to 300 do
-    let k = Ycsb.next_int rng 100 in
+  for i = 1 to 3000 do
+    let k = Ycsb.next_int rng 400 in
     if Ycsb.next_int rng 4 < 3 then begin
       let v = Printf.sprintf "v%d-%d" k i in
       Txn.note_put t ~key:k ~value:v;
+      Txn.note_put (shard k) ~key:k ~value:v;
       Hashtbl.replace model k (bump k, v)
     end
     else if Hashtbl.mem model k then begin
       Txn.note_del t ~key:k;
+      Txn.note_del (shard k) ~key:k;
       ignore (bump k : int);
       Hashtbl.remove model k
     end
   done;
+  Array.iter Txn.publish shards;
+  (* a write after the publish is not in the published tables *)
+  Txn.note_put (shard 1) ~key:1 ~value:"unpublished";
   let reference ~start ~stop ~limit =
     let live =
       Hashtbl.fold
@@ -244,23 +245,43 @@ let test_range_oracle () =
     let sorted = List.sort (fun (a, _, _) (b, _, _) -> compare a b) live in
     List.filteri (fun i _ -> i < limit) sorted
   in
-  for _ = 1 to 50 do
-    let start = Ycsb.next_int rng 100 in
-    let stop = start + Ycsb.next_int rng 40 in
-    let limit = 1 + Ycsb.next_int rng 12 in
-    let got =
-      List.map
-        (fun (e : Index.entry) ->
-          match e.Index.e_value with
-          | Some v -> (e.Index.e_key, e.Index.e_version, v)
-          | None -> Alcotest.fail "unprotected entry without bytes")
-        (Txn.scan t ~start ~stop ~limit)
-    in
+  let triples =
+    List.map (fun (e : Index.item) ->
+        match e.Index.si_val with
+        | Some v -> (e.Index.si_key, e.Index.si_ver, v)
+        | None -> Alcotest.fail "unprotected entry without bytes")
+  in
+  let published = Array.map Txn.published shards in
+  for _ = 1 to 200 do
+    let start = Ycsb.next_int rng 400 in
+    let stop = start + Ycsb.next_int rng 80 in
+    let limit = 1 + Ycsb.next_int rng 30 in
     let want = reference ~start ~stop ~limit in
-    if got <> want then
+    if triples (Txn.scan t ~start ~stop ~limit) <> want then
       Alcotest.failf "scan [%d,%d] limit %d diverged from the model" start
-        stop limit
+        stop limit;
+    if triples (Index.range published ~start ~stop ~limit) <> want then
+      Alcotest.failf "merged scan [%d,%d] limit %d diverged from the model"
+        start stop limit
   done
+
+(* The per-key table is the only per-key state a secret-colored store
+   keeps outside the enclave: one node per key, within half the 174 B a
+   key cost in three separate tables (a map node and entry record, a
+   version hash table, a length hash table). *)
+let test_bytes_per_key () =
+  let keys = 70_000 in
+  let t = Txn.create ~value_color:"blue" () in
+  for k = 0 to keys - 1 do
+    Txn.note_put t ~key:k ~value:"0123456789abcdef0123456789abcdef"
+  done;
+  Txn.publish t;
+  let per_key =
+    float_of_int (Obj.reachable_words (Obj.repr t) * (Sys.word_size / 8))
+    /. float_of_int keys
+  in
+  if per_key > 87.0 then
+    Alcotest.failf "%.1f bytes per secret-colored key (bound 87)" per_key
 
 (* ------------------------------------------------------------------ *)
 (* serving-stack helpers (local copies; test_server has its own) *)
@@ -790,6 +811,8 @@ let suite =
       test_execute_applicability;
     Alcotest.test_case "index: color inheritance rule" `Quick
       test_index_color_rule;
+    Alcotest.test_case "per-key table: bytes per secret-colored key" `Quick
+      test_bytes_per_key;
     Alcotest.test_case "scan: range oracle" `Quick
       test_range_oracle;
     Alcotest.test_case "differential transcript on all four cells" `Slow
