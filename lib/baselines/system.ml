@@ -105,7 +105,3 @@ let write_bytes t addr (s : string) =
   String.iteri
     (fun i c -> Heap.store t.heap (addr + i) 1 (Int64.of_int (Char.code c)))
     s
-
-let read_bytes t addr len =
-  String.init len (fun i ->
-      Char.chr (Int64.to_int (Heap.load t.heap (addr + i) 1) land 0xff))

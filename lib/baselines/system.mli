@@ -19,8 +19,6 @@ type kind =
           [Relaxed]: the two-enclave port — the partitioned execution
           shape with switchless-priced crossings. *)
 
-val kind_name : kind -> string
-
 (** Which program variant the system runs: Privagic and the two-enclave
     SDK port need the colored source; the others run the legacy code. *)
 val variant : kind -> [ `Colored | `Plain ]
@@ -47,4 +45,3 @@ val create :
 val alloc_buffer : t -> int -> int
 
 val write_bytes : t -> int -> string -> unit
-val read_bytes : t -> int -> int -> string

@@ -5,8 +5,6 @@
 module System = Privagic_baselines.System
 module Sgx = Privagic_sgx
 
-val systems : System.kind list
-
 val run :
   ?config:Sgx.Config.t -> ?cost:Sgx.Cost.t -> ?record_count:int ->
   ?operations:int -> ?vsize:int -> unit -> Kv.result list

@@ -10,6 +10,5 @@ type outcome = {
   rejection : string option;
 }
 
-val secret : int64
 val run : unit -> outcome
 val report : outcome -> Report.t

@@ -8,9 +8,6 @@ module Sgx = Privagic_sgx
 
 type point = { dataset_mib : float; results : Kv.result list }
 
-val systems : System.kind list
-val default_sizes_mib : int list
-
 val run :
   ?config:Sgx.Config.t -> ?cost:Sgx.Cost.t -> ?sizes_mib:int list ->
   ?operations:int -> ?vsize:int -> unit -> point list

@@ -7,11 +7,7 @@ module Sgx = Privagic_sgx
 
 type row = { family : Kv.family; results : Kv.result list }
 
-val systems : System.kind list
-
-(** [(family, record_count, operations)] per structure. *)
-val default_spec : (Kv.family * int * int) list
-
+(** [spec]: [(family, record_count, operations)] per structure. *)
 val run :
   ?config:Sgx.Config.t -> ?cost:Sgx.Cost.t ->
   ?spec:(Kv.family * int * int) list -> ?vsize:int -> unit -> row list

@@ -15,13 +15,6 @@ val family_name : family -> string
 (** [(put, get)] entry names of a family. *)
 val entries : family -> string * string
 
-val source :
-  family -> Programs.variant -> nbuckets:int -> vsize:int -> string
-
-(** The mode a family needs: two colors in one structure require relaxed
-    mode (§8). *)
-val mode_for : family -> Privagic_secure.Mode.t
-
 type result = {
   family : family;
   system : string;
@@ -37,7 +30,8 @@ type result = {
 }
 
 (** The [`Colored] variant of a family, checked and partitioned under
-    {!mode_for}. @raise Invalid_argument if the checker or the
+    the mode the family needs (two colors in one structure require
+    relaxed mode, §8). @raise Invalid_argument if the checker or the
     partitioner rejects it. *)
 val plan_for :
   family -> nbuckets:int -> vsize:int -> Privagic_partition.Plan.t

@@ -1,8 +1,6 @@
 (** Table 4 and §9.3.1: engineering effort (modified LoC, by diff against
     the legacy variant) and trusted computing base per program. *)
 
-open Privagic_secure
-
 type row = {
   program : string;
   modified_lines : int;
@@ -12,8 +10,6 @@ type row = {
   tcb_scone_kib : int;
   reduction : float;
 }
-
-val analyze : name:string -> mode:Mode.t -> colored:string -> plain:string -> row
 
 (** The five evaluation programs. *)
 val default_rows : unit -> row list

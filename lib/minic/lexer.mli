@@ -6,13 +6,6 @@ open Privagic_pir
 
 exception Error of Loc.t * string
 
-type t
-
-val create : ?file:string -> string -> t
-
-(** Next token with its source location. *)
-val next : t -> Token.t * Loc.t
-
 (** Whole input, ending with [EOF].
     @raise Error on lexical errors. *)
 val tokenize : ?file:string -> string -> (Token.t * Loc.t) list

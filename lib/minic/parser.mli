@@ -7,13 +7,5 @@ open Privagic_pir
 
 exception Error of Loc.t * string
 
-(** Parser state over a token array. *)
-type t
-
-val create : (Token.t * Loc.t) list -> t
-
-(** Exposed for tests: parse a single type from the current position. *)
-val parse_type : t -> Ty.t
-
 (** @raise Error on syntax errors, [Lexer.Error] on lexical ones. *)
 val parse_program : ?file:string -> string -> Ast.program

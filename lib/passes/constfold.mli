@@ -4,5 +4,4 @@
     jumps (then prunes the dead arm). Color-neutral: constants are F.
     Returns the number of folds. *)
 
-val run_func : Privagic_pir.Func.t -> int
 val run : Privagic_pir.Pmodule.t -> int

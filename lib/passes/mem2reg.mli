@@ -11,6 +11,4 @@
     the store sites, then a renaming walk of the dominator tree. *)
 
 (** Returns the number of promoted allocas. *)
-val run_func : Privagic_pir.Func.t -> int
-
 val run : Privagic_pir.Pmodule.t -> int

@@ -17,5 +17,3 @@ let to_string = function
   | Entry -> "entry"
   | Within -> "within"
   | Ignore -> "ignore"
-
-let pp fmt a = Format.pp_print_string fmt (to_string a)

@@ -15,4 +15,3 @@ type t =
 
 val equal : t -> t -> bool
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

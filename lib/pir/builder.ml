@@ -12,9 +12,6 @@ let create m f =
   Pmodule.add_func m f;
   { pmodule = m; func = f; current = entry; label_counter = 0; term_set = false }
 
-let func b = b.func
-let pmodule b = b.pmodule
-
 let block b hint =
   b.label_counter <- b.label_counter + 1;
   let label = Printf.sprintf "%s%d" hint b.label_counter in
@@ -62,8 +59,6 @@ let call ?loc b ty f args =
     Value.Undef Ty.void
   end
   else instr ?loc b ty (Instr.Call (f, args))
-
-let spawn ?loc b f args = effect ?loc b (Instr.Spawn (f, args))
 
 let gep ?loc b ~ty ~pointee base steps =
   instr ?loc b ty (Instr.Gep (pointee, base, steps))

@@ -10,9 +10,6 @@ type t
     at a fresh entry block. The function is registered in [m]. *)
 val create : Pmodule.t -> Func.t -> t
 
-val func : t -> Func.t
-val pmodule : t -> Pmodule.t
-
 (** [block b label] creates (and returns the label of) a new empty block.
     Labels are uniquified with a counter. *)
 val block : t -> string -> string
@@ -29,9 +26,6 @@ val instr : ?loc:Loc.t -> t -> Ty.t -> Instr.op -> Value.t
 (** Append a void instruction (store or void call). *)
 val effect : ?loc:Loc.t -> t -> Instr.op -> unit
 
-(** Set the terminator of the current block (only if not already set). *)
-val term : t -> Instr.term -> unit
-
 (** Whether the current block already has a terminator. *)
 val terminated : t -> bool
 
@@ -43,7 +37,6 @@ val store : ?loc:Loc.t -> t -> Value.t -> Value.t -> unit
 val binop : ?loc:Loc.t -> t -> Instr.binop -> Ty.t -> Value.t -> Value.t -> Value.t
 val icmp : ?loc:Loc.t -> t -> Instr.icmp -> Value.t -> Value.t -> Value.t
 val call : ?loc:Loc.t -> t -> Ty.t -> string -> Value.t list -> Value.t
-val spawn : ?loc:Loc.t -> t -> string -> Value.t list -> unit
 val gep : ?loc:Loc.t -> t -> ty:Ty.t -> pointee:Ty.t -> Value.t -> Instr.gep_step list -> Value.t
 val phi : ?loc:Loc.t -> t -> Ty.t -> (string * Value.t) list -> Value.t
 val br : t -> string -> unit

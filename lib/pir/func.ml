@@ -35,8 +35,6 @@ let find_block_exn f label =
   | None ->
     invalid_arg (Printf.sprintf "Func.find_block: no block %%%s in %s" label f.name)
 
-let has_annot f a = List.exists (Annot.equal a) f.annots
-
 let iter_instrs f fn =
   List.iter (fun (b : Block.t) -> List.iter (fn b) b.instrs) f.blocks
 
@@ -47,9 +45,6 @@ let fold_instrs f fn acc =
     acc f.blocks
 
 let instr_count f = fold_instrs f (fun n _ _ -> n + 1) 0
-
-(* Signature as a function type, colors included. *)
-let signature f = Ty.fun_ f.ret (List.map snd f.params)
 
 let pp fmt f =
   let pp_param fmt (name, ty) = Format.fprintf fmt "%a %%%s" Ty.pp ty name in

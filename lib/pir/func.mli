@@ -30,16 +30,11 @@ val entry_block : t -> Block.t
 
 val find_block : t -> string -> Block.t option
 val find_block_exn : t -> string -> Block.t
-val has_annot : t -> Annot.t -> bool
 
 (** Iterate the instructions in block order; the callback receives the
     enclosing block. *)
 val iter_instrs : t -> (Block.t -> Instr.t -> unit) -> unit
 
-val fold_instrs : t -> ('a -> Block.t -> Instr.t -> 'a) -> 'a -> 'a
 val instr_count : t -> int
-
-(** The function's type (colors included). *)
-val signature : t -> Ty.t
 
 val pp : Format.formatter -> t -> unit

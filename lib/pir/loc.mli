@@ -5,6 +5,5 @@ type t = { file : string; line : int; col : int }
 
 val none : t
 val make : file:string -> line:int -> col:int -> t
-val is_none : t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -44,15 +44,6 @@ let find_struct_exn m name =
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Pmodule.find_struct: %%%s" name)
 
-let field_index m sname fname =
-  let s = find_struct_exn m sname in
-  let rec go k = function
-    | [] ->
-      invalid_arg (Printf.sprintf "Pmodule.field_index: %%%s.%s" sname fname)
-    | (f, _) :: rest -> if String.equal f fname then k else go (k + 1) rest
-  in
-  go 0 s.fields
-
 let field_ty m sname k =
   let s = find_struct_exn m sname in
   match List.nth_opt s.fields k with
@@ -93,16 +84,6 @@ let struct_field_tys m name =
   List.map snd (find_struct_exn m name).fields
 
 let sizeof m ty = Ty.sizeof ~structs:(struct_field_tys m) ty
-
-(* Byte offset of field [k] inside struct [sname]. *)
-let field_offset m sname k =
-  let s = find_struct_exn m sname in
-  let rec go off i = function
-    | [] -> invalid_arg "Pmodule.field_offset"
-    | (_, ty) :: rest ->
-      if i = k then off else go (off + sizeof m ty) (i + 1) rest
-  in
-  go 0 0 s.fields
 
 let iter_funcs m fn = Hashtbl.iter (fun _ f -> fn f) m.funcs
 

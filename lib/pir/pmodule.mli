@@ -30,7 +30,6 @@ val create : unit -> t
 val add_struct : t -> struct_def -> unit
 val find_struct : t -> string -> struct_def option
 val find_struct_exn : t -> string -> struct_def
-val field_index : t -> string -> string -> int
 val field_ty : t -> string -> int -> Ty.t
 
 val add_global : t -> global -> unit
@@ -50,19 +49,13 @@ val entry_points : t -> string list
 
 val set_entry_points : t -> string list -> unit
 
-val struct_field_tys : t -> string -> Ty.t list
-
 (** Byte size with the plain (non-rewritten) layout; the VM's [Layout]
     owns the §7.2-rewritten sizes. *)
 val sizeof : t -> Ty.t -> int
-
-val field_offset : t -> string -> int -> int
 
 val iter_funcs : t -> (Func.t -> unit) -> unit
 val funcs_sorted : t -> Func.t list
 val globals_sorted : t -> global list
 val structs_sorted : t -> struct_def list
-val externs_sorted : t -> extern_decl list
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

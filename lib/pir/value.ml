@@ -11,20 +11,7 @@ type t =
 let reg i = Reg i
 let int_ i = Int (i, Ty.i64)
 let of_int i = Int (Int64.of_int i, Ty.i64)
-let bool_ b = Int ((if b then 1L else 0L), Ty.i1)
-let i8_ c = Int (Int64.of_int c, Ty.i8)
 let float_ f = Float f
-
-let equal a b =
-  match a, b with
-  | Reg x, Reg y -> x = y
-  | Int (x, tx), Int (y, ty) -> Int64.equal x y && Ty.equal tx ty
-  | Float x, Float y -> Float.equal x y
-  | Str x, Str y -> String.equal x y
-  | Global x, Global y | Func x, Func y -> String.equal x y
-  | Null tx, Null ty | Undef tx, Undef ty -> Ty.equal tx ty
-  | (Reg _ | Int _ | Float _ | Str _ | Global _ | Func _ | Null _ | Undef _), _
-    -> false
 
 let regs = function Reg i -> [ i ] | _ -> []
 

@@ -16,11 +16,7 @@ type t =
 val reg : int -> t
 val int_ : int64 -> t
 val of_int : int -> t
-val bool_ : bool -> t
-val i8_ : int -> t
 val float_ : float -> t
-
-val equal : t -> t -> bool
 
 (** Registers mentioned by the operand (0 or 1). *)
 val regs : t -> int list

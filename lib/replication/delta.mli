@@ -38,10 +38,6 @@ type op =
 
 type t = { seq : int; op : op }
 
-(** Payload bytes a frame may carry: the serving layer's value bound
-    plus the sealing overhead. *)
-val max_payload : int
-
 (** {1 Primary side: rendering the stream} *)
 
 val render_ok : int -> string

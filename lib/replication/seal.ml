@@ -35,8 +35,6 @@ let derive ~cluster color =
   let h = hash_string 0xcbf29ce484222325L (cluster ^ "\000" ^ color) in
   { k0 = mix h; k1 = mix (Int64.add h golden); color }
 
-let key_color k = k.color
-
 let overhead = 8
 
 (* Keystream word [j] of (key, nonce): one mixed word yields bytes

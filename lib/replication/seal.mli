@@ -30,8 +30,6 @@ type key
     shared cluster secret; both sides of a link must agree on it). *)
 val derive : cluster:string -> string -> key
 
-val key_color : key -> string
-
 (** Bytes added by the seal (the MAC tag). *)
 val overhead : int
 

@@ -22,10 +22,10 @@ val pop : 'a t -> 'a option
 
 val is_empty : 'a t -> bool
 
-(** Close the queue: an advisory shutdown flag for consumers, used by the
-    parallel backend's worker-pool teardown and the server's shard-inbox
-    drain. [close] does not modify the
-    list structure, so {!push}/{!pop} keep their exact lock-free semantics.
+(** Close the queue: an advisory shutdown flag for consumers, used only
+    by the parallel backend's worker-pool teardown. [close] does not
+    modify the list structure, so {!push}/{!pop} keep their exact
+    lock-free semantics.
 
     Memory-ordering argument: OCaml [Atomic] operations are sequentially
     consistent, so the store of [closed := true] cannot be reordered with

@@ -20,7 +20,6 @@ type t = {
   msg : string;
 }
 
-val kind_to_string : kind -> string
 val make : kind:kind -> func:string -> loc:Loc.t -> string -> t
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -821,9 +821,6 @@ let find_instance t name args =
 (* Callee instance resolved at a given call/spawn site. *)
 let call_site t key instr_id = Hashtbl.find_opt t.call_sites (key, instr_id)
 
-(* Value color of a register in an instance (F when never colored). *)
-let register_color inst r = reg_color inst r
-
 (* Executing color of an instruction in an instance. *)
 let instruction_color inst (i : Instr.t) = instr_color inst i
 

@@ -65,9 +65,6 @@ val find_instance : t -> string -> Color.t list -> instance option
     instance and the instruction id). *)
 val call_site : t -> instance_key -> int -> instance_key option
 
-(** Final value color of a register ([Color.Free] when never colored). *)
-val register_color : instance -> int -> Color.t
-
 (** Final executing color of an instruction. *)
 val instruction_color : instance -> Instr.t -> Color.t
 

@@ -1,7 +1,7 @@
 (* The sans-IO shard core (DESIGN.md §8.14): everything one shard of the
    served store decides, with no socket, thread, domain, clock or
    self-pipe in sight. The shell ([Server]) owns the IO: it turns
-   readiness, inbox pops and drain stages into [event]s, passes the
+   readiness, inbox pops and the drain into [event]s, passes the
    time along with each call, and carries out the [effect]s the core
    emits. The seeded simulation (test/test_sim.ml) drives the same
    cores from one domain, which is what makes a schedule replayable.
@@ -24,9 +24,7 @@
    - the commit log, appended while the latch is held, so per key log
      order is commit order;
    - a peer's inbox [depth] (admission) and [blocked_by] flags (the
-     [Block] wait), and its [fenced] flag (an ack wakes it);
-   - the group's [n_dispatched] counter, the drain barrier: the core
-     that completes it emits [Close_inboxes], once per group. *)
+     [Block] wait), and its [fenced] flag (an ack wakes it). *)
 
 module Repl = Privagic_replication
 module Metrics = Privagic_obs.Metrics
@@ -110,8 +108,7 @@ type event =
   | Eof of int                      (* the peer closed its side *)
   | Dead of int                     (* IO error: drop without replying *)
   | Inbox of item
-  | Drain                           (* stage 1: stop reading *)
-  | Closed                          (* stage 2: the inbox is closed+empty *)
+  | Drain                           (* stop reading *)
 
 type effect =
   | Write of int * string           (* response bytes for a connection *)
@@ -121,8 +118,6 @@ type effect =
                                        from_seq *)
   | Send of int * item              (* push onto shard r's inbox *)
   | Wake of int                     (* wake shard k's loop *)
-  | Close_inboxes                   (* drain stage 2: every core has
-                                       dispatched; close every inbox *)
   | Shutdown                        (* the shutdown verb *)
 
 (* Owner-written counters, summed over the shards when read. *)
@@ -181,8 +176,6 @@ type t = {
   mutable batch_n : int;
   mutable round_n : int;            (* local jobs this round ([Shed]) *)
   mutable draining : bool;
-  mutable dispatched : bool;
-  mutable closed : bool;
   n : counters;
   latency : Metrics.histogram;
   qwait : Metrics.histogram;
@@ -197,7 +190,6 @@ and group = {
   synced : int -> bool;             (* every sync replica acked seq *)
   info : Protocol.request -> Protocol.response;  (* stats verbs *)
   self : unit -> int;               (* the calling domain's id *)
-  n_dispatched : int Atomic.t;      (* cores past drain stage 1 *)
   mutable cores : t array;
 }
 
@@ -229,8 +221,6 @@ let create g i store tracer =
     batch_n = 0;
     round_n = 0;
     draining = false;
-    dispatched = false;
-    closed = false;
     n =
       { gets = 0; sets = 0; dels = 0; hits = 0; shed = 0; bad = 0; batches = 0;
         coalesced = 0; getv = 0; cas = 0; cas_conflicts = 0; txns = 0;
@@ -243,7 +233,7 @@ let create g i store tracer =
 (* One core per store; shard [i] owns [stores.(i)]. *)
 let group ~cfg ~bnd ~log ~role ~synced ~info ~self ?(tracer = fun _ -> untraced)
     stores =
-  let g = { cfg; bnd; log; role; synced; info; self; n_dispatched = Atomic.make 0; cores = [||] } in
+  let g = { cfg; bnd; log; role; synced; info; self; cores = [||] } in
   g.cores <- Array.mapi (fun i st -> create g i st (tracer i)) stores;
   g
 
@@ -702,7 +692,6 @@ let handle t ~now ~emit ev =
     p.s_resp <- Some resp;
     c.c_inflight <- c.c_inflight - 1
   | Drain -> t.draining <- true
-  | Closed -> t.closed <- true
 
 (* ------------------------------------------------------------------ *)
 (* dispatch: route a connection's jobs in arrival order *)
@@ -853,8 +842,7 @@ let rec take_work t ~emit n =
    ingested inbox work, dispatch every connection and execute the local
    batch. Returns true when the round did anything: the caller calls
    again, with a later time, and a fill may have unblocked a barrier. A
-   round with nothing to do flushes, sweeps, passes drain stage 1 when
-   it can and returns false. *)
+   round with nothing to do flushes, sweeps and returns false. *)
 let run t ~now ~emit =
   own t;
   t.now <- now;
@@ -872,16 +860,6 @@ let run t ~now ~emit =
   || begin
     List.iter (flush ~emit) t.conns;
     sweep t ~emit;
-    (* drain stage 1: everything parsed has left its connection, so
-       nothing new can enter another shard's inbox from here. The last
-       core past it ends stage 1 for the group. *)
-    if t.draining && (not t.dispatched)
-       && List.for_all (fun c -> Queue.is_empty c.c_jobs) t.conns
-    then begin
-      t.dispatched <- true;
-      if Atomic.fetch_and_add t.g.n_dispatched 1 = Array.length t.g.cores - 1 then
-        emit Close_inboxes
-    end;
     false
   end
 
@@ -898,9 +876,11 @@ let deadline t =
   own t;
   Option.map (fun (_, _, d) -> d) (Queue.peek_opt t.fences)
 
-(* Drain stage 2 is over: the closed inbox is empty, no fence is held
-   and every remaining connection is answered. *)
+(* Our drain is over: no ingested work, no held fence, and every
+   remaining connection answered. A cross-shard request keeps its
+   owner unfinished until answered, so no loop exits while it is
+   queued (the shell exits only once every core finished). *)
 let finished t =
   own t;
-  t.dispatched && t.closed && Queue.is_empty t.work && Queue.is_empty t.fences
+  t.draining && Queue.is_empty t.work && Queue.is_empty t.fences
   && List.for_all (fun c -> Queue.is_empty c.c_pending) t.conns

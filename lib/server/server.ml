@@ -2,14 +2,14 @@
 
    The keyspace is hash-partitioned across N single-writer shards
    ([key mod shards]). Each shard's logic — parsing, routing, batching,
-   two-phase commit, completions, backpressure, the drain stages — is a
+   two-phase commit, completions, backpressure, the drain — is a
    [Core.t] that consumes events and emits effects. This file is the IO
    around the cores: one [Unix.select] loop per shard on its own domain
    over nonblocking sockets and a self-pipe (no timeout polling on the
    serving path: every event that needs a loop writes its pipe), the
    replication links each loop hosts, accepting (loop 0), and the
-   two-stage drain. A running server is its N loop domains, and no
-   other thread.
+   drain. A running server is its N loop domains, and no other
+   thread.
 
    Shards talk through one bounded Msqueue inbox each: requests routed
    to a key's shard, and their completions coming home to the
@@ -350,24 +350,14 @@ let shard_loop t s =
     | Core.Wake k ->
       (* never ourselves: the loop runs its core again before it sleeps *)
       if k <> core.Core.id then Wakeup.wake t.sh.(k).wake
-    | Core.Close_inboxes ->
-      (* nothing but completions enters an inbox from here: each loop
-         drains its inbox to empty-after-close (the Msqueue drain
-         protocol), so no queued request is lost *)
-      Array.iter (fun s -> Msq.close s.inbox) t.sh;
-      wake_all t
     | Core.Shutdown -> start_drain t
   in
   let step ev = Core.handle core ~now:(now_us t) ~emit ev in
   let rec run () = if Core.run core ~now:(now_us t) ~emit then run () in
   (* Feed the inbox to the core and run it, until the inbox stays empty
-     (a completion that arrives meanwhile is flushed in this pass). The
-     Msqueue drain protocol: read the close flag, then pop to empty — no
-     item pushed before the close is missed. *)
+     (a completion that arrives meanwhile is flushed in this pass). *)
   let rec settle () =
-    let closed = Msq.is_closed s.inbox in
     pop_all s.inbox (fun item -> step (Core.Inbox item));
-    if closed then step Core.Closed;
     run ();
     if not (Msq.is_empty s.inbox) then settle ()
   in

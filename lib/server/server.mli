@@ -123,9 +123,9 @@ val port : t -> int
 val rings : t -> Privagic_obs.Ring.t list
 
 (** Graceful drain: start it, as a [shutdown] verb does, then {!wait}.
-    Loop 0 stops accepting; every loop answers every parsed request,
-    with no queued cross-shard request lost (a two-stage barrier,
-    DESIGN.md §8.14); each then flushes the log's tail to the
+    Loop 0 stops accepting; every loop answers every parsed request of
+    a live connection, as no loop exits before every shard answered
+    its own (DESIGN.md §8.14); each then flushes the log's tail to the
     replication links it hosts and exits once they acked it, or after
     a 5 s linger. The stores stay with the caller. Idempotent; call it
     from any thread but a shard loop. *)

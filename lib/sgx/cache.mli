@@ -10,14 +10,11 @@ type t
     two. *)
 val create : size_bytes:int -> line_bytes:int -> assoc:int -> t
 
-(** Access one line; [true] = hit. *)
-val access_line : t -> int -> bool
-
 (** Access [size] bytes at [addr]; returns [(line_misses, lines_touched)]. *)
 val access : t -> int -> int -> int * int
 
 (** Same access as {!access}, returning only the miss count — no tuple
-    allocation; single-line accesses reduce to one {!access_line}. *)
+    allocation; a single-line access costs one line lookup. *)
 val access_misses : t -> int -> int -> int
 
 (** Lines an access of [size] bytes at [addr] touches (pure arithmetic). *)

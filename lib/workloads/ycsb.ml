@@ -182,22 +182,6 @@ let workload_f ?(seed = 42) ~record_count ~operation_count ~value_size () =
     seed;
   }
 
-let uniform_mix ?(seed = 42) ~record_count ~operation_count ~value_size
-    ~read_proportion () =
-  {
-    record_count;
-    operation_count;
-    read_proportion;
-    update_proportion = 1.0 -. read_proportion;
-    insert_proportion = 0.0;
-    scan_proportion = 0.0;
-    rmw_proportion = 0.0;
-    max_scan_len = 1;
-    distribution = Uniform;
-    value_size;
-    seed;
-  }
-
 type t = {
   spec : spec;
   r : rng;

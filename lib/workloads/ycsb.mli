@@ -15,16 +15,12 @@ val next_float : rng -> float
 (** Uniform int in [0, n). *)
 val next_int : rng -> int -> int
 
-val zipfian_constant : float
-
 type zipfian
 
 val zipfian : ?theta:float -> int -> zipfian
 
 (** Next zipfian item in [0, items); item 0 is the hottest. *)
 val zipfian_next : zipfian -> rng -> int
-
-val fnv_hash64 : int64 -> int64
 
 (** Zipfian with the hot items spread over the key space (YCSB's
     ScrambledZipfianGenerator). *)
@@ -70,10 +66,6 @@ val workload_e :
 val workload_f :
   ?seed:int -> record_count:int -> operation_count:int -> value_size:int ->
   unit -> spec
-
-val uniform_mix :
-  ?seed:int -> record_count:int -> operation_count:int -> value_size:int ->
-  read_proportion:float -> unit -> spec
 
 type t
 

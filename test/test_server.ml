@@ -283,7 +283,10 @@ let test_differential ?(backend = `Sim) ~shards () =
 (* Graceful drain: requests already parsed by the server are answered
    before the connection closes, even with the store slowed down and the
    queue bound at 1. With shards > 1 most of the burst crosses shards,
-   so the drain barrier must also flush in-flight inbox handoffs. *)
+   so the drain must also serve in-flight inbox handoffs. A second
+   connection pipelines its own sets and resets its socket while the
+   drain runs: the live connection still gets every reply, the drain
+   still returns, and every connection is closed. *)
 let test_drain_no_loss ~shards () =
   let p = plan () in
   let slow_stores =
@@ -312,7 +315,18 @@ let test_drain_no_loss ~shards () =
   send_all c (Buffer.contents reqs);
   (* let the worker parse the burst, then drain mid-flight *)
   Unix.sleepf 0.2;
+  (* the doomed connection (shard 1's, with shards > 1) sets keys of its
+     own on shard 0, so the stores tell how many of its sets ran; its
+     burst is parsed, not yet run, when the drain starts *)
+  let dead = connect (Server.port srv) and m = 100 and dead_key k = shards * (1000 + k) in
+  send_all dead
+    (String.concat ""
+       (List.init m (fun k -> Protocol.render_request (Protocol.Set (dead_key k, "d")))));
+  Unix.sleepf 0.02;
   let drainer = Thread.create (fun () -> Server.drain srv) () in
+  (* an abortive close: the peer sees a reset, not an EOF *)
+  Unix.setsockopt_optint dead.fd Unix.SO_LINGER (Some 0);
+  Unix.close dead.fd;
   let resps = read_responses c n in
   Thread.join drainer;
   Alcotest.(check int) "every parsed set answered" n (List.length resps);
@@ -320,8 +334,17 @@ let test_drain_no_loss ~shards () =
     (fun r ->
       if r <> Protocol.Stored then Alcotest.fail "non-STORED under drain")
     resps;
+  let st = slow_stores.(0) in
+  let buf = st.Server.st_alloc vsize in
+  let stored k =
+    match st.Server.st_call "mc_get" [ Rvalue.Int (Int64.of_int (dead_key k)); Rvalue.Ptr buf ] with
+    | Ok v -> Rvalue.truthy v
+    | Error e -> Alcotest.failf "mc_get: %s" e
+  in
+  let dead_done = List.length (List.filter stored (List.init m Fun.id)) in
   let s = Server.stats srv in
-  Alcotest.(check int) "server counted them" n s.Server.s_sets
+  Alcotest.(check int) "server counted them" (n + dead_done) s.Server.s_sets;
+  Alcotest.(check int) "no connection left open" 0 s.Server.s_conns_open
 
 (* 'stats metrics' loopback: the Prometheus exposition must arrive over
    a plain socket, closed by END, carrying the serving/vm/replication
@@ -495,8 +518,8 @@ let test_pipelined_burst () =
 
 (* An idle server drains at once. The self-pipe wakeup that announces the
    drain must not be spent on a loop iteration that read the flag before
-   it was set: the next wakeup only comes after every shard has passed
-   stage 1, so such a shard sat out the full 5 s draining timeout. *)
+   it was set: such a shard would never see the drain, so it would never
+   finish, and the wakeup that ends the drain waits for every shard. *)
 let test_idle_drain () =
   let shards = 2 in
   let bnd = Option.get (Server.bindings_of_plan (plan ())) in

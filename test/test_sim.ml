@@ -7,7 +7,7 @@
    fragment of a client's rendered pipeline or its EOF, deliver one
    inbox item (each sender->receiver stream stays FIFO, as the Msqueue
    keeps it), step a woken core, make a client vanish, start the
-   two-stage drain (or, when the seed ends one client's pipeline in the
+   drain (or, when the seed ends one client's pipeline in the
    [shutdown] verb, let that verb start it), adopt a connection after
    the drain started, and for the link: deliver a prefix of its pending
    bytes to the replica, withhold them, ack a prefix of what the
@@ -17,11 +17,11 @@
    host — the way its shell sleeps in select, so a lost wakeup shows as
    a stuck schedule.
 
-   The drain runs as the shell runs it: a started drain wakes every
-   core, each steps [Drain] when it next runs, and the core that
-   completes the group's dispatch count emits [Close_inboxes], which
-   closes every inbox and wakes every core. Work sent to an inbox after
-   that close is a violation: the barrier exists to rule it out.
+   The drain ends as the shell ends it: a started drain wakes every
+   core, each steps [Drain] when it next runs, and a core counts the
+   first time [Core.finished] holds after one of its steps. The
+   schedule ends when every core has counted; whatever is still queued
+   then is lost, so the checks below police that exit rule.
 
    The stores are real simulator instances of the test memcached plan.
    After the drain the checker asserts:
@@ -232,7 +232,8 @@ let run_schedule seed =
   (* the world outside the cores *)
   let chan = Array.init shards (fun _ -> Array.init shards (fun _ -> Queue.create ())) in
   let woken = Array.make shards false in
-  let drain = ref false and closed = ref false and by_verb = ref false and late = ref 0 in
+  let drain = ref false and by_verb = ref false and late = ref 0 in
+  let counted = Array.make shards false in
   (* the shell's drain: raise the flag and wake every loop; each core
      steps [Drain] when it next runs *)
   let start_drain () =
@@ -248,16 +249,8 @@ let run_schedule seed =
       c.stamps <- List.rev_append (List.map (fun _ -> (!now, acked)) got) c.stamps
     | Core.Close _ -> ()
     | Core.Handoff _ -> fail "replication handoff without a repl verb"
-    | Core.Send (r, item) ->
-      (match item with
-      | Core.Work _ when !closed -> fail "shard %d sent work to shard %d after the inboxes closed" s r
-      | _ -> ());
-      Queue.push item chan.(s).(r)
+    | Core.Send (r, item) -> Queue.push item chan.(s).(r)
     | Core.Wake k -> woken.(k) <- true
-    | Core.Close_inboxes ->
-      if !closed then fail "the inboxes closed twice";
-      closed := true;
-      Array.fill woken 0 shards true
     | Core.Shutdown ->
       if trigger = None then fail "shutdown verb without one sent";
       if not !drain then begin
@@ -287,9 +280,7 @@ let run_schedule seed =
         handle s (Core.Inbox (Queue.pop (pick qs)));
         pop ()
     in
-    let was_closed = !closed in
     pop ();
-    if was_closed then handle s Core.Closed;
     let rec run () =
       now := !now +. 1.0;
       let again = Core.run cores.(s) ~now:!now ~emit:(emit s) in
@@ -297,7 +288,9 @@ let run_schedule seed =
       if again then run ()
     in
     run ();
-    if host = Some s then ship ()
+    if host = Some s then ship ();
+    (* the shell's exit rule: each core counts once *)
+    if Core.finished cores.(s) then counted.(s) <- true
   in
   (* a core with readable bytes or a fence result is runnable too *)
   let ready = Array.make shards false in
@@ -373,30 +366,31 @@ let run_schedule seed =
   in
   let rec loop steps =
     if steps = 100_000 then fail "no quiescence after 100000 steps";
-    match actions steps with
-    | [] -> ()
-    | acts ->
-      let total = List.fold_left (fun n (w, _) -> n + w) 0 acts in
-      let rec choose k = function
-        | (w, f) :: rest -> if k < w then f else choose (k - w) rest
-        | [] -> assert false
-      in
-      choose (Random.State.int rng total) acts ();
-      (* no lost ack wakeup: a core whose oldest held fence is acked
-         must be runnable, or it would sleep until the deadline *)
-      Array.iteri
-        (fun s c ->
-          match Queue.peek_opt c.Core.fences with
-          | Some (_, seq, _) when Shipper.synced hub ~seq && not (woken.(s) || ready.(s)) ->
-            fail "shard %d sleeps on fence %d, which is acked" s seq
-          | _ -> ())
-        cores;
-      loop (steps + 1)
+    if not (Array.for_all Fun.id counted) then
+      match actions steps with
+      | [] -> ()
+      | acts ->
+        let total = List.fold_left (fun n (w, _) -> n + w) 0 acts in
+        let rec choose k = function
+          | (w, f) :: rest -> if k < w then f else choose (k - w) rest
+          | [] -> assert false
+        in
+        choose (Random.State.int rng total) acts ();
+        (* no lost ack wakeup: a core whose oldest held fence is acked
+           must be runnable, or it would sleep until the deadline *)
+        Array.iteri
+          (fun s c ->
+            match Queue.peek_opt c.Core.fences with
+            | Some (_, seq, _) when Shipper.synced hub ~seq && not (woken.(s) || ready.(s)) ->
+              fail "shard %d sleeps on fence %d, which is acked" s seq
+            | _ -> ())
+          cores;
+        loop (steps + 1)
   in
   loop 0;
   Array.iteri
-    (fun s c -> if not (Core.finished c) then fail "shard %d stuck: drain never finished" s)
-    cores;
+    (fun s c -> if not c then fail "shard %d stuck: drain never finished" s)
+    counted;
   { cfg; stores; log; cores; clients; appended_at; timeouts = !timeouts;
     emitted = List.rev !emitted; by_verb = !by_verb; late = !late }
 
