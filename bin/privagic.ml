@@ -487,10 +487,10 @@ let serve_action mode auth trace engine host port queue_depth
     match replica_of with
     | None -> None
     | Some (rhost, rport) ->
-      let on_lost () =
+      let on_lost reason =
         if (not (Atomic.get stopping)) && not (Server.is_draining srv) then begin
           Server.promote srv;
-          Printf.printf "primary lost: promoted to primary\n%!"
+          Printf.printf "primary lost (%s): promoted to primary\n%!" reason
         end
       in
       Some

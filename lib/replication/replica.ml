@@ -15,7 +15,6 @@ type t = {
   mu : Mutex.t;
   mutable st : status;
   mutable applied : int;
-  mutable err : string;
   mutable stopping : bool;
   mutable thread : Thread.t option;
   ended : Wakeup.t;
@@ -152,22 +151,20 @@ let run t ~sync ~cluster ~from_seq ~connect_timeout_s ~on_lost ~host ~port
     (try Unix.close fd with Unix.Unix_error _ -> ()));
   let fire =
     locked t (fun () ->
-        t.err <- !fail;
         t.st <- (if t.stopping then Stopped else Lost);
         not t.stopping)
   in
   Wakeup.wake t.ended;
-  if fire then on_lost ()
+  if fire then on_lost !fail
 
 let start ?(sync = false) ?(cluster = "privagic") ?(from_seq = 1)
-    ?(connect_timeout_s = 30.0) ?(on_lost = fun () -> ()) ~host ~port ~apply
+    ?(connect_timeout_s = 30.0) ?(on_lost = ignore) ~host ~port ~apply
     () =
   let t =
     {
       mu = Mutex.create ();
       st = Connecting;
       applied = max 0 (from_seq - 1);
-      err = "";
       stopping = false;
       thread = None;
       ended = Wakeup.create ();
@@ -187,7 +184,6 @@ let start ?(sync = false) ?(cluster = "privagic") ?(from_seq = 1)
 
 let status t = locked t (fun () -> t.st)
 let applied_seq t = locked t (fun () -> t.applied)
-let error t = locked t (fun () -> t.err)
 
 let stop t =
   let th =

@@ -17,18 +17,19 @@ type status = Connecting | Streaming | Lost | Stopped
     is not up yet, bounded by [connect_timeout_s], default 30) and apply
     the stream. [apply d] is called in seq order, exactly once per
     delta, from the client's own thread; an [Error] return kills the
-    link (the replica cannot diverge silently). [on_lost] fires once
-    when the link ends for any reason other than {!stop} — a drained
-    primary, a killed primary, and a primary that never came up within
-    the connect window all look the same here, and all mean the replica
-    may promote. [sync] asks the primary to fence client writes on this
+    link (the replica cannot diverge silently). [on_lost reason] fires
+    once when the link ends for any reason other than {!stop} — a
+    drained primary, a killed primary, and a primary that never came up
+    within the connect window all mean the replica may promote; [reason]
+    says which (e.g. ["primary closed the stream"], ["could not connect
+    to HOST:PORT"]). [sync] asks the primary to fence client writes on this
     replica's acks. *)
 val start :
   ?sync:bool ->
   ?cluster:string ->
   ?from_seq:int ->
   ?connect_timeout_s:float ->
-  ?on_lost:(unit -> unit) ->
+  ?on_lost:(string -> unit) ->
   host:string ->
   port:int ->
   apply:(Delta.t -> (unit, string) result) ->
@@ -39,9 +40,6 @@ val status : t -> status
 
 (** Highest contiguously applied seq. *)
 val applied_seq : t -> int
-
-(** Last link error ("" while healthy). *)
-val error : t -> string
 
 (** Close the link and join the thread. Does not fire [on_lost]. *)
 val stop : t -> unit

@@ -3,8 +3,8 @@
    self-pipe in sight. The shell ([Server]) owns the IO: it turns
    readiness, inbox pops and the drain into [event]s, passes the
    time along with each call, and carries out the [effect]s the core
-   emits. The seeded simulation (test/test_sim.ml) drives the same
-   cores from one domain, which is what makes a schedule replayable.
+   emits. The seeded simulation (test/test_sim.ml) steps the shell's
+   loops from one domain, which is what makes a schedule replayable.
 
    A core owns, and alone writes: its connections (parser, response
    slots, undispatched jobs, flags), its ingested inbox work, its held

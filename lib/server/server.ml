@@ -4,12 +4,12 @@
    ([key mod shards]). Each shard's logic — parsing, routing, batching,
    two-phase commit, completions, backpressure, the drain — is a
    [Core.t] that consumes events and emits effects. This file is the IO
-   around the cores: one [Unix.select] loop per shard on its own domain
-   over nonblocking sockets and a self-pipe (no timeout polling on the
+   around the cores: one select loop per shard on its own domain over
+   nonblocking sockets and a self-pipe (no timeout polling on the
    serving path: every event that needs a loop writes its pipe), the
    replication links each loop hosts, accepting (loop 0), and the
-   drain. A running server is its N loop domains, and no other
-   thread.
+   drain, all reached through an [io] record. A running server is its
+   N loop domains over the [Unix] one, and no other thread.
 
    Shards talk through one bounded Msqueue inbox each: requests routed
    to a key's shard, and their completions coming home to the
@@ -18,7 +18,6 @@
    monotone and, per key, log order equals commit order. *)
 
 module Msq = Privagic_runtime.Msqueue
-module Wakeup = Privagic_runtime.Wakeup
 module Repl = Privagic_replication
 module Obs = Privagic_obs
 module Metrics = Privagic_obs.Metrics
@@ -143,10 +142,33 @@ let drain_stall_us = 5e6
 let linger_us = 5e6
 
 (* ------------------------------------------------------------------ *)
+(* the OS, as a loop reaches it (see the .mli) *)
+
+type 'fd io = {
+  select : 'fd list -> 'fd list -> float -> 'fd list * 'fd list;
+  read : 'fd -> Bytes.t -> int -> int -> int;
+  write : 'fd -> Bytes.t -> int -> int -> int;
+  accept : 'fd -> 'fd;
+  close : 'fd -> unit;
+  pipe : unit -> 'fd * 'fd;
+  clock : unit -> float;
+}
+
+let unix_io =
+  let nonblock fd = Unix.set_nonblock fd; fd in
+  { select = (fun rd wr timeout -> let rd, wr, _ = Unix.select rd wr [] timeout in (rd, wr));
+    read = Unix.read; write = Unix.write; close = Unix.close;
+    accept =
+      (fun fd ->
+        let c = nonblock (fst (Unix.accept fd)) in
+        (try Unix.setsockopt c Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+        c);
+    pipe = (fun () -> let r, w = Unix.pipe ~cloexec:true () in (nonblock r, nonblock w));
+    clock = (fun () -> Unix.gettimeofday () *. 1e6) }
 
 (* A connection's IO side: its socket and the bytes not yet written. *)
-type sconn = {
-  fd : Unix.file_descr;
+type 'fd sconn = {
+  fd : 'fd;
   obuf : Buffer.t;                  (* rendered, not yet staged *)
   mutable wbuf : Bytes.t;           (* staged write chunk *)
   mutable woff : int;
@@ -155,22 +177,36 @@ type sconn = {
       (* what to do once the bytes are out *)
 }
 
-type shard = {
+(* A shard loop's state between two passes of [iterate]. *)
+type 'fd loop = {
   core : Core.t;
   inbox : Core.item Msq.t;
-  wake : Wakeup.t;                  (* wakes the loop *)
-  incoming : (int * Unix.file_descr) Msq.t;  (* loop 0 -> loop *)
   (* traced servers only: the shard's VM records into a virtual-clock
      ring, its loop into a wall-clock one (request spans) *)
   vm_ring : Ring.t option;
   ring : Ring.t option;
+  incoming : (int * 'fd) Msq.t;     (* loop 0 -> loop *)
+  wake_r : 'fd;                     (* the self-pipe, in our select set *)
+  wake_w : 'fd;                     (* any domain writes it to wake us *)
+  conns : (int, 'fd sconn) Hashtbl.t;
+  rbuf : Bytes.t;
+  mutable links : ('fd sconn * Repl.Shipper.link) list;  (* hosted here *)
+  asleep : bool Atomic.t;           (* a log append must wake us *)
+  mutable unsubscribe : (unit -> unit) option;
+  mutable listening : bool;         (* loop 0, until it sees the drain *)
+  mutable finished : bool;          (* counted in [n_finished] *)
+  mutable linger : float;
+  mutable running : bool;
 }
+
+type 'fd shell = { io : 'fd io; listen_fd : 'fd; loops : 'fd loop array }
+type any_shell = Shell : 'fd shell -> any_shell
 
 type t = {
   g : Core.group;  (* config, bindings, the shared log and the role *)
-  sh : shard array;
-  listen_fd : Unix.file_descr;
-  t_port : int;
+  shell : any_shell;               (* the loops over their IO *)
+  mutable t_port : int;            (* set once, by [start] *)
+  clock : unit -> float;
   started_at : float;
   (* replication *)
   hub : Repl.Shipper.t;
@@ -187,7 +223,7 @@ type t = {
   mutable domains : unit Domain.t list;  (* set once, by [start] *)
 }
 
-let now_us t = (Unix.gettimeofday () -. t.started_at) *. 1e6
+let now_us t = t.clock () -. t.started_at
 
 (* Wire-capture tap for the robust-safety monitor: every response byte the
    server puts on a client connection also goes here (process-wide). *)
@@ -253,8 +289,20 @@ let repl_hub t = t.hub
 (* ------------------------------------------------------------------ *)
 (* the per-shard event loop (one domain each): IO around the core *)
 
-let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
-let wake_all t = Array.iter (fun s -> Wakeup.wake s.wake) t.sh
+let close_fd x fd = try x.io.close fd with Unix.Unix_error _ -> ()
+let bang = Bytes.make 1 '!'
+
+(* A full pipe already means a pending wakeup, and a closed one has no
+   reader to wake. *)
+let wake x l = try ignore (x.io.write l.wake_w bang 0 1) with Unix.Unix_error _ -> ()
+
+(* One read takes all a pipe holds. *)
+let clear_wakes x l =
+  try ignore (x.io.read l.wake_r l.rbuf 0 (Bytes.length l.rbuf)) with Unix.Unix_error _ -> ()
+
+let wake_all t =
+  let (Shell x) = t.shell in
+  Array.iter (wake x) x.loops
 
 (* Start the drain, once: each loop sees the flag when it wakes and
    drains itself. *)
@@ -263,11 +311,11 @@ let start_drain t = if Atomic.compare_and_set t.draining false true then wake_al
 (* Loop 0 takes the whole backlog of its nonblocking listen socket. It
    refuses a connection past [fd_cap], and hands the [i]th one it
    admits to shard [i mod N]. *)
-let rec accept_all t =
-  match Unix.accept t.listen_fd with
-  | exception Unix.Unix_error ((EINTR | ECONNABORTED), _, _) -> accept_all t
+let rec accept_all t x =
+  match x.io.accept x.listen_fd with
+  | exception Unix.Unix_error ((EINTR | ECONNABORTED), _, _) -> accept_all t x
   | exception Unix.Unix_error _ -> ()
-  | fd, _ when Atomic.get t.conns_open + Repl.Shipper.connected t.hub >= fd_cap ->
+  | fd when Atomic.get t.conns_open + Repl.Shipper.connected t.hub >= fd_cap ->
     (* select-based loops cannot take fds past FD_SETSIZE: refuse
        loudly instead of corrupting every shard's readiness set *)
     Atomic.incr t.conns_rejected;
@@ -276,27 +324,25 @@ let rec accept_all t =
         (Protocol.Error_msg (Printf.sprintf "too many connections (fd cap %d)" fd_cap))
     in
     (match !wire_tap with None -> () | Some f -> f msg);
-    (try ignore (Unix.write_substring fd msg 0 (String.length msg))
+    (try ignore (x.io.write fd (Bytes.unsafe_of_string msg) 0 (String.length msg))
      with Unix.Unix_error _ -> ());
-    close_fd fd;
-    accept_all t
-  | fd, _ ->
-    Unix.set_nonblock fd;
-    (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+    close_fd x fd;
+    accept_all t x
+  | fd ->
     Atomic.incr t.conns_open;
     let i = Atomic.fetch_and_add t.conns_accepted 1 in
-    let s = t.sh.(i mod Array.length t.sh) in
-    Msq.push s.incoming (i, fd);
+    let l = x.loops.(i mod Array.length x.loops) in
+    Msq.push l.incoming (i, fd);
     (* loop 0 adopts its own share after this select *)
-    if s.core.Core.id > 0 then Wakeup.wake s.wake;
-    accept_all t
+    if l.core.Core.id > 0 then wake x l;
+    accept_all t x
 
 let has_output c = c.woff < Bytes.length c.wbuf || Buffer.length c.obuf > 0
 
 (* Push bytes out nonblockingly; false when the peer is gone. A slow
    peer accumulates buffer and gets picked up by write-readiness.
    [moved] is when the staged chunk was staged or last progressed. *)
-let write_out c ~now =
+let write_out x c ~now =
   let rec go () =
     if c.woff >= Bytes.length c.wbuf then begin
       if Buffer.length c.obuf = 0 then true
@@ -309,7 +355,7 @@ let write_out c ~now =
       end
     end
     else
-      match Unix.write c.fd c.wbuf c.woff (Bytes.length c.wbuf - c.woff) with
+      match x.io.write c.fd c.wbuf c.woff (Bytes.length c.wbuf - c.woff) with
       | 0 -> true
       | n ->
         c.woff <- c.woff + n;
@@ -330,41 +376,44 @@ let rec pop_all q f =
     pop_all q f
   | None -> ()
 
-let shard_loop t s =
-  let core = s.core in
-  let conns : (int, sconn) Hashtbl.t = Hashtbl.create 16 in
-  let rbuf = Bytes.create 65536 in
-  let emit = function
-    | Core.Write (id, b) -> (
-      (match !wire_tap with None -> () | Some f -> f b);
-      match Hashtbl.find_opt conns id with
-      | Some c -> Buffer.add_string c.obuf b
-      | None -> ())
-    | Core.Close id ->
-      Option.iter (fun c -> c.after <- `Close) (Hashtbl.find_opt conns id)
-    | Core.Handoff (id, sync, from_seq) ->
-      Option.iter
-        (fun c -> c.after <- `Handoff (sync, from_seq))
-        (Hashtbl.find_opt conns id)
-    | Core.Send (r, item) -> Msq.push t.sh.(r).inbox item
-    | Core.Wake k ->
-      (* never ourselves: the loop runs its core again before it sleeps *)
-      if k <> core.Core.id then Wakeup.wake t.sh.(k).wake
-    | Core.Shutdown -> start_drain t
-  in
+let emit t x l = function
+  | Core.Write (id, b) -> (
+    (match !wire_tap with None -> () | Some f -> f b);
+    match Hashtbl.find_opt l.conns id with
+    | Some c -> Buffer.add_string c.obuf b
+    | None -> ())
+  | Core.Close id ->
+    Option.iter (fun c -> c.after <- `Close) (Hashtbl.find_opt l.conns id)
+  | Core.Handoff (id, sync, from_seq) ->
+    Option.iter
+      (fun c -> c.after <- `Handoff (sync, from_seq))
+      (Hashtbl.find_opt l.conns id)
+  | Core.Send (r, item) -> Msq.push x.loops.(r).inbox item
+  | Core.Wake k ->
+    (* never ourselves: the loop runs its core again before it sleeps *)
+    if k <> l.core.Core.id then wake x x.loops.(k)
+  | Core.Shutdown -> start_drain t
+
+(* One pass of loop [i]: select, then read and accept, then settle the
+   core, then write, then the exit rule. False once the loop is over. *)
+let iterate t i =
+  let (Shell x) = t.shell in
+  let l = x.loops.(i) in
+  let core = l.core in
+  let emit = emit t x l in
   let step ev = Core.handle core ~now:(now_us t) ~emit ev in
   let rec run () = if Core.run core ~now:(now_us t) ~emit then run () in
   (* Feed the inbox to the core and run it, until the inbox stays empty
      (a completion that arrives meanwhile is flushed in this pass). *)
   let rec settle () =
-    pop_all s.inbox (fun item -> step (Core.Inbox item));
+    pop_all l.inbox (fun item -> step (Core.Inbox item));
     run ();
-    if not (Msq.is_empty s.inbox) then settle ()
+    if not (Msq.is_empty l.inbox) then settle ()
   in
   let drop id c =
-    close_fd c.fd;
+    close_fd x c.fd;
     Atomic.decr t.conns_open;
-    Hashtbl.remove conns id
+    Hashtbl.remove l.conns id
   in
   let kill id c =
     drop id c;
@@ -375,166 +424,162 @@ let shard_loop t s =
      the links are filled from the head, so an append is either seen by
      that fill or finds the flag up. One subscription per loop, held
      while it hosts links. *)
-  let links = ref [] and asleep = Atomic.make false and unsubscribe = ref None in
   let ship_span =
-    match s.ring with
+    match l.ring with
     | None -> fun f -> f ()
     | Some r -> Ring.span r ~name:(Ring.intern r "repl_ship")
   in
   (* a dead sync link stops gating: the shards it held may go on *)
   let keep_links f =
-    links :=
+    l.links <-
       List.filter
-        (fun (c, l) ->
-          f (c, l)
+        (fun (c, lk) ->
+          f (c, lk)
           || begin
-            close_fd c.fd;
-            Repl.Shipper.detach l;
-            if Repl.Shipper.is_sync l then Core.wake_fenced core ~emit;
+            close_fd x c.fd;
+            Repl.Shipper.detach lk;
+            if Repl.Shipper.is_sync lk then Core.wake_fenced core ~emit;
             false
           end)
-        !links;
-    if !links = [] then begin
-      Option.iter (fun u -> u ()) !unsubscribe;
-      unsubscribe := None
+        l.links;
+    if l.links = [] then begin
+      Option.iter (fun u -> u ()) l.unsubscribe;
+      l.unsubscribe <- None
     end
   in
   let host id c ~sync ~from_seq =
     Atomic.decr t.conns_open;
-    Hashtbl.remove conns id;
-    if !unsubscribe = None then
-      unsubscribe :=
+    Hashtbl.remove l.conns id;
+    if l.unsubscribe = None then
+      l.unsubscribe <-
         Some
           (Repl.Log.subscribe t.g.Core.log (fun () ->
-               if Atomic.get asleep && Atomic.compare_and_set asleep true false
-               then Wakeup.wake s.wake));
-    links := (c, Repl.Shipper.attach t.hub ~sync ~from_seq) :: !links
+               if Atomic.get l.asleep && Atomic.compare_and_set l.asleep true false
+               then wake x l));
+    l.links <- (c, Repl.Shipper.attach t.hub ~sync ~from_seq) :: l.links
   in
   (* fill every link from the log and write what it rendered: each
      write of a run of frames is a [repl_ship] span on the loop's ring *)
   let ship ~now =
-    keep_links (fun (c, l) ->
-        Repl.Shipper.fill t.hub l ~now;
-        Buffer.add_string c.obuf (Repl.Shipper.output l);
-        Repl.Shipper.alive l
-        && ((not (has_output c)) || ship_span (fun () -> write_out c ~now))
+    keep_links (fun (c, lk) ->
+        Repl.Shipper.fill t.hub lk ~now;
+        Buffer.add_string c.obuf (Repl.Shipper.output lk);
+        Repl.Shipper.alive lk
+        && ((not (has_output c)) || ship_span (fun () -> write_out x c ~now))
         && not (stalled c ~now ~limit:link_stall_us))
   in
   (* acks; false on EOF or a dead link *)
-  let read_acks ~now (c, l) =
-    match Unix.read c.fd rbuf 0 (Bytes.length rbuf) with
+  let read_acks ~now (c, lk) =
+    match x.io.read c.fd l.rbuf 0 (Bytes.length l.rbuf) with
     | 0 -> false
     | n ->
-      Repl.Shipper.feed l rbuf n ~now;
-      if Repl.Shipper.is_sync l then Core.wake_fenced core ~emit;
-      Repl.Shipper.alive l
+      Repl.Shipper.feed lk l.rbuf n ~now;
+      if Repl.Shipper.is_sync lk then Core.wake_fenced core ~emit;
+      Repl.Shipper.alive lk
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> true
     | exception Unix.Unix_error _ -> false
   in
-  (* loop 0 accepts until it sees the drain *)
-  let listening = ref (core.Core.id = 0) in
-  let finished = ref false and linger = ref infinity and running = ref true in
-  while !running do
-    let now = now_us t in
-    if !links <> [] then begin
-      Atomic.set asleep true;
-      ship ~now
-    end;
-    let draining = Atomic.get t.draining in
-    let accepting = !listening && not draining in
-    (* no timeout on the serving path: every event that needs us writes
-       the self-pipe. The select wakes by the oldest held fence's
-       deadline, a stall deadline or the drain linger, whichever is
-       first. *)
-    let rds = ref [ Wakeup.fd s.wake ] and wrs = ref [] in
-    if accepting then rds := t.listen_fd :: !rds;
-    let wake_by =
-      ref (Float.min !linger (Option.value (Core.deadline core) ~default:infinity))
-    in
-    let watch c ~limit =
-      if has_output c then begin
-        wrs := c.fd :: !wrs;
-        wake_by := Float.min !wake_by (c.moved +. limit)
-      end
-    in
-    Hashtbl.iter
-      (fun id c ->
-        if Core.wants_read core id then rds := c.fd :: !rds;
-        watch c ~limit:(if draining then drain_stall_us else infinity))
-      conns;
-    List.iter
-      (fun (c, _) ->
-        rds := c.fd :: !rds;
-        watch c ~limit:link_stall_us)
-      !links;
-    let timeout =
-      if !wake_by = infinity then -1.0
-      else Float.max 0.0 ((!wake_by -. now) /. 1e6)
-    in
-    let each f = List.iter (fun (id, c) -> f id c) (List.of_seq (Hashtbl.to_seq conns)) in
-    (match Unix.select !rds !wrs [] timeout with
-    | rd, _, _ ->
-      if List.mem (Wakeup.fd s.wake) rd then Wakeup.drain s.wake;
-      if accepting && List.mem t.listen_fd rd then accept_all t;
-      each (fun id c ->
-          if List.mem c.fd rd then
-            match Unix.read c.fd rbuf 0 (Bytes.length rbuf) with
-            | 0 -> step (Core.Eof id)
-            | n -> step (Core.Read (id, rbuf, n))
-            | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-            | exception Unix.Unix_error _ -> kill id c);
-      let now = now_us t in
-      keep_links (fun (c, l) -> (not (List.mem c.fd rd)) || read_acks ~now (c, l))
-    | exception Unix.Unix_error (EINTR, _, _) -> ());
-    Atomic.set asleep false;
-    pop_all s.incoming (fun (id, fd) ->
-        Hashtbl.replace conns id
-          { fd; obuf = Buffer.create 256; wbuf = Bytes.empty; woff = 0; moved = now;
-            after = `Serve };
-        step (Core.Adopt id));
-    (* re-read: the wakeup that announced the drain may be the one this
-       select consumed *)
-    if Atomic.get t.draining then begin
-      if !listening then close_fd t.listen_fd;
-      listening := false;
-      step Core.Drain
-    end;
-    settle ();
-    let now = now_us t in
-    each (fun id c ->
-        if not (write_out c ~now) then kill id c
-        else if has_output c then begin
-          if draining && stalled c ~now ~limit:drain_stall_us then kill id c
-        end
-        else
-          match c.after with
-          | `Serve -> ()
-          | `Close -> drop id c
-          | `Handoff (sync, from_seq) ->
-            (* prior responses flushed: the connection is a link now *)
-            host id c ~sync ~from_seq);
-    (* The drain: the loop exits once every core has finished (the last
-       to finish wakes the others) and each of its links has acked the
-       log head, or the linger has passed. *)
-    if Core.finished core && not (Hashtbl.fold (fun _ c b -> b || has_output c) conns false)
-    then begin
-      each drop;
-      if not !finished then begin
-        finished := true;
-        if Atomic.fetch_and_add t.n_finished 1 = Array.length t.sh - 1 then wake_all t
-      end
-    end;
-    if !finished && Atomic.get t.n_finished = Array.length t.sh then begin
-      if !linger = infinity then linger := now +. linger_us;
-      keep_links (fun (_, l) -> now < !linger && not (Repl.Shipper.caught_up t.hub l));
-      running := !links <> []
+  let now = now_us t in
+  if l.links <> [] then begin
+    Atomic.set l.asleep true;
+    ship ~now
+  end;
+  let draining = Atomic.get t.draining in
+  let accepting = l.listening && not draining in
+  (* no timeout on the serving path: every event that needs us writes
+     the self-pipe. The select wakes by the oldest held fence's
+     deadline, a stall deadline or the drain linger, whichever is
+     first. *)
+  let rds = ref [ l.wake_r ] and wrs = ref [] in
+  if accepting then rds := x.listen_fd :: !rds;
+  let wake_by =
+    ref (Float.min l.linger (Option.value (Core.deadline core) ~default:infinity))
+  in
+  let watch c ~limit =
+    if has_output c then begin
+      wrs := c.fd :: !wrs;
+      wake_by := Float.min !wake_by (c.moved +. limit)
     end
-  done;
+  in
+  Hashtbl.iter
+    (fun id c ->
+      if Core.wants_read core id then rds := c.fd :: !rds;
+      watch c ~limit:(if draining then drain_stall_us else infinity))
+    l.conns;
+  List.iter
+    (fun (c, _) ->
+      rds := c.fd :: !rds;
+      watch c ~limit:link_stall_us)
+    l.links;
+  let timeout =
+    if !wake_by = infinity then -1.0
+    else Float.max 0.0 ((!wake_by -. now) /. 1e6)
+  in
+  let each f = List.iter (fun (id, c) -> f id c) (List.of_seq (Hashtbl.to_seq l.conns)) in
+  (match x.io.select !rds !wrs timeout with
+  | rd, _ ->
+    if List.mem l.wake_r rd then clear_wakes x l;
+    if accepting && List.mem x.listen_fd rd then accept_all t x;
+    each (fun id c ->
+        if List.mem c.fd rd then
+          match x.io.read c.fd l.rbuf 0 (Bytes.length l.rbuf) with
+          | 0 -> step (Core.Eof id)
+          | n -> step (Core.Read (id, l.rbuf, n))
+          | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+          | exception Unix.Unix_error _ -> kill id c);
+    let now = now_us t in
+    keep_links (fun (c, lk) -> (not (List.mem c.fd rd)) || read_acks ~now (c, lk))
+  | exception Unix.Unix_error (EINTR, _, _) -> ());
+  Atomic.set l.asleep false;
+  pop_all l.incoming (fun (id, fd) ->
+      Hashtbl.replace l.conns id
+        { fd; obuf = Buffer.create 256; wbuf = Bytes.empty; woff = 0; moved = now;
+          after = `Serve };
+      step (Core.Adopt id));
+  (* re-read: the wakeup that announced the drain may be the one this
+     select consumed *)
+  if Atomic.get t.draining then begin
+    if l.listening then close_fd x x.listen_fd;
+    l.listening <- false;
+    step Core.Drain
+  end;
+  settle ();
+  let now = now_us t in
+  each (fun id c ->
+      if not (write_out x c ~now) then kill id c
+      else if has_output c then begin
+        if draining && stalled c ~now ~limit:drain_stall_us then kill id c
+      end
+      else
+        match c.after with
+        | `Serve -> ()
+        | `Close -> drop id c
+        | `Handoff (sync, from_seq) ->
+          (* prior responses flushed: the connection is a link now *)
+          host id c ~sync ~from_seq);
+  (* The drain: the loop exits once every core has finished (the last
+     to finish wakes the others) and each of its links has acked the
+     log head, or the linger has passed. *)
+  if Core.finished core && not (Hashtbl.fold (fun _ c b -> b || has_output c) l.conns false)
+  then begin
+    each drop;
+    if not l.finished then begin
+      l.finished <- true;
+      if Atomic.fetch_and_add t.n_finished 1 = Array.length x.loops - 1 then wake_all t
+    end
+  end;
+  if l.finished && Atomic.get t.n_finished = Array.length x.loops then begin
+    if l.linger = infinity then l.linger <- now +. linger_us;
+    keep_links (fun (_, lk) -> now < l.linger && not (Repl.Shipper.caught_up t.hub lk));
+    l.running <- l.links <> []
+  end;
   (* Connections loop 0 handed over while this loop finished: every
      hand-off precedes loop 0's own finish, so none comes later. *)
-  pop_all s.incoming (fun (_, fd) ->
-      close_fd fd;
-      Atomic.decr t.conns_open)
+  if not l.running then
+    pop_all l.incoming (fun (_, fd) ->
+        close_fd x fd;
+        Atomic.decr t.conns_open);
+  l.running
 
 (* ------------------------------------------------------------------ *)
 (* lifecycle *)
@@ -542,16 +587,17 @@ let shard_loop t s =
 let port t = t.t_port
 
 let rings t =
-  Array.to_list t.sh
-  |> List.concat_map (fun s -> Option.to_list s.vm_ring @ Option.to_list s.ring)
+  let (Shell x) = t.shell in
+  List.concat_map (fun l -> List.filter_map Fun.id [ l.vm_ring; l.ring ]) (Array.to_list x.loops)
 
 let is_draining t = Atomic.get t.draining
 
 (* Join every loop; the first joiner past them closes the self-pipes. *)
 let wait t =
   List.iter Domain.join t.domains;
+  let (Shell x) = t.shell in
   if Atomic.compare_and_set t.pipes_closed false true then
-    Array.iter (fun s -> Wakeup.close s.wake) t.sh
+    Array.iter (fun l -> close_fd x l.wake_r; close_fd x l.wake_w) x.loops
 
 let drain t =
   start_drain t;
@@ -597,16 +643,16 @@ type stats = {
   s_fd_cap : int;
 }
 
-let cores t = Array.to_list t.g.Core.cores
-let sum t f = List.fold_left (fun acc c -> acc + f c) 0 (cores t)
+let cores t = t.g.Core.cores
+let sum t f = Array.fold_left (fun acc c -> acc + f c) 0 (cores t)
 let count t f = sum t (fun c -> f c.Core.n)
-let merged t field = Metrics.merge (List.map field (cores t))
+let merged t field = Metrics.merge (List.map field (Array.to_list (cores t)))
 
 let stats t =
   let g = Atomic.get and n f = count t f in
   let open Core in
   {
-    s_uptime = Unix.gettimeofday () -. t.started_at;
+    s_uptime = now_us t /. 1e6;
     s_conns_accepted = g t.conns_accepted;
     s_conns_open = g t.conns_open;
     s_ops =
@@ -746,7 +792,7 @@ let register_metrics t (store : store) =
       List.map
         (fun c ->
           ([ ("shard", string_of_int c.id) ], float_of_int (Atomic.get c.depth)))
-        (cores t));
+        (Array.to_list (cores t)));
   gauge "privagic_repl_seq" "replication log head sequence" (fun () ->
       Repl.Log.head t.g.Core.log);
   Obs.Registry.summary reg ~help:"request latency (microseconds)"
@@ -766,30 +812,9 @@ let info t = function
   | Protocol.Stats -> Protocol.Stats_reply (stats_fields t)
   | _ -> Protocol.Metrics_reply (Obs.Registry.expose t.obs)
 
-let start ?replica_of cfg bnd (stores : store array) =
-  if cfg.shards < 1 then invalid_arg "Server.start: shards must be positive";
-  if Array.length stores <> cfg.shards then
-    invalid_arg
-      (Printf.sprintf "Server.start: %d stores for %d shards"
-         (Array.length stores) cfg.shards);
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-     Unix.bind listen_fd
-       (Unix.ADDR_INET (Unix.inet_addr_of_string cfg.host, cfg.port));
-     Unix.listen listen_fd 128;
-     Unix.set_nonblock listen_fd
-   with e ->
-     close_fd listen_fd;
-     failwith
-       (Printf.sprintf "cannot bind %s:%d (%s)" cfg.host cfg.port
-          (Printexc.to_string e)));
-  let t_port =
-    match Unix.getsockname listen_fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> cfg.port
-  in
+(* The server's state over [io], with [listen] its listening endpoint:
+   no domain runs a loop yet. *)
+let create ?replica_of io ~listen cfg bnd (stores : store array) =
   let repl_log = Repl.Log.create () in
   let hub =
     Repl.Shipper.create ~window:cfg.repl_window ~cluster:cfg.repl_cluster
@@ -837,17 +862,19 @@ let start ?replica_of cfg bnd (stores : store array) =
            ~self:(fun () -> (Domain.self () :> int))
            ~tracer stores
        in
+       let loop core =
+         let i = core.Core.id and wake_r, wake_w = io.pipe () in
+         { core; inbox = Msq.create (); vm_ring = vm_rings.(i); ring = loop_rings.(i);
+           incoming = Msq.create (); wake_r; wake_w; conns = Hashtbl.create 16;
+           rbuf = Bytes.create 65536; links = []; asleep = Atomic.make false;
+           unsubscribe = None; listening = i = 0; finished = false; linger = infinity;
+           running = true }
+       in
        {
-         g; listen_fd; t_port; hub;
-         sh =
-           Array.map
-             (fun core ->
-               let i = core.Core.id in
-               { core; inbox = Msq.create (); wake = Wakeup.create ();
-                 incoming = Msq.create ();
-                 vm_ring = vm_rings.(i); ring = loop_rings.(i) })
-             g.Core.cores;
-         started_at = Unix.gettimeofday ();
+         g; hub; t_port = 0;
+         shell = Shell { io; listen_fd = listen; loops = Array.map loop g.Core.cores };
+         clock = io.clock;
+         started_at = io.clock ();
          n_applied = Atomic.make 0;
          conns_accepted = Atomic.make 0;
          conns_open = Atomic.make 0;
@@ -863,7 +890,28 @@ let start ?replica_of cfg bnd (stores : store array) =
   (* registered before the first loop starts, so `stats metrics` is
      complete from the first request on *)
   register_metrics t stores.(0);
+  t
+
+let start ?replica_of cfg bnd (stores : store array) =
+  if cfg.shards < 1 then invalid_arg "Server.start: shards must be positive";
+  if Array.length stores <> cfg.shards then
+    invalid_arg
+      (Printf.sprintf "Server.start: %d stores for %d shards"
+         (Array.length stores) cfg.shards);
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  let listen = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  (try
+     Unix.setsockopt listen Unix.SO_REUSEADDR true;
+     Unix.bind listen (Unix.ADDR_INET (Unix.inet_addr_of_string cfg.host, cfg.port));
+     Unix.listen listen 128;
+     Unix.set_nonblock listen
+   with e ->
+     (try Unix.close listen with Unix.Unix_error _ -> ());
+     failwith
+       (Printf.sprintf "cannot bind %s:%d (%s)" cfg.host cfg.port
+          (Printexc.to_string e)));
+  let t = create ?replica_of unix_io ~listen cfg bnd stores in
+  t.t_port <- (match Unix.getsockname listen with Unix.ADDR_INET (_, p) -> p | _ -> cfg.port);
   t.domains <-
-    Array.to_list
-      (Array.map (fun s -> Domain.spawn (fun () -> shard_loop t s)) t.sh);
+    List.init cfg.shards (fun i -> Domain.spawn (fun () -> while iterate t i do () done));
   t

@@ -113,6 +113,38 @@ val start : ?replica_of:string -> config -> bindings -> store array -> t
     presence check. The known families' init entries
     all build empty tables. *)
 
+(** {1 The loop over an IO record}
+
+    A shard loop reaches the OS only through an [io] record, one
+    indirect call per system call: [select] (readable, writable; a
+    negative timeout waits for ever), nonblocking [read], [write],
+    [accept] and [close], [pipe] (a self-pipe: read end, write end) and
+    the [clock] (µs), failing as the [Unix] calls do. {!start} serves
+    over [Unix]; test/test_sim.ml runs the loops over a simulated net. *)
+type 'fd io = {
+  select : 'fd list -> 'fd list -> float -> 'fd list * 'fd list;
+  read : 'fd -> Bytes.t -> int -> int -> int;
+  write : 'fd -> Bytes.t -> int -> int -> int;
+  accept : 'fd -> 'fd;
+  close : 'fd -> unit;
+  pipe : unit -> 'fd * 'fd;
+  clock : unit -> float;
+}
+
+(** The state {!start} builds, over [io] and its listening endpoint
+    [listen], with nothing bound and no domain spawned: the caller runs
+    loop [i] by calling {!iterate} [t i] until it returns false, each
+    loop from one domain. *)
+val create :
+  ?replica_of:string -> 'fd io -> listen:'fd -> config -> bindings -> store array -> t
+
+(** One pass of loop [i]: select, read and accept, settle the core,
+    write, then the exit rule. False once the loop is over. *)
+val iterate : t -> int -> bool
+
+(** The shard cores, for inspection: only the loops step them. *)
+val cores : t -> Core.t array
+
 val port : t -> int
 
 (** A traced server's rings (empty untraced): per shard, its VM's

@@ -306,29 +306,27 @@ let test_drain_no_loss ~shards () =
       max_batch = 1; policy = Server.Block }
   in
   let srv = Server.start cfg bnd slow_stores in
-  let c = connect (Server.port srv) in
-  let n = 20 in
-  let reqs = Buffer.create 256 in
-  for k = 0 to n - 1 do
-    Buffer.add_string reqs (Protocol.render_request (Protocol.Set (k, "v")))
-  done;
-  send_all c (Buffer.contents reqs);
-  (* let the worker parse the burst, then drain mid-flight *)
-  Unix.sleepf 0.2;
   (* the doomed connection (shard 1's, with shards > 1) sets keys of its
-     own on shard 0, so the stores tell how many of its sets ran; its
-     burst is parsed, not yet run, when the drain starts *)
-  let dead = connect (Server.port srv) and m = 100 and dead_key k = shards * (1000 + k) in
-  send_all dead
-    (String.concat ""
-       (List.init m (fun k -> Protocol.render_request (Protocol.Set (dead_key k, "d")))));
-  Unix.sleepf 0.02;
+     own on shard 0, so the stores tell how many of its sets ran *)
+  let c = connect (Server.port srv) and dead = connect (Server.port srv) in
+  let n = 20 and m = 100 and dead_key k = shards * (1000 + k) in
+  let burst key v k = List.init k (fun k -> Protocol.render_request (Protocol.Set (key k, v))) in
+  send_all c (String.concat "" (burst Fun.id "v" n));
+  send_all dead (String.concat "" (burst dead_key "d" m));
+  (* drain as soon as the slow stores run the first set: the live
+     connection's sets are still queued behind them *)
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while (Server.stats srv).Server.s_sets = 0 && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  let ran = (Server.stats srv).Server.s_sets in
   let drainer = Thread.create (fun () -> Server.drain srv) () in
   (* an abortive close: the peer sees a reset, not an EOF *)
   Unix.setsockopt_optint dead.fd Unix.SO_LINGER (Some 0);
   Unix.close dead.fd;
   let resps = read_responses c n in
   Thread.join drainer;
+  if ran = 0 || ran >= n then Alcotest.failf "%d sets had run when the drain started" ran;
   Alcotest.(check int) "every parsed set answered" n (List.length resps);
   List.iter
     (fun r ->

@@ -1,48 +1,45 @@
-(* Seeded deterministic simulation of the served store's shard cores.
+(* Seeded deterministic simulation of the served store: the real shard
+   loops ([Server.iterate]) over a simulated network.
 
-   One domain steps N sans-IO cores ([Privagic_server.Core]), M
-   clients and, chosen by the seed, 0 or 1 sync replication link
-   ([Privagic_replication.Shipper]) hosted by a random core. A seeded
-   PRNG picks every next step: adopt a client's connection, deliver a
-   fragment of a client's rendered pipeline or its EOF, deliver one
-   inbox item (each sender->receiver stream stays FIFO, as the Msqueue
-   keeps it), step a woken core, make a client vanish, start the
-   drain (or, when the seed ends one client's pipeline in the
-   [shutdown] verb, let that verb start it), adopt a connection after
-   the drain started, and for the link: deliver a prefix of its pending
-   bytes to the replica, withhold them, ack a prefix of what the
-   replica received, or advance the clock past the oldest held fence's
-   deadline. A core runs only when something woke it — an inbox wake,
-   readable bytes, an ack, its deadline, a log append for the link's
-   host — the way its shell sleeps in select, so a lost wakeup shows as
-   a stuck schedule.
+   The network is this file's IO instance: per connection, the bytes a
+   client sent that the server has not read, and the bytes the server
+   wrote that the client has not read, up to its receive window; an
+   accept backlog; a self-pipe per loop. Reads are short and now and
+   then fail with EAGAIN, writes are short or fail with EAGAIN on a full
+   window, and a vanished client resets its connection. One domain steps
+   the loops, one [iterate] at a time. A select that finds nothing ready
+   raises [Asleep]: the loop sleeps on that set and timeout until
+   something in it is ready, so a lost wakeup shows as a stuck schedule.
 
-   The drain ends as the shell ends it: a started drain wakes every
-   core, each steps [Drain] when it next runs, and a core counts the
-   first time [Core.finished] holds after one of its steps. The
-   schedule ends when every core has counted; whatever is still queued
-   then is lost, so the checks below police that exit rule.
+   A seeded PRNG picks each step: step a runnable loop; connect a client,
+   send a fragment of its pipeline, half-close it, make it vanish, read
+   part of what the server wrote it; advance the clock to a sleeping
+   loop's deadline; flood the backlog past the fd cap, then hang the
+   flood up. Half the schedules end a pipeline in [shutdown]; else an
+   operator sends it after a seeded number of steps, or when nothing else
+   can happen. Half have a sync replica: it sends the real [repl] hello,
+   decodes the frames it reads and acks a prefix of them. A schedule
+   ends when every loop has exited.
 
    The stores are real simulator instances of the test memcached plan.
-   After the drain the checker asserts:
-   - per connection, exactly one response per parsed request, in order
-     (a vanished client is exempt);
+   The checker asserts, after the drain:
+   - per connection, one response per request the server read, in order
+     (a vanished client is exempt, and one the drain dropped after 5 s
+     without write progress); a refused one gets the refusal alone;
    - every response agrees with the commit log as a sequential model:
-     per key, the log is the order the owning shard executed writes,
-     and each connection's requests on a key fall in that order in
-     issue order;
-   - a multi-key transaction commits as one contiguous log run, and an
-     aborted or shed write never reaches the log;
-   - every store holds exactly what the log says it should;
-   - a fenced reply leaves only once its seq is acked or its fence's
-     deadline has passed, never earlier;
-   - the fence timeouts the schedule caused equal the cores' counters;
-   - the frames the link emitted decode to a prefix of the commit log,
-     in order.
-   And after every step: no core sleeps on a held fence that is already
-   acked (a lost ack wakeup would otherwise hide until the deadline).
-   The run also fails when it checked fewer responses than it ran
-   schedules: a driver that delivers nothing must not pass.
+     per key, log order is execution order, and a connection's requests
+     fall in it in issue order; a multi-key transaction commits as one
+     contiguous run, and an aborted or shed write never does;
+   - every store holds what the log says; the replica's frames are a
+     prefix of the log;
+   - a fenced reply's last byte is written only once its seq is acked or
+     its fence's deadline passed; the cores counted exactly the fence
+     timeouts the schedule caused.
+   And after every step: no loop sleeps on an acked fence, at most fd_cap
+   connections are open, no fd is used after its close, and a drain
+   follows a parsed [shutdown]; at the end the server has closed every
+   connection it accepted. The run fails when it checked fewer responses
+   than schedules, or when no schedule reached one of [paths].
 
    A failing schedule prints its reproducer:
      dune exec test/main.exe -- test sim --seed N *)
@@ -61,30 +58,55 @@ let base_seed = ref 1
 let schedules = 1000
 let keys = 6
 let vsize = Test_server.vsize
-
+let drain_stall_us = 5e6 (* the server's *)
 let plan = lazy (Test_server.plan ())
 
 exception Violation of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Violation m)) fmt
 
+(* A loop's select found nothing ready: it sleeps. *)
+exception Asleep
+
+(* what the run reached, summed over its schedules: each must be hit *)
+let paths =
+  [ "responses checked"; "link frames"; "fence timeouts"; "drains by a pipelined shutdown";
+    "connections the drain closed unread"; "short writes"; "EAGAINs"; "resets";
+    "refusals at the fd cap" ]
+
+let tally = Hashtbl.create 16
+let got what = Option.value (Hashtbl.find_opt tally what) ~default:0
+let note what n = Hashtbl.replace tally what (got what + n)
+
 (* ------------------------------------------------------------------ *)
 (* workload *)
 
+type kind = Client | Replica | Operator | Flood
+
+(* Queued: in the accept backlog; Open: the server holds it; Lost: the
+   listen socket closed first *)
+type state = Idle | Queued | Open | Closed | Lost
+
 type client = {
-  cid : int;                        (* also its connection id *)
-  home : int;                       (* the core that owns the connection *)
+  cid : int;
+  kind : kind;
   reqs : Protocol.request array;
-  wire : string;
+  mutable wire : string;            (* everything it sends *)
   ends : int array;                 (* byte offset where request i ends *)
   mutable sent : int;
+  mutable taken : int;              (* bytes the server read *)
+  mutable state : state;
+  cap : int;                        (* its receive window *)
+  mutable out : string;             (* written by the server, unread *)
+  mutable wrote_at : float;         (* the server's last write progress *)
+  mutable stalled : bool;           (* closed after drain_stall_us of none *)
   rd : Protocol.resp_reader;
   mutable resps : Protocol.response list;  (* newest first *)
   mutable stamps : (float * int) list;
-      (* per response: when it left, and the seq the link had acked *)
-  mutable adopted : bool;
+      (* per response: when its last byte was written, and the seq the
+         link had acked then *)
   doomed : bool;                    (* may vanish mid-pipeline *)
-  mutable vanished : bool;
+  mutable reset : bool;
   half_close : bool;                (* sends EOF after its last byte *)
   mutable eof : bool;
 }
@@ -114,290 +136,33 @@ let gen_request rng ~cid i =
     let start = Random.State.int rng keys in
     Protocol.Scan { sc_start = start; sc_stop = start + Random.State.int rng 3; sc_limit = 16 }
 
-let gen_client rng ~shards ~trigger cid =
-  let reqs = Array.init (1 + Random.State.int rng 10) (gen_request rng ~cid) in
-  let reqs = if trigger = Some cid then Array.append reqs [| Protocol.Shutdown |] else reqs in
+let new_client rng ~kind ?wire cid reqs =
   let rendered = Array.map Protocol.render_request reqs in
   let ends = Array.make (Array.length reqs) 0 in
   Array.iteri
     (fun i s -> ends.(i) <- (if i = 0 then 0 else ends.(i - 1)) + String.length s)
     rendered;
-  { cid; home = cid mod shards; reqs; wire = String.concat "" (Array.to_list rendered);
-    ends; sent = 0; rd = Protocol.resp_reader (); resps = []; stamps = []; adopted = false;
-    doomed = Random.State.int rng 5 = 0; vanished = false;
+  { cid; kind; reqs; ends; sent = 0; taken = 0; state = Idle;
+    wire = Option.value wire ~default:(String.concat "" (Array.to_list rendered));
+    cap = List.nth [ 8; 64; 4096 ] (Random.State.int rng 3); out = "";
+    wrote_at = 0.0; stalled = false; rd = Protocol.resp_reader (); resps = []; stamps = [];
+    doomed = kind = Client && Random.State.int rng 5 = 0; reset = false;
     half_close = Random.State.bool rng; eof = false }
 
-let parsed c = Array.fold_left (fun n e -> if e <= c.sent then n + 1 else n) 0 c.ends
+let gen_client rng ~trigger cid =
+  let reqs = Array.init (1 + Random.State.int rng 10) (gen_request rng ~cid) in
+  new_client rng ~kind:Client cid
+    (if trigger = Some cid then Array.append reqs [| Protocol.Shutdown |] else reqs)
 
-(* ------------------------------------------------------------------ *)
-(* one schedule *)
-
-type world = {
-  cfg : Server.config;
-  stores : Server.store array;
-  log : Log.t;
-  cores : Core.t array;
-  clients : client array;
-  appended_at : (int, float) Hashtbl.t;  (* seq -> time of its commit *)
-  timeouts : int;                        (* fences the schedule timed out *)
-  emitted : Delta.frame list;            (* what the link sent, in order *)
-  by_verb : bool;                        (* the shutdown verb started the drain *)
-  late : int;                            (* connections adopted after it *)
-}
-
-let run_schedule seed =
-  let rng = Random.State.make [| seed |] in
-  let pick l = List.nth l (Random.State.int rng (List.length l)) in
-  let shards = pick [ 1; 2; 4 ] in
-  let cfg =
-    { Server.default_config with
-      shards; vsize;
-      queue_depth = pick [ 1; 64 ];
-      policy = pick [ Server.Block; Server.Shed ];
-      max_batch = pick [ 1; 8 ] }
-  in
-  let host = if Random.State.bool rng then Some (Random.State.int rng shards) else None in
-  let p = Lazy.force plan in
-  let stores =
-    Array.init shards (fun _ ->
-        let s = Server.store_of_pinterp (Pinterp.create p) in
-        Test_server.init_store s;
-        s)
-  in
-  let bnd = Option.get (Server.bindings_of_plan p) in
-  let log = Log.create () in
-  let now = ref 0.0 in
-  (* the link: the host fills it after each of its steps; the replica
-     end decodes whatever the schedule delivers and acks some prefix *)
-  let hub = Shipper.create ~log () in
-  let link = Option.map (fun _ -> Shipper.attach hub ~sync:true ~from_seq:1) host in
-  let pending = Buffer.create 256 and replica = Delta.reader () in
-  let emitted = ref [] and received = ref 0 and acked = ref 0 in
-  let ship () =
-    Option.iter
-      (fun l ->
-        Shipper.fill hub l ~now:!now;
-        Buffer.add_string pending (Shipper.output l))
-      link
-  in
-  let deliver n =
-    let b = Buffer.sub pending 0 n in
-    let rest = Buffer.sub pending n (Buffer.length pending - n) in
-    Buffer.clear pending;
-    Buffer.add_string pending rest;
-    List.iter
-      (fun f ->
-        emitted := f :: !emitted;
-        match f with Delta.Frame { d; _ } -> received := d.Delta.seq | _ -> ())
-      (Delta.feed replica (Bytes.of_string b) n)
-  in
-  (* the commit time of each seq: appends happen inside core calls, and
-     a call's time is fixed, so stamping after each call is exact *)
-  let appended_at = Hashtbl.create 64 and stamped = ref 0 in
-  let stamp () =
-    let head = Log.head log in
-    for q = !stamped + 1 to head do
-      Hashtbl.replace appended_at q !now
-    done;
-    let grew = head > !stamped in
-    stamped := head;
-    grew
-  in
-  (* a fence times out when the core finds its seq unacked at or past
-     its deadline; the schedule counts those answers itself *)
-  let timeouts = ref 0 in
-  let synced seq =
-    let r = Shipper.synced hub ~seq in
-    (match Hashtbl.find_opt appended_at seq with
-    | Some at when (not r) && !now >= at +. Core.fence_timeout_us -> incr timeouts
-    | _ -> ());
-    r
-  in
-  let g =
-    Core.group ~cfg ~bnd ~log ~role:(Atomic.make Core.Primary) ~synced
-      ~info:(fun _ -> Protocol.Error_msg "no stats in the simulation")
-      ~self:(fun () -> (Domain.self () :> int))
-      stores
-  in
-  let cores = g.Core.cores in
-  let n_clients = 1 + Random.State.int rng 6 in
-  (* half the schedules end one client's pipeline in [shutdown] *)
-  let trigger =
-    if Random.State.bool rng then Some (Random.State.int rng n_clients) else None
-  in
-  let clients = Array.init n_clients (gen_client rng ~shards ~trigger) in
-  (* without a shutdown verb, the drain may start once this many steps
-     have run; in any schedule, when nothing else can happen *)
-  let drain_after = Random.State.int rng 200 in
-  (* the world outside the cores *)
-  let chan = Array.init shards (fun _ -> Array.init shards (fun _ -> Queue.create ())) in
-  let woken = Array.make shards false in
-  let drain = ref false and by_verb = ref false and late = ref 0 in
-  let counted = Array.make shards false in
-  (* the shell's drain: raise the flag and wake every loop; each core
-     steps [Drain] when it next runs *)
-  let start_drain () =
-    drain := true;
-    Array.fill woken 0 shards true
-  in
-  let emit s = function
-    | Core.Write (id, b) ->
-      let c = clients.(id) in
-      let got = Protocol.feed_resp c.rd (Bytes.of_string b) (String.length b) in
-      let acked = if link = None then max_int else !acked in
-      c.resps <- List.rev_append got c.resps;
-      c.stamps <- List.rev_append (List.map (fun _ -> (!now, acked)) got) c.stamps
-    | Core.Close _ -> ()
-    | Core.Handoff _ -> fail "replication handoff without a repl verb"
-    | Core.Send (r, item) -> Queue.push item chan.(s).(r)
-    | Core.Wake k -> woken.(k) <- true
-    | Core.Shutdown ->
-      if trigger = None then fail "shutdown verb without one sent";
-      if not !drain then begin
-        by_verb := true;
-        start_drain ()
-      end
-  in
-  (* an append wakes the link's host, as the log subscription does *)
-  let after_call () =
-    if stamp () then Option.iter (fun h -> woken.(h) <- true) host
-  in
-  let handle s ev =
-    now := !now +. 1.0;
-    Core.handle cores.(s) ~now:!now ~emit:(emit s) ev;
-    after_call ()
-  in
-  let step s =
-    woken.(s) <- false;
-    if !drain then handle s Core.Drain;
-    (* the shell pops everything queued: a random merge of the senders'
-       streams, each one in order *)
-    let rec pop () =
-      let senders = Array.to_list (Array.map (fun row -> row.(s)) chan) in
-      match List.filter (fun q -> not (Queue.is_empty q)) senders with
-      | [] -> ()
-      | qs ->
-        handle s (Core.Inbox (Queue.pop (pick qs)));
-        pop ()
-    in
-    pop ();
-    let rec run () =
-      now := !now +. 1.0;
-      let again = Core.run cores.(s) ~now:!now ~emit:(emit s) in
-      after_call ();
-      if again then run ()
-    in
-    run ();
-    if host = Some s then ship ();
-    (* the shell's exit rule: each core counts once *)
-    if Core.finished cores.(s) then counted.(s) <- true
-  in
-  (* a core with readable bytes or a fence result is runnable too *)
-  let ready = Array.make shards false in
-  let actions steps =
-    let acts = ref [] in
-    let add w f = acts := (w, f) :: !acts in
-    Array.iter
-      (fun c ->
-        if not c.adopted then
-          (* after the drain started: a connection accepted just before
-             it, which its shard adopts late *)
-          add (if !drain then 1 else 4) (fun () ->
-              c.adopted <- true;
-              if !drain then incr late;
-              handle c.home (Core.Adopt c.cid);
-              ready.(c.home) <- true)
-        else if c.adopted && not c.vanished then begin
-          let left = String.length c.wire - c.sent in
-          if left > 0 && Core.wants_read cores.(c.home) c.cid then
-            add 8 (fun () ->
-                let n = 1 + Random.State.int rng (min left 48) in
-                handle c.home (Core.Read (c.cid, Bytes.of_string (String.sub c.wire c.sent n), n));
-                c.sent <- c.sent + n;
-                ready.(c.home) <- true);
-          if left = 0 && c.half_close && (not c.eof) && not !drain then
-            add 2 (fun () ->
-                c.eof <- true;
-                handle c.home (Core.Eof c.cid);
-                ready.(c.home) <- true);
-          if c.doomed && not !drain then
-            add 1 (fun () ->
-                c.vanished <- true;
-                handle c.home (Core.Dead c.cid);
-                ready.(c.home) <- true)
-        end)
-      clients;
-    for s = 0 to shards - 1 do
-      if woken.(s) || ready.(s) then
-        add 6 (fun () ->
-            ready.(s) <- false;
-            step s);
-      if woken.(s) then
-        for r = 0 to shards - 1 do
-          if not (Queue.is_empty chan.(r).(s)) then
-            add 3 (fun () -> handle s (Core.Inbox (Queue.pop chan.(r).(s))))
-        done;
-    done;
-    Option.iter
-      (fun l ->
-        let h = Option.get host in
-        let n = Buffer.length pending in
-        if n > 0 then begin
-          add 3 (fun () -> deliver (1 + Random.State.int rng n));
-          add 1 (fun () -> () (* withhold *))
-        end;
-        if !received > !acked then
-          add 3 (fun () ->
-              acked := !acked + 1 + Random.State.int rng (!received - !acked);
-              let a = Delta.render_ack !acked in
-              Shipper.feed l (Bytes.of_string a) (String.length a) ~now:!now;
-              Core.wake_fenced cores.(h) ~emit:(emit h));
-        let deadlines = Array.map Core.deadline cores in
-        match Array.fold_left (fun m d -> Option.fold ~none:m ~some:(Float.min m) d) infinity deadlines with
-        | d when d < infinity ->
-          add 1 (fun () ->
-              now := Float.max !now d;
-              Array.iteri (fun s d' -> if d' = Some d then ready.(s) <- true) deadlines)
-        | _ -> ())
-      link;
-    if (not !drain) && ((trigger = None && steps >= drain_after) || !acts = []) then
-      add 1 start_drain;
-    !acts
-  in
-  let rec loop steps =
-    if steps = 100_000 then fail "no quiescence after 100000 steps";
-    if not (Array.for_all Fun.id counted) then
-      match actions steps with
-      | [] -> ()
-      | acts ->
-        let total = List.fold_left (fun n (w, _) -> n + w) 0 acts in
-        let rec choose k = function
-          | (w, f) :: rest -> if k < w then f else choose (k - w) rest
-          | [] -> assert false
-        in
-        choose (Random.State.int rng total) acts ();
-        (* no lost ack wakeup: a core whose oldest held fence is acked
-           must be runnable, or it would sleep until the deadline *)
-        Array.iteri
-          (fun s c ->
-            match Queue.peek_opt c.Core.fences with
-            | Some (_, seq, _) when Shipper.synced hub ~seq && not (woken.(s) || ready.(s)) ->
-              fail "shard %d sleeps on fence %d, which is acked" s seq
-            | _ -> ())
-          cores;
-        loop (steps + 1)
-  in
-  loop 0;
-  Array.iteri
-    (fun s c -> if not c then fail "shard %d stuck: drain never finished" s)
-    counted;
-  { cfg; stores; log; cores; clients; appended_at; timeouts = !timeouts;
-    emitted = List.rev !emitted; by_verb = !by_verb; late = !late }
+let parsed c = Array.fold_left (fun n e -> if e <= c.taken then n + 1 else n) 0 c.ends
 
 (* ------------------------------------------------------------------ *)
 (* the checker *)
 
-let check w =
+(* [appended_at]: seq -> the time of its commit; [fenced_from]: the
+   first seq a fence may hold; [emitted]: the frames the replica read *)
+let check srv ~stores ~clients ~flood ~appended_at ~fenced_from ~timeouts ~emitted =
+  let log = Server.repl_log srv in
   (* per key, the committed writes in log order; position j is the
      state after the key's j-th write, whose version is j *)
   let hist = Array.make keys [||] and hist_seq = Array.make keys [||] in
@@ -414,18 +179,22 @@ let check w =
           if Hashtbl.mem put_at v then fail "value %S committed twice" v;
           Hashtbl.replace put_at v (k, Array.length hist.(k), d.Delta.seq))
         v)
-    (Log.to_list w.log);
+    (Log.to_list log);
   let state k j = if j = 0 then None else hist.(k).(j - 1) in
   let top k = Array.length hist.(k) in
-  (* which request wrote each value, and whether it was answered as
-     having failed *)
+  (* the writes answered as failed *)
   let failed_write = Hashtbl.create 64 in
-  Array.iter
+  (* a connection refused at the fd cap: the server read none of it *)
+  let cap = (Server.stats srv).Server.s_fd_cap in
+  let refusal = Protocol.Error_msg (Printf.sprintf "too many connections (fd cap %d)" cap) in
+  let refused c = c.taken = 0 && c.resps = [ refusal ] in
+  List.iter (fun c -> if not (refused c || c.resps = []) then fail "flood %d answered" c.cid) flood;
+  List.iter
     (fun c ->
       let resps = Array.of_list (List.rev c.resps) in
       let stamps = Array.of_list (List.rev c.stamps) in
       let n = parsed c in
-      if (not c.vanished) && Array.length resps <> n then
+      if not (c.reset || c.stalled) && Array.length resps <> n then
         fail "client %d: %d responses to %d parsed requests" c.cid (Array.length resps) n;
       if Array.length resps > n then fail "client %d: response to an unsent request" c.cid;
       let cur = Array.make keys 0 in
@@ -461,9 +230,9 @@ let check w =
          passed *)
       let released i seq =
         let at, acked = stamps.(i) in
-        if acked < seq && at < Hashtbl.find w.appended_at seq +. Core.fence_timeout_us then
-          fail "client %d: reply %d left at %.0f with seq %d unacked (acked %d)" c.cid i at
-            seq acked
+        let late = at >= Hashtbl.find appended_at seq +. Core.fence_timeout_us in
+        if seq >= fenced_from && acked < seq && not late then
+          fail "client %d: reply %d left at %.0f, seq %d unacked (acked %d)" c.cid i at seq acked
       in
       let put ?expect i k v =
         match Hashtbl.find_opt put_at v with
@@ -490,6 +259,7 @@ let check w =
         find (cur.(k) + 1)
       in
       let refused vs = List.iter (fun v -> Hashtbl.replace failed_write v ()) vs in
+      let guards k e = function Protocol.T_cas (k', e', _) -> k = k' && e = e' | _ -> false in
       let puts ops =
         List.filter_map
           (function Protocol.T_set (_, v) | Protocol.T_cas (_, _, v) -> Some v | _ -> None)
@@ -523,12 +293,7 @@ let check w =
             refused [ c_val ];
             version c_key 0 None
           | Protocol.Txn ops, Protocol.Txn_abort { ta_key; ta_expected; ta_found }
-            when ta_expected <> ta_found
-                 && List.exists
-                      (function
-                        | Protocol.T_cas (k, e, _) -> k = ta_key && e = ta_expected
-                        | _ -> false)
-                      ops ->
+            when ta_expected <> ta_found && List.exists (guards ta_key ta_expected) ops ->
             refused (puts ops);
             version ta_key ta_found None
           | Protocol.Txn ops, Protocol.Txn_reply results
@@ -544,17 +309,14 @@ let check w =
                 | _ -> shape ())
               ops results;
             (* all-or-nothing: one contiguous run in the log *)
-            let seqs =
-              List.map (fun v -> let _, _, s = Hashtbl.find put_at v in s) (puts ops)
-            in
-            let writes =
-              List.length (List.filter (function Protocol.T_get _ -> false | _ -> true) ops)
-            in
+            let seqs = List.map (fun v -> let _, _, s = Hashtbl.find put_at v in s) (puts ops) in
+            let writes = List.filter (function Protocol.T_get _ -> false | _ -> true) ops in
             (match seqs with
             | [] -> ()
             | s :: _ ->
               let lo = List.fold_left min s seqs and hi = List.fold_left max s seqs in
-              if hi - lo >= writes then fail "client %d: txn %d committed as a split run" c.cid i)
+              if hi - lo >= List.length writes then
+                fail "client %d: txn %d committed as a split run" c.cid i)
           | Protocol.Scan { sc_start; sc_stop; _ }, Protocol.Scan_reply items ->
             let seen = List.map (fun (it : Protocol.scan_item) -> it.Protocol.si_key) items in
             if seen <> List.sort_uniq compare seen then shape ();
@@ -572,15 +334,15 @@ let check w =
             done
           | _ -> shape ())
         resps)
-    w.clients;
+    (List.filter (fun c -> not (refused c)) clients);
   (* a write answered as refused never reaches the log *)
   Hashtbl.iter
     (fun v () -> if Hashtbl.mem put_at v then fail "refused write %S was committed" v)
     failed_write;
   (* every store holds what the log says *)
-  let n = Array.length w.stores in
+  let n = Array.length stores in
   for k = 0 to keys - 1 do
-    let st = w.stores.(k mod n) in
+    let st = stores.(k mod n) in
     let buf = st.Server.st_alloc vsize in
     let got =
       match st.Server.st_call "mc_get" [ Rvalue.Int (Int64.of_int k); Rvalue.Ptr buf ] with
@@ -588,16 +350,15 @@ let check w =
       | Ok _ -> None
       | Error m -> fail "final read of key %d: %s" k m
     in
-    let want =
-      Option.map (fun v -> v ^ String.make (vsize - String.length v) '\000') (state k (top k))
-    in
-    if got <> want then fail "key %d: the store disagrees with the log" k
+    let pad v = v ^ String.make (vsize - String.length v) '\000' in
+    if got <> Option.map pad (state k (top k)) then
+      fail "key %d: the store disagrees with the log" k
   done;
-  let counted = Array.fold_left (fun n c -> n + c.Core.n.Core.fence_timeouts) 0 w.cores in
-  if counted <> w.timeouts then
-    fail "the cores counted %d fence timeouts, the schedule caused %d" counted w.timeouts;
+  let counted = (Server.stats srv).Server.s_fence_timeouts in
+  if counted <> timeouts then
+    fail "the cores counted %d fence timeouts, the schedule caused %d" counted timeouts;
   (* the link's stream: the handshake, then the log from seq 1, in order *)
-  (match w.emitted with
+  (match emitted with
   | [] -> ()
   | Delta.Ok_hello 1 :: frames ->
     List.iteri
@@ -607,80 +368,318 @@ let check w =
           let d =
             match d.Delta.op with
             | Delta.Put ({ color; payload; _ } as p) when sealed -> (
-              match
-                Seal.unseal ~key:(Seal.derive ~cluster:"privagic" color) ~nonce:d.Delta.seq payload
-              with
+              let key = Seal.derive ~cluster:"privagic" color in
+              match Seal.unseal ~key ~nonce:d.Delta.seq payload with
               | Ok payload -> { d with Delta.op = Delta.Put { p with payload } }
               | Error e -> fail "link frame %d: %s" d.Delta.seq e)
             | _ -> d
           in
-          if d.Delta.seq <> i + 1 || Log.get w.log (i + 1) <> Some d then
+          if d.Delta.seq <> i + 1 || Log.get log (i + 1) <> Some d then
             fail "link frame %d is not log entry %d" d.Delta.seq (i + 1)
         | _ -> fail "link: stray handshake or corrupt frame")
       frames
   | _ -> fail "link: the stream does not start with REPLOK 1");
-  (Array.fold_left (fun n c -> n + List.length c.resps) 0 w.clients, List.length w.emitted)
+  let count p = List.length (List.filter p (clients @ flood)) in
+  note "responses checked" (List.fold_left (fun n c -> n + List.length c.resps) 0 clients);
+  note "link frames" (List.length emitted);
+  note "fence timeouts" timeouts;
+  note "refusals at the fd cap" (count refused);
+  (* closed by the drain before its loop read a byte of it *)
+  note "connections the drain closed unread"
+    (count (fun c -> c.state = Closed && c.sent > 0 && c.taken = 0 && c.resps = []))
+
+(* ------------------------------------------------------------------ *)
+(* one schedule *)
+
+(* what the server holds, by fd *)
+type endpoint = Listen | Wake of int ref | Conn of client
+
+let run_schedule seed =
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n in
+  let pick l = List.nth l (int (List.length l)) in
+  let shards = pick [ 1; 2; 4 ] in
+  let cfg =
+    { Server.default_config with shards; vsize; queue_depth = pick [ 1; 64 ];
+      policy = pick [ Server.Block; Server.Shed ]; max_batch = pick [ 1; 8 ] }
+  in
+  let p = Lazy.force plan in
+  let store _ = let s = Server.store_of_pinterp (Pinterp.create p) in Test_server.init_store s; s in
+  let stores = Array.init shards store in
+  (* the network *)
+  let now = ref 0.0 and fds = Hashtbl.create 64 and closed = Hashtbl.create 64 in
+  let new_fd e = Hashtbl.replace fds (Hashtbl.length fds) e; Hashtbl.length fds - 1 in
+  let backlog = Queue.create () and listening = ref true and open_conns = ref 0 in
+  let sleeping = Array.make shards None and cur = ref 0 in
+  (* set once the server exists: what the link acked, and the fence scan *)
+  let acked_now = ref (fun () -> max_int) and on_link = ref ignore in
+  let live fd =
+    if Hashtbl.mem closed fd then fail "fd %d used after its close" fd;
+    match Hashtbl.find fds fd with Conn { kind = Replica; _ } as e -> !on_link (); e | e -> e
+  in
+  let readable fd =
+    match Hashtbl.find fds fd with
+    | Listen -> not (Queue.is_empty backlog)
+    | Wake p -> !p > 0
+    | Conn c -> c.reset || c.eof || c.taken < c.sent
+  in
+  let writable fd =
+    match Hashtbl.find fds fd with Conn c -> c.reset || String.length c.out < c.cap | _ -> true
+  in
+  let error e call = raise (Unix.Unix_error (e, call, "")) in
+  let io =
+    { Server.select =
+        (fun rd wr timeout ->
+          List.iter (fun fd -> ignore (live fd)) (rd @ wr);
+          let r = List.filter readable rd and w = List.filter writable wr in
+          if r = [] && w = [] && timeout <> 0.0 then begin
+            let d = if timeout < 0.0 then infinity else !now +. (timeout *. 1e6) in
+            sleeping.(!cur) <- Some (rd, wr, d);
+            raise Asleep
+          end;
+          (r, w));
+      read =
+        (fun fd buf off len ->
+          match live fd with
+          | Wake p when !p > 0 -> let n = min len !p in p := !p - n; n
+          | Wake _ -> error Unix.EAGAIN "read"
+          | Conn c when c.reset -> note "resets" 1; error Unix.ECONNRESET "read"
+          | Conn c when c.taken < c.sent && int 8 > 0 ->
+            let n = 1 + int (min len (c.sent - c.taken)) in
+            Bytes.blit_string c.wire c.taken buf off n;
+            c.taken <- c.taken + n;
+            n
+          | Conn c when c.taken = c.sent && c.eof -> 0
+          | _ -> note "EAGAINs" 1; error Unix.EAGAIN "read");
+      write =
+        (fun fd buf off len ->
+          match live fd with
+          | Wake p -> p := !p + len; len
+          | Conn c when c.reset -> note "resets" 1; error Unix.EPIPE "write"
+          | Conn c when String.length c.out < c.cap ->
+            let n = min len (c.cap - String.length c.out) in
+            let n = if n > 1 && int 4 = 0 then 1 + int (n - 1) else n in
+            if n < len then note "short writes" 1;
+            c.out <- c.out ^ Bytes.sub_string buf off n;
+            c.wrote_at <- !now;
+            (* all a replica reads before it is heard is a refusal *)
+            if c.kind <> Replica || c.taken = 0 then begin
+              let got = Protocol.feed_resp c.rd (Bytes.sub buf off n) n and a = !acked_now () in
+              c.resps <- List.rev_append got c.resps;
+              c.stamps <- List.rev_append (List.map (fun _ -> (!now, a)) got) c.stamps
+            end;
+            n
+          | _ -> note "EAGAINs" 1; error Unix.EAGAIN "write");
+      accept =
+        (fun fd ->
+          match (live fd, Queue.take_opt backlog) with
+          | _, None -> error Unix.EAGAIN "accept"
+          | _, Some c -> c.state <- Open; c.wrote_at <- !now; incr open_conns; new_fd (Conn c));
+      close =
+        (fun fd ->
+          (match live fd with
+          | Listen ->
+            listening := false;
+            Queue.(iter (fun c -> c.state <- Lost) backlog; clear backlog)
+          | Wake _ -> ()
+          | Conn c ->
+            decr open_conns;
+            c.state <- Closed;
+            c.stalled <- !now -. c.wrote_at >= drain_stall_us);
+          Hashtbl.replace closed fd ());
+      pipe = (fun () -> let p = ref 0 in let r = new_fd (Wake p) in (r, new_fd (Wake p)));
+      clock = (fun () -> !now) }
+  in
+  let bnd = Option.get (Server.bindings_of_plan p) in
+  let srv = Server.create io ~listen:(new_fd Listen) cfg bnd stores in
+  let hub = Server.repl_hub srv and log = Server.repl_log srv and cores = Server.cores srv in
+  let fd_cap = (Server.stats srv).Server.s_fd_cap in
+  (acked_now :=
+     fun () ->
+       let rec go q = if Shipper.synced hub ~seq:q then q else go (q - 1) in
+       if Shipper.synced hub ~seq:(Log.head log) then max_int else go (Log.head log));
+  (* A fence times out when its core releases it unacked. Scanned after
+     every step and before each use of the replica's socket, the only
+     moments the acks can move: a fence gone since the last scan went
+     while they stood as they stand now. *)
+  let timeouts = ref 0 and seen = Array.make shards [] in
+  let scan () =
+    Array.iteri
+      (fun k c ->
+        let held = List.of_seq (Queue.to_seq c.Core.fences) in
+        let gone (_, seq, _) = not (Shipper.synced hub ~seq) in
+        List.iter (fun f -> if not (List.memq f held) && gone f then incr timeouts) seen.(k);
+        seen.(k) <- held)
+      cores
+  in
+  on_link := scan;
+  (* the commit time of each seq: the clock stands still during a step *)
+  let appended_at = Hashtbl.create 64 and stamped = ref 0 and fenced_from = ref max_int in
+  let stamp () =
+    for q = !stamped + 1 to Log.head log do Hashtbl.replace appended_at q !now done;
+    stamped := Log.head log;
+    (* writes before the link attached were never fenced *)
+    if !fenced_from = max_int && Shipper.connected hub > 0 then fenced_from := !stamped + 1
+  in
+  let n_clients = 1 + int 6 in
+  (* half the schedules end one client's pipeline in [shutdown] *)
+  let trigger = if Random.State.bool rng then Some (int n_clients) else None in
+  let clients = ref (List.init n_clients (gen_client rng ~trigger)) in
+  (* the replica end of a sync link: it reads frames, acks a prefix *)
+  let reader = Delta.reader () and emitted = ref [] and received = ref 0 and acked = ref 0 in
+  let hello = Delta.render_hello ~sync:true ~from_seq:1 in
+  if Random.State.bool rng then
+    clients := new_client rng ~kind:Replica 99 [||] ~wire:hello :: !clients;
+  let floods = int 25 = 0 and flood = ref [] in
+  (* with no pipelined shutdown, an operator may send one after this many steps *)
+  let drain_after = int 200 in
+  let draining () = Server.is_draining srv and exited = Array.make shards false in
+  let runnable k =
+    match sleeping.(k) with
+    | Some (rd, wr, d) -> d <= !now || List.exists readable rd || List.exists writable wr
+    | None -> not exited.(k)
+  in
+  let iterate k =
+    sleeping.(k) <- None;
+    cur := k;
+    match Server.iterate srv k with running -> exited.(k) <- not running | exception Asleep -> ()
+  in
+  let connect c = c.state <- Queued; Queue.push c backlog in
+  let read c =
+    let n = 1 + int (String.length c.out) in
+    let b = String.sub c.out 0 n in
+    c.out <- String.sub c.out n (String.length c.out - n);
+    let frame f =
+      emitted := f :: !emitted;
+      match f with Delta.Frame { d; _ } -> received := d.Delta.seq | _ -> ()
+    in
+    if c.kind = Replica && c.taken > 0 then
+      List.iter frame (Delta.feed reader (Bytes.of_string b) n)
+  in
+  let actions steps =
+    let acts = ref [] in
+    let add w f = acts := (w, f) :: !acts in
+    for k = 0 to shards - 1 do if runnable k then add 6 (fun () -> iterate k) done;
+    List.iter
+      (fun c ->
+        (match c.state with
+        | Idle -> if !listening then add 4 (fun () -> connect c)
+        | (Queued | Open) when not c.reset ->
+          let left = String.length c.wire - c.sent in
+          if left > 0 then add 8 (fun () -> c.sent <- c.sent + 1 + int (min left 48));
+          if left = 0 && c.half_close && (not c.eof) && not (draining ()) then
+            add 2 (fun () -> c.eof <- true);
+          if c.doomed && not (draining ()) then add 1 (fun () -> c.reset <- true);
+          if c.kind = Replica && left = 0 && !received > !acked then
+            add 3 (fun () ->
+                acked := !acked + 1 + int (!received - !acked);
+                c.wire <- c.wire ^ Delta.render_ack !acked;
+                c.sent <- String.length c.wire)
+        | _ -> ());
+        if String.length c.out > 0 then add 6 (fun () -> read c))
+      !clients;
+    let deadline m = function Some (_, _, d) when d > !now -> Float.min m d | _ -> m in
+    let d = Array.fold_left deadline infinity sleeping in
+    if d < infinity then add 1 (fun () -> now := Float.ceil d);
+    if floods && !flood = [] && not (draining ()) then
+      add 1 (fun () ->
+          flood := List.init (fd_cap + 1 + int 3) (fun i ->
+              new_client rng ~kind:Flood (1000 + i) [||]);
+          List.iter connect !flood);
+    if List.exists (fun c -> not c.eof) !flood then
+      add 1 (fun () -> List.iter (fun c -> c.eof <- true) !flood);
+    let operator c = c.kind = Operator && (c.state = Queued || c.state = Open) in
+    if (not (draining ())) && (not (List.exists operator !clients))
+       && ((trigger = None && steps >= drain_after) || !acts = [])
+    then
+      add 1 (fun () ->
+          let c = new_client rng ~kind:Operator (List.length !clients) [| Protocol.Shutdown |] in
+          c.sent <- String.length c.wire;
+          connect c;
+          clients := c :: !clients);
+    !acts
+  in
+  (* a pipeline holds at most one shutdown, as its last request *)
+  let asked c =
+    let n = Array.length c.reqs in
+    n > 0 && c.reqs.(n - 1) = Protocol.Shutdown && parsed c = n
+  in
+  let rec loop steps =
+    if steps = 100_000 then fail "no quiescence after 100000 steps";
+    if not (Array.for_all Fun.id exited) then
+      match actions steps with
+      | [] -> fail "stuck: nothing can happen and not every loop exited"
+      | acts ->
+        let rec choose k = function
+          | (w, f) :: rest -> if k < w then f else choose (k - w) rest | [] -> assert false in
+        now := !now +. 1.0;
+        choose (int (List.fold_left (fun n (w, _) -> n + w) 0 acts)) acts ();
+        stamp ();
+        scan ();
+        if !open_conns > fd_cap then fail "%d connections open past the fd cap" !open_conns;
+        if draining () && not (List.exists asked !clients) then
+          fail "the drain started without a shutdown verb";
+        (* no lost ack wakeup: a loop whose core's oldest held fence is
+           acked must be runnable, or it would sleep until the deadline *)
+        Array.iteri
+          (fun k c ->
+            match Queue.peek_opt c.Core.fences with
+            | Some (_, seq, _) when Shipper.synced hub ~seq && not (runnable k) ->
+              fail "shard %d sleeps on fence %d, which is acked" k seq
+            | _ -> ())
+          cores;
+        loop (steps + 1)
+  in
+  loop 0;
+  Server.wait srv;
+  List.iter (fun c -> if c.state = Open then fail "client %d never closed" c.cid) !clients;
+  if List.exists (fun c -> c.state = Open) !flood then fail "a flood connection never closed";
+  if trigger <> None && not (List.exists (fun c -> c.kind = Operator) !clients) then
+    note "drains by a pipelined shutdown" 1;
+  check srv ~stores ~clients:!clients ~flood:!flood ~appended_at ~fenced_from:!fenced_from
+    ~timeouts:!timeouts ~emitted:(List.rev !emitted)
 
 let test_schedules () =
-  let t0 = Unix.gettimeofday () and checked = ref 0 and frames = ref 0 and timeouts = ref 0 in
-  let by_verb = ref 0 and late = ref 0 in
+  let t0 = Unix.gettimeofday () in
+  Hashtbl.reset tally;
   for i = 0 to schedules - 1 do
     let seed = !base_seed + i in
-    match
-      let w = run_schedule seed in
-      (w, check w)
-    with
-    | w, (n, f) ->
-      checked := !checked + n;
-      frames := !frames + f;
-      timeouts := !timeouts + w.timeouts;
-      if w.by_verb then incr by_verb;
-      late := !late + w.late
-    | exception Violation m ->
+    try run_schedule seed
+    with Violation m ->
       Alcotest.failf "schedule %d: %s\n  reproduce: dune exec test/main.exe -- test sim --seed %d"
         seed m seed
   done;
-  Printf.printf
-    "%d schedules, %d responses checked, %d link frames, %d fence timeouts, %d drains by \
-     the shutdown verb, %d late adoptions, in %.1f s\n%!"
-    schedules !checked !frames !timeouts !by_verb !late (Unix.gettimeofday () -. t0);
+  Printf.printf "%d schedules: %s, in %.1f s\n%!" schedules
+    (String.concat ", " (List.map (fun w -> Printf.sprintf "%d %s" (got w) w) paths))
+    (Unix.gettimeofday () -. t0);
   (* a schedule that never delivers a request checks nothing, and a
-     link that never ships or never times a fence out checks no fence *)
-  if !checked < schedules then
-    Alcotest.failf "only %d responses over %d schedules" !checked schedules;
-  if !frames = 0 || !timeouts = 0 then
-    Alcotest.failf "%d link frames and %d fence timeouts over %d schedules" !frames !timeouts
-      schedules;
-  (* nor does a drain the verb never starts, or one no late connection
-     meets, check those paths *)
-  if !by_verb = 0 || !late = 0 then
-    Alcotest.failf "%d drains by the shutdown verb and %d late adoptions over %d schedules"
-      !by_verb !late schedules
+     path no schedule reaches is not checked either *)
+  if got "responses checked" < schedules then
+    Alcotest.failf "only %d responses over %d schedules" (got "responses checked") schedules;
+  List.iter (fun w -> if got w = 0 then Alcotest.failf "no %s over %d schedules" w schedules) paths
 
-(* The single-writer rule: the first domain to step a core owns it. *)
+(* The single-writer rule: the first domain to step a loop owns its
+   core. Over a network where nothing happens, a pass sleeps. *)
 let test_owner () =
   let p = Lazy.force plan in
   let store = Server.store_of_pinterp (Pinterp.create p) in
   Test_server.init_store store;
-  let g =
-    Core.group ~cfg:{ Server.default_config with vsize }
-      ~bnd:(Option.get (Server.bindings_of_plan p)) ~log:(Log.create ())
-      ~role:(Atomic.make Core.Primary) ~synced:(fun _ -> true)
-      ~info:(fun _ -> Protocol.Ok_msg) ~self:(fun () -> (Domain.self () :> int))
-      [| store |]
+  let io =
+    { Server.select = (fun _ _ _ -> raise Asleep); read = (fun _ _ _ _ -> 0);
+      write = (fun _ _ _ n -> n); accept = (fun () -> raise Exit); close = ignore;
+      pipe = (fun () -> ((), ())); clock = (fun () -> 0.0) }
   in
-  let core = g.Core.cores.(0) in
-  ignore (Core.run core ~now:0.0 ~emit:ignore);
-  let other =
-    Domain.join
-      (Domain.spawn (fun () ->
-           match Core.run core ~now:1.0 ~emit:ignore with
-           | _ -> "stepped"
-           | exception Invalid_argument _ -> "refused"))
+  let cfg = { Server.default_config with vsize } in
+  let srv = Server.create io ~listen:() cfg (Option.get (Server.bindings_of_plan p)) [| store |] in
+  let pass () =
+    match Server.iterate srv 0 with
+    | _ -> "passed"
+    | exception Asleep -> "slept"
+    | exception Invalid_argument _ -> "refused"
   in
-  Alcotest.(check string) "a second domain is refused" "refused" other;
-  Core.handle core ~now:2.0 ~emit:ignore (Core.Adopt 0);
-  Alcotest.(check bool) "the owner still steps it" true (Core.wants_read core 0)
+  Alcotest.(check string) "the owner's pass sleeps" "slept" (pass ());
+  Alcotest.(check string) "a second domain is refused" "refused" (Domain.join (Domain.spawn pass));
+  Alcotest.(check string) "the owner still steps it" "slept" (pass ())
 
 let suite =
   [

@@ -3,6 +3,7 @@
 
   python3 tools/psample.py [--pid PID | --match WORDS] [--delay S]
                            [--seconds S] [--hz N] [--min-cpu F] [--top N]
+                           [--by module|function]
 
 It finds the target process (by --pid, or the first process whose command
 line contains every word of --match, default "main.exe workload"; it waits
@@ -18,11 +19,18 @@ Every 1/--hz seconds (default 200) it samples each busy thread once:
     once, then PTRACE_INTERRUPT, PTRACE_GETREGS, PTRACE_CONT per sample)
     and its user program counter is counted under the OCaml module of the
     function it is in (from `nm` on the executable), "runtime" for the
-    OCaml runtime's C functions, or the shared object it is in.
+    OCaml runtime's C functions, or the shared object it is in. With
+    --by function it is counted under the function symbol itself (the
+    OCaml symbol without its numeric suffix, e.g.
+    camlPrivagic_server__Server.iterate, or the C function's name).
 
 It attaches only to those threads of that one process, and detaches when it
 exits. The output is one block per thread: the share of samples of each
-module or system call, largest first.
+module (or function) or system call, largest first. A last block merges
+every busy thread's samples, leaving out the time spent sleeping in
+select, pselect6 and nanosleep (clock_nanosleep, glibc's way to it,
+included), so its shares are of the time the threads work, whichever
+thread ran it.
 
 Typical use, one traced kv-scan run:
 
@@ -160,7 +168,7 @@ class Symbols:
                 self.addrs.append(int(parts[0], 16) + self.base)
                 self.names.append(parts[2])
 
-    def module(self, pc):
+    def label(self, pc, by):
         i = bisect.bisect_right(self.starts, pc) - 1
         if i < 0 or pc >= self.maps[i][1]:
             return "?"
@@ -170,6 +178,8 @@ class Symbols:
         j = bisect.bisect_right(self.addrs, pc) - 1
         if j < 0:
             return "?"
+        if by == "function":
+            return function_name(self.names[j])
         return ocaml_module(self.names[j])
 
 
@@ -178,6 +188,17 @@ def ocaml_module(sym):
     if sym.startswith("caml") and len(sym) > 4 and sym[4].isupper():
         return sym[4:].split(".", 1)[0].replace("__", ".")
     return "runtime"  # the OCaml runtime and C stubs linked in
+
+
+def function_name(sym):
+    """camlStdlib__Map.add_345 -> camlStdlib__Map.add; C names as they are."""
+    head, _, tail = sym.rpartition("_")
+    return head if sym.startswith("caml") and head and tail.isdigit() else sym
+
+
+# the calls a loop sleeps in: left out of the merged block
+SLEEPS = {"syscall select", "syscall pselect6", "syscall nanosleep",
+          "syscall clock_nanosleep"}
 
 
 def fd_kind(pid, fd):
@@ -210,7 +231,7 @@ def blocked_call(pid, tid):
     return syscall_label(pid, int(fields[0]), int(fields[1], 16))
 
 
-def sample_running(pid, tid, syms):
+def sample_running(pid, tid, syms, by):
     regs = (ctypes.c_ulong * 27)()
     stop(tid)
     try:
@@ -220,13 +241,16 @@ def sample_running(pid, tid, syms):
     orig = ctypes.c_long(regs[REG_ORIG_RAX]).value
     if orig >= 0:  # stopped inside a system call after all
         return syscall_label(pid, orig, regs[REG_RDI])
-    return syms.module(regs[REG_RIP])
+    return syms.label(regs[REG_RIP], by)
 
 
 def main(args):
     if "--help" in args or "-h" in args:
         print(__doc__)
         return 0
+    by = flag(args, "--by", "module")
+    if by not in ("module", "function"):
+        sys.exit("psample: --by takes module or function")
     pid = int(flag(args, "--pid", "0")) or find_pid(flag(args, "--match", "main.exe workload").split())
     time.sleep(float(flag(args, "--delay", "3")))
     tids = busy_threads(pid, float(flag(args, "--min-cpu", "0.1")))
@@ -247,7 +271,7 @@ def main(args):
         while time.time() < deadline and attached:
             for t in list(attached):
                 try:
-                    counts[t][blocked_call(pid, t) or sample_running(pid, t, syms)] += 1
+                    counts[t][blocked_call(pid, t) or sample_running(pid, t, syms, by)] += 1
                 except (OSError, ChildProcessError):
                     attached.remove(t)  # the thread exited
             time.sleep(period)
@@ -259,9 +283,14 @@ def main(args):
             except (OSError, ChildProcessError):
                 pass
     top = int(flag(args, "--top", "15"))
-    for t, c in counts.items():
+    merged = Counter()
+    for c in counts.values():
+        merged.update({label: k for label, k in c.items() if label not in SLEEPS})
+    blocks = [("thread %d" % t, c) for t, c in counts.items()]
+    blocks.append(("all busy threads, not sleeping in select/pselect6/nanosleep", merged))
+    for name, c in blocks:
         n = sum(c.values())
-        print("thread %d: %d samples" % (t, n))
+        print("%s: %d samples" % (name, n))
         for label, k in c.most_common(top):
             print("  %6.1f%%  %s" % (100.0 * k / max(1, n), label))
     return 0
